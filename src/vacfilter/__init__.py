@@ -27,7 +27,7 @@ from .gaussian import (
     gaussian_entropy,
     symplectic_eigenvalues,
 )
-from .metrics import FilterFigures, filter_figures, gain, gain_vs_success_curve, sensitivity, success_probability
+from .metrics import gain, gain_vs_success_curve, sensitivity, success_probability
 from .montecarlo import McConfig, McResult, TrialRecord, calibrate_prep_error, run_trials, verification_histogram
 from .qkd import (
     KeyRateResult,
@@ -47,7 +47,6 @@ from .signal_model import (
     PostFilterMixture,
     marginal_density,
     posterior_mixture,
-    tap_split,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "CoherentAmplitude",
     "CovMatrix",
     "ErasureMixture",
-    "FilterFigures",
     "GaussianComponent",
     "GaussianMixtureState",
     "HomodyneRandomized",
@@ -74,7 +72,6 @@ __all__ = [
     "calibrate_prep_error",
     "condition_on_noclick",
     "error_probability",
-    "filter_figures",
     "filtered_covariance",
     "gain",
     "gain_vs_success_curve",
@@ -90,7 +87,6 @@ __all__ = [
     "sensitivity",
     "success_probability",
     "symplectic_eigenvalues",
-    "tap_split",
     "threshold_for_error",
     "verification_histogram",
     "weak_squeezing_keyrate",

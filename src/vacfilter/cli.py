@@ -103,6 +103,11 @@ def _jsonable(x):
     raise TypeError(f"not JSON serializable: {type(x)}")
 
 
+def _rows(*columns) -> list:
+    """Equal-length columns -> rows of Python scalars."""
+    return np.column_stack(columns).tolist()
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     """start:stop:step -> inclusive grid."""
     try:
@@ -141,24 +146,23 @@ def _build_detector(args) -> object:
     raise ValueError(f"unknown detector {kind!r}")
 
 
-def _matched_trio(e_target: float, eta_apd: float = 1.0, eta_hd: float = 1.0):
-    """APD/HDS/HDR detectors tuned to the same error probability."""
+def _matched_trio(e_target: float):
+    """Unit-efficiency APD/HDS/HDR detectors tuned to the same error probability."""
     b = threshold_for_error(e_target)
     return (
-        Apd(eta=eta_apd, dark_prob=e_target),
-        HomodyneStabilized(eta=eta_hd, threshold=b),
-        HomodyneRandomized(eta=eta_hd, threshold=b),
+        Apd(eta=1.0, dark_prob=e_target),
+        HomodyneStabilized(eta=1.0, threshold=b),
+        HomodyneRandomized(eta=1.0, threshold=b),
     )
 
 
-def _add_detector_flags(sub, with_match=True):
+def _add_detector_flags(sub):
     sub.add_argument("--detector", choices=["ideal", "apd", "hds", "hdr"])
     sub.add_argument("--eta", type=float, help="detector efficiency")
     sub.add_argument("--pd", type=float, help="APD dark-count probability")
     sub.add_argument("--threshold", type=float, help="homodyne threshold B")
-    if with_match:
-        sub.add_argument("--match-error", type=float,
-                         help="set the homodyne threshold from a target error probability")
+    sub.add_argument("--match-error", type=float,
+                     help="set the homodyne threshold from a target error probability")
     sub.add_argument("--efficiency-model", choices=["linear", "sqrt"], default="linear")
 
 
@@ -179,15 +183,10 @@ def cmd_acceptance(args):
     if args.matched_error is not None:
         dets = _matched_trio(args.matched_error)
         cols = ["R_alpha_sq", "P_apd", "P_hds", "P_hdr"]
-        rows = [
-            [n, *(acceptance_probability(d, math.sqrt(n)) for d in dets)]
-            for n in grid
-        ]
     else:
-        det = _build_detector(args)
+        dets = (_build_detector(args),)
         cols = ["R_alpha_sq", "P_accept"]
-        rows = [[n, acceptance_probability(det, math.sqrt(n))] for n in grid]
-    _emit(args, cols, rows)
+    _emit(args, cols, _rows(grid, *(acceptance_probability(d, np.sqrt(grid)) for d in dets)))
     return 0
 
 
@@ -206,17 +205,19 @@ def cmd_sensitivity(args):
     return 0
 
 
+def _gain_columns(det, p: float, grid: np.ndarray) -> tuple:
+    """P_accept, P_S and G of one detector over a grid of R|alpha|^2."""
+    e = error_probability(det)
+    p_acc = acceptance_probability(det, np.sqrt(grid))
+    p_s = metrics.success_probability(p, p_acc, e)
+    return p_acc, p_s, metrics.gain(p, p_s, e, p_accept=p_acc)
+
+
 def cmd_gain(args):
     det = _build_detector(args)
     grid = _parse_grid(args.grid)
-    e = error_probability(det)
-    rows = []
-    for n in grid:
-        p_acc = acceptance_probability(det, math.sqrt(n))
-        p_s = metrics.success_probability(args.p, p_acc, e)
-        g = metrics.gain(args.p, p_s, e, p_accept=p_acc)
-        rows.append([n, p_acc, p_s, g])
-    _emit(args, ["R_alpha_sq", "P_accept", "P_S", "G"], rows)
+    _emit(args, ["R_alpha_sq", "P_accept", "P_S", "G"],
+          _rows(grid, *_gain_columns(det, args.p, grid)))
     return 0
 
 
@@ -277,6 +278,8 @@ def cmd_qkd(args):
         flt = qkd.TapFilter(tap_reflectivity=args.tap,
                             eta=args.eta,
                             dark_prob=args.pd if args.pd is not None else 0.0)
+    if args.prefactor != "ps" and (args.qkd_command == "pmin" or args.optimize):
+        raise ValueError("--prefactor p_ps needs qkd keyrate without --optimize")
     if args.qkd_command == "keyrate":
         if args.optimize:
             res = qkd.optimize_key_rate(args.p, flt, protocol=args.protocol,
@@ -361,10 +364,8 @@ def cmd_figures(args):
     if which == "fig4":
         dets_unit = _matched_trio(FIG_ERROR)
         cols = ["R_alpha_sq", "P_apd", "P_hds", "P_hdr"]
-        rows = []
+        rows = _rows(ns, *(acceptance_probability(d, np.sqrt(ns)) for d in dets_unit))
         mc_cols, mc_rows = _mc_acceptance_points(args, dets_unit, ns[::3])
-        for n in ns:
-            rows.append([n, *(acceptance_probability(d, math.sqrt(n)) for d in dets_unit)])
         args.out = _fig_out(args, "fig4")
         _emit(args, cols, rows, extra={"mc_points": {"columns": mc_cols, "rows": mc_rows}})
         return 0
@@ -379,19 +380,12 @@ def cmd_figures(args):
         _emit(args, ["E", "S_over_R_apd", "S_over_R_hds", "S_over_R_hdr"], rows)
         return 0
     if which in ("fig5b", "fig5c"):
-        dets = _matched_trio(FIG_ERROR)
-        rows = []
-        for n in ns:
-            row = [n]
-            for d in dets:
-                p_acc = acceptance_probability(d, math.sqrt(n))
-                e = error_probability(d)
-                p_s = metrics.success_probability(FIG_P, p_acc, e)
-                row += [p_s, metrics.gain(FIG_P, p_s, e, p_accept=p_acc)]
-            rows.append(row)
+        columns = [ns]
+        for d in _matched_trio(FIG_ERROR):
+            columns += _gain_columns(d, FIG_P, ns)[1:]
         cols = ["R_alpha_sq", "Ps_apd", "G_apd", "Ps_hds", "G_hds", "Ps_hdr", "G_hdr"]
         args.out = _fig_out(args, which)
-        _emit(args, cols, rows)
+        _emit(args, cols, _rows(*columns))
         return 0
     raise ValueError(f"unknown figure {which!r}")
 
@@ -445,9 +439,6 @@ def _figure3(args):
         post = posterior_mixture(mix, p_acc, error_probability(d))
         theory_filtered.append(marginal_density(post, mids))
 
-    def mc_density(hist):
-        return hist.densities()
-
     cols = ["x", "theory_perturbed", "theory_vacuum", "theory_filtered_apd_ideal",
             "theory_filtered_hds_ideal", "model_perturbed", "model_filtered",
             "mc_density_perturbed", "mc_density_vacuum", "mc_density_filtered",
@@ -457,8 +448,8 @@ def _figure3(args):
         list(vals) for vals in zip(
             mids, theory_perturbed, theory_vacuum, theory_filtered[0], theory_filtered[1],
             model_all, model_filtered,
-            mc_density(res.hist_all), mc_density(vac_res.hist_all),
-            mc_density(res.hist_accepted),
+            res.hist_all.densities(), vac_res.hist_all.densities(),
+            res.hist_accepted.densities(),
             res.hist_all.counts[1:-1], vac_res.hist_all.counts[1:-1],
             res.hist_accepted.counts[1:-1],
         )
@@ -582,11 +573,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _option_names(subparser) -> set:
-    names = set()
-    for act in subparser._actions:  # noqa: SLF001 - argparse has no public option listing
-        names.update(opt.lstrip("-").replace("-", "_") for opt in act.option_strings)
-    return names
+def _options(subparser) -> dict:
+    """Option name (dashes as underscores) -> argparse action."""
+    return {opt.lstrip("-").replace("-", "_"): act
+            for act in subparser._actions  # noqa: SLF001 - argparse has no public option listing
+            for opt in act.option_strings}
 
 
 def _read_config(path: str) -> dict:
@@ -606,8 +597,9 @@ def _read_config(path: str) -> dict:
 def _apply_config_file(argv: list) -> list:
     """Merge the flat key=value config file named by VACFILTER_CONFIG under
     the command line: known keys of the invoked subcommand are injected as
-    flags ahead of the user's (so explicit flags win); keys unknown to every
-    subcommand are rejected."""
+    flags ahead of the user's (so explicit flags win), a switch bare when
+    true and not at all when false; keys unknown to every subcommand are
+    rejected."""
     path = os.environ.get("VACFILTER_CONFIG")
     if not path or not argv:
         return argv
@@ -616,7 +608,7 @@ def _apply_config_file(argv: list) -> list:
         return argv
     all_known = set()
     for sub in _SUBPARSERS.values():
-        all_known |= _option_names(sub)
+        all_known |= _options(sub).keys()
     for key in entries:
         if key not in all_known:
             raise ValueError(f"unknown config key {key!r}")
@@ -630,11 +622,18 @@ def _apply_config_file(argv: list) -> list:
     sub = _SUBPARSERS.get(name)
     if sub is None:
         return argv
-    local = _option_names(sub)
+    local = _options(sub)
     injected = []
     for key, value in entries.items():
-        if key in local:
-            injected += [f"--{key.replace('_', '-')}", value]
+        if key not in local:
+            continue
+        flag = f"--{key.replace('_', '-')}"
+        if not isinstance(local[key], argparse._StoreTrueAction):  # noqa: SLF001
+            injected += [flag, value]
+        elif value.lower() == "true":
+            injected.append(flag)
+        elif value.lower() != "false":
+            raise ValueError(f"config key {key!r} is a switch, expected true or false, got {value!r}")
     return [*head, *injected, *rest]
 
 

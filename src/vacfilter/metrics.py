@@ -3,22 +3,9 @@ probability and the parametric gain-versus-success curves."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .detectors import acceptance_curvature, acceptance_probability, error_probability
-
-
-@dataclass(frozen=True)
-class FilterFigures:
-    """Bundle of merit figures for one detector/channel working point."""
-
-    sensitivity: float
-    sensitivity_over_r: float
-    gain: float
-    success_probability: float
-    error_probability: float
 
 
 def sensitivity(det, tap_reflectivity: float, *, analytic: bool = False,
@@ -69,30 +56,32 @@ def _richardson_even(d, *, h0: float = 1e-2, levels: int = 6, tol: float = 1e-8)
     return table[-1][-1]
 
 
-def success_probability(p: float, p_accept: float, error_prob: float) -> float:
-    """P_S = p P + (1-p) E, the overall rate of positive filter outcomes."""
+def success_probability(p, p_accept, error_prob):
+    """P_S = p P + (1-p) E, the overall rate of positive filter outcomes.
+
+    Arguments may be scalars or arrays; the result broadcasts accordingly."""
     for name, v in (("p", p), ("p_accept", p_accept), ("error_prob", error_prob)):
-        if not 0.0 <= v <= 1.0:
+        if not np.all((0.0 <= v) & (v <= 1.0)):
             raise ValueError(f"{name} must lie in [0, 1], got {v}")
     return p * p_accept + (1.0 - p) * error_prob
 
 
-def gain(p: float, p_s: float, error_prob: float, p_accept: float | None = None) -> float:
+def gain(p, p_s, error_prob, p_accept=None):
     """Gain G = p'/p of the coherent-state probability through the filter,
-    written as (1/p) (1 - (1-p) E / P_S).
+    written as (1/p) (1 - (1-p) E / P_S).  Arguments may be scalars or arrays.
 
     If ``p_accept`` is supplied, the algebraically equivalent form
     G = P / P_S is required to agree to 1e-12 (a cheap internal consistency
     check of the inputs).
     """
-    if p <= 0.0:
+    if np.any(p <= 0.0):
         raise ValueError("gain needs p > 0")
-    if p_s <= 0.0:
+    if np.any(p_s <= 0.0):
         raise ValueError("gain undefined at vanishing success probability")
     g = (1.0 - (1.0 - p) * error_prob / p_s) / p
     if p_accept is not None:
         alt = p_accept / p_s
-        if abs(g - alt) > 1e-12:
+        if np.any(np.abs(g - alt) > 1e-12):
             raise ValueError(
                 f"inconsistent inputs: gain forms disagree ({g!r} vs {alt!r}); "
                 "is P_S = p P + (1-p) E?"
@@ -107,29 +96,10 @@ def gain_vs_success_curve(det, p: float, tap_photon_numbers):
     At matched error probability, points from different detectors fall on the
     single curve G = (1/p)(1 - (1-p) E / P_S).
     """
+    n_mean = np.asarray(tap_photon_numbers, dtype=float)
+    if np.any(n_mean < 0.0):
+        raise ValueError(f"mean photon numbers must be >= 0, got {n_mean}")
     e = error_probability(det)
-    out = []
-    for n_mean in tap_photon_numbers:
-        if n_mean < 0.0:
-            raise ValueError(f"mean photon number must be >= 0, got {n_mean}")
-        p_acc = acceptance_probability(det, np.sqrt(n_mean))
-        p_s = success_probability(p, p_acc, e)
-        out.append((p_s, gain(p, p_s, e, p_accept=p_acc)))
-    return out
-
-
-def filter_figures(det, tap_reflectivity: float, alpha_mag: float, p: float) -> FilterFigures:
-    """All merit figures for a detector behind a tap of reflectivity R with a
-    signal of amplitude |alpha| and channel transmission probability p."""
-    beta = np.sqrt(tap_reflectivity) * alpha_mag
-    p_acc = acceptance_probability(det, beta)
-    e = error_probability(det)
+    p_acc = acceptance_probability(det, np.sqrt(n_mean))
     p_s = success_probability(p, p_acc, e)
-    s = sensitivity(det, tap_reflectivity)
-    return FilterFigures(
-        sensitivity=s,
-        sensitivity_over_r=s / tap_reflectivity,
-        gain=gain(p, p_s, e, p_accept=p_acc),
-        success_probability=p_s,
-        error_probability=e,
-    )
+    return list(zip(p_s.tolist(), gain(p, p_s, e, p_accept=p_acc).tolist()))

@@ -181,47 +181,54 @@ def _block_uniforms(seed: int, block: int, n: int) -> np.ndarray:
     return rng.random((n, 4))
 
 
-def _simulate_block(cfg: McConfig, block: int, edges: np.ndarray):
+def _block_trials(cfg: McConfig, block: int, stop: int):
+    """Trials [block * BLOCK_SIZE, stop) of one block as arrays
+    (truth, tap_outcome, accepted, verify_x): the single implementation of the
+    randomness contract, shared by the counts and the trial records."""
     start = block * BLOCK_SIZE
-    n = min(BLOCK_SIZE, cfg.trials - start)
-    u = _block_uniforms(cfg.seed, block, n)
+    u = _block_uniforms(cfg.seed, block, min(BLOCK_SIZE, stop - start))
 
     mix = cfg.mixture
     truth = u[:, 0] < mix.p
     sqrt_r = math.sqrt(mix.tap_reflectivity)
     sqrt_t = math.sqrt(mix.transmissivity)
     alpha = mix.alpha.magnitude
-    beta_tap = np.where(truth, sqrt_r * alpha, sqrt_r * cfg.prep_error)
 
     det = cfg.detector
     if isinstance(det, (IdealOnOff, Apd)):
         p_sig = acceptance_probability(det, sqrt_r * alpha)
         p_vac = acceptance_probability(det, sqrt_r * cfg.prep_error)
         accepted = u[:, 1] < np.where(truth, p_sig, p_vac)
+        tap_outcome = accepted
     elif isinstance(det, (HomodyneStabilized, HomodyneRandomized)):
+        beta_tap = np.where(truth, sqrt_r * alpha, sqrt_r * cfg.prep_error)
         a = effective_displacement(det, 1.0) * beta_tap
         if isinstance(det, HomodyneRandomized):
             theta = 2.0 * np.pi * (u[:, 2] - 0.5)
             a = a * np.cos(theta)
-        x_tap = a + _QUAD_SD * ndtri(np.clip(u[:, 1], _U_LO, _U_HI))
-        accepted = np.abs(x_tap) > det.threshold
+        tap_outcome = a + _QUAD_SD * ndtri(np.clip(u[:, 1], _U_LO, _U_HI))
+        accepted = np.abs(tap_outcome) > det.threshold
     else:
         raise TypeError(f"unknown detector {det!r}")
 
     sig_amp = np.where(truth, sqrt_t * alpha, sqrt_t * cfg.prep_error)
     verify_x = sig_amp + _QUAD_SD * ndtri(np.clip(u[:, 3], _U_LO, _U_HI))
+    return truth, tap_outcome, accepted, verify_x
 
-    def hist(mask):
-        idx = np.searchsorted(edges, verify_x[mask], side="right")
-        return np.bincount(idx, minlength=len(edges) + 1)
+
+def _block_counts(cfg: McConfig, block: int, edges: np.ndarray):
+    truth, _, accepted, verify_x = _block_trials(cfg, block, cfg.trials)
+
+    def hist(x):
+        return np.bincount(np.searchsorted(edges, x, side="right"), minlength=len(edges) + 1)
 
     return (
         int(truth.sum()),
         int((truth & accepted).sum()),
         int((~truth).sum()),
         int((~truth & accepted).sum()),
-        hist(np.ones(n, dtype=bool)),
-        hist(accepted),
+        hist(verify_x),
+        hist(verify_x[accepted]),
     )
 
 
@@ -236,10 +243,10 @@ def run_trials(cfg: McConfig) -> McResult:
     n_blocks = (cfg.trials + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     if cfg.workers == 1 or n_blocks == 1:
-        results = [_simulate_block(cfg, b, edges) for b in range(n_blocks)]
+        results = [_block_counts(cfg, b, edges) for b in range(n_blocks)]
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(lambda b: _simulate_block(cfg, b, edges),
+            results = list(pool.map(lambda b: _block_counts(cfg, b, edges),
                                     range(n_blocks)))
 
     n_c = n_ac = n_v = n_av = 0
@@ -259,36 +266,12 @@ def run_trials(cfg: McConfig) -> McResult:
 def sample_trials(cfg: McConfig, n: int) -> list:
     """Materialize the first n trial records (same randomness as run_trials),
     for inspection and record-level tests."""
-    n = min(n, cfg.trials)
-    records = []
-    block = 0
-    while len(records) < n:
-        u = _block_uniforms(cfg.seed, block, min(BLOCK_SIZE, cfg.trials - block * BLOCK_SIZE))
-        mix = cfg.mixture
-        sqrt_r = math.sqrt(mix.tap_reflectivity)
-        sqrt_t = math.sqrt(mix.transmissivity)
-        det = cfg.detector
-        for row in u:
-            if len(records) >= n:
-                break
-            truth = row[0] < mix.p
-            amp = mix.alpha.magnitude if truth else cfg.prep_error
-            beta = sqrt_r * amp
-            if isinstance(det, (IdealOnOff, Apd)):
-                accepted = row[1] < acceptance_probability(det, beta)
-                tap_outcome = bool(accepted)
-            else:
-                a = effective_displacement(det, beta)
-                if isinstance(det, HomodyneRandomized):
-                    a = a * math.cos(2.0 * math.pi * (row[2] - 0.5))
-                x_tap = a + _QUAD_SD * float(ndtri(np.clip(row[1], _U_LO, _U_HI)))
-                accepted = abs(x_tap) > det.threshold
-                tap_outcome = x_tap
-            verify = sqrt_t * amp + _QUAD_SD * float(ndtri(np.clip(row[3], _U_LO, _U_HI)))
-            records.append(TrialRecord("coherent" if truth else "vacuum",
-                                       tap_outcome, bool(accepted), verify))
-        block += 1
-    return records
+    n = max(0, min(n, cfg.trials))
+    blocks = [_block_trials(cfg, b, n) for b in range(n // BLOCK_SIZE + 1)]
+    truth, tap_outcome, accepted, verify_x = (np.concatenate(col) for col in zip(*blocks))
+    labels = np.where(truth, "coherent", "vacuum")
+    return list(map(TrialRecord, labels.tolist(), tap_outcome.tolist(),
+                    accepted.tolist(), verify_x.tolist()))
 
 
 # ---------------------------------------------------------------------------

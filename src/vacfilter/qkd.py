@@ -134,8 +134,8 @@ def filtered_covariance(scenario: QkdScenario):
     tap filter, with the success probability.
 
     Returns (CovMatrix, P_S, P0).  Means vanish by symmetry (every mixture
-    component is zero-mean and all operations preserve that), which the
-    implementation asserts.
+    component is zero-mean and all operations preserve that); a nonzero mean
+    raises NumericsError.
     """
     flt = scenario.filter
     if flt is None:
@@ -144,8 +144,8 @@ def filtered_covariance(scenario: QkdScenario):
     state = gaussian.tensor(state, gaussian.vacuum(1))  # tap mode, index 2
     state = gaussian.apply_beamsplitter(state, 1, 2, flt.transmissivity)
 
-    for comp in state.components:
-        assert np.max(np.abs(comp.mean)) < 1e-12, "filtered state must be zero-mean"
+    if any(np.max(np.abs(comp.mean)) >= 1e-12 for comp in state.components):
+        raise NumericsError("filtered state must be zero-mean")
 
     cv_all = mixture_covariance(gaussian.drop_mode(state, 2))
     p0, noclick = gaussian.condition_on_noclick(state, 2, flt.eta, flt.dark_prob)

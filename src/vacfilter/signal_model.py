@@ -26,10 +26,6 @@ class CoherentAmplitude:
     re: float
     im: float = 0.0
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "CoherentAmplitude":
-        return cls(float(np.real(z)), float(np.imag(z)))
-
     @property
     def value(self) -> complex:
         return complex(self.re, self.im)
@@ -86,30 +82,6 @@ class PostFilterMixture:
     def __post_init__(self):
         if not 0.0 <= self.p_prime <= 1.0 + 1e-12:
             raise ValueError(f"posterior probability {self.p_prime} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class TapSplit:
-    """Joint distribution of the two arms after the tap beam splitter.
-
-    With probability p both arms carry the attenuated coherent amplitudes,
-    otherwise both are vacuum — the split is perfectly correlated.
-    """
-
-    p: float
-    signal_amplitude: CoherentAmplitude
-    tap_amplitude: CoherentAmplitude
-
-    def outcomes(self):
-        zero = CoherentAmplitude(0.0, 0.0)
-        return (
-            (self.p, self.signal_amplitude, self.tap_amplitude),
-            (1.0 - self.p, zero, zero),
-        )
-
-
-def tap_split(mix: ErasureMixture) -> TapSplit:
-    return TapSplit(mix.p, mix.transmitted_amplitude, mix.tap_amplitude)
 
 
 def posterior_mixture(mix: ErasureMixture, p_accept: float,

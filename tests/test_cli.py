@@ -213,6 +213,28 @@ class TestFigures:
         assert strip(p1.read_text()) == strip(p2.read_text())
 
 
+class TestQkdPrefactor:
+    @pytest.mark.parametrize("argv", [
+        ["qkd", "keyrate", "--optimize", "--p", "0.5", "--eta", "0.63", "--pd", "5e-4"],
+        ["qkd", "pmin", "--no-filter"],
+    ])
+    def test_p_ps_rejected_where_the_optimizer_ignores_it(self, capsys, argv):
+        code, out, err = run_cli(capsys, [*argv, "--prefactor", "p_ps"])
+        assert code == 2
+        assert out == ""
+        assert "--prefactor" in err
+
+    def test_p_ps_scales_a_single_evaluation(self, capsys):
+        argv = ["qkd", "keyrate", "--V", "1.1", "--p", "0.5", "--eta", "0.63", "--pd", "5e-4",
+                "--format", "json"]
+        rows = {}
+        for prefactor in ("ps", "p_ps"):
+            code, out, err = run_cli(capsys, [*argv, "--prefactor", prefactor])
+            assert code == 0, err
+            rows[prefactor] = dict(zip(json.loads(out)["columns"], json.loads(out)["rows"][0]))
+        assert rows["p_ps"]["multiplier"] == pytest.approx(0.5 * rows["ps"]["multiplier"], rel=1e-12)
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "vacfilter.conf"
@@ -231,3 +253,19 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, ["acceptance", "--detector", "ideal"])
         assert code == 2
         assert "unknown config key" in err
+
+    def test_boolean_config_key_is_a_switch(self, capsys, tmp_path, monkeypatch):
+        argv = ["qkd", "keyrate", "--V", "1.1", "--p", "1", "--eta", "0.63", "--pd", "5e-4"]
+        _, filtered, _ = run_cli(capsys, argv)
+        _, unfiltered, _ = run_cli(capsys, [*argv, "--no-filter"])
+        cfg = tmp_path / "vacfilter.conf"
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        for value, expected in (("true", unfiltered), ("False", filtered)):
+            cfg.write_text(f"no_filter = {value}\n")
+            code, out, err = run_cli(capsys, argv)
+            assert code == 0, err
+            assert parse_csv(out) == parse_csv(expected)
+        cfg.write_text("no_filter = yes please\n")
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "expected true or false" in err

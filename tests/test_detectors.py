@@ -3,6 +3,7 @@ threshold inversion, and the orderings behind the detector comparison."""
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erfc
 
@@ -14,6 +15,7 @@ from vacfilter.detectors import (
     IdealOnOff,
     acceptance_curvature,
     acceptance_probability,
+    effective_displacement,
     error_probability,
     threshold_for_error,
 )
@@ -110,6 +112,37 @@ class TestAcceptanceProbability:
             rel=1e-12,
         )
         assert acceptance_probability(srt, 1.0) > acceptance_probability(lin, 1.0)
+
+
+ARRAY_DETECTORS = [
+    IdealOnOff(),
+    Apd(eta=0.63, dark_prob=1.4e-4),
+    HomodyneStabilized(eta=0.84, threshold=threshold_for_error(E_MATCH)),
+    HomodyneRandomized(eta=0.84, threshold=threshold_for_error(E_MATCH)),
+    HomodyneRandomized(eta=0.81, threshold=0.7, efficiency_model="sqrt"),
+]
+
+
+@pytest.mark.parametrize("det", ARRAY_DETECTORS, ids=lambda d: type(d).__name__)
+def test_array_input_matches_scalar_calls_and_hdr_quad_oracle(det):
+    # displacements a = eta |beta| from vacuum up to 50
+    beta = np.concatenate([np.linspace(0.0, 2.0, 41), np.linspace(2.5, 60.0, 24)])
+    vals = acceptance_probability(det, beta)
+    scalars = np.array([acceptance_probability(det, b) for b in beta])
+    assert vals.shape == beta.shape
+    if not isinstance(det, HomodyneRandomized):
+        np.testing.assert_array_equal(vals, scalars)
+        return
+    # the midpoint node count follows the largest displacement in the call
+    np.testing.assert_allclose(vals, scalars, rtol=1e-15, atol=0.0)
+    B = det.threshold
+    for b, v in zip(beta, vals):
+        a = effective_displacement(det, b)
+        if a > 50.0:
+            continue
+        ref, _ = quad(lambda t: erfc(np.sqrt(2.0) * (B - a * np.cos(t))), 0.0, np.pi,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        assert v == pytest.approx(ref / np.pi, rel=1e-13, abs=0.0), f"a={a}"
 
 
 class TestErrorProbability:

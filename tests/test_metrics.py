@@ -1,7 +1,5 @@
 """Sensitivity, gain and success-probability figures of merit."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +10,9 @@ from vacfilter.detectors import (
     HomodyneRandomized,
     HomodyneStabilized,
     IdealOnOff,
-    error_probability,
     threshold_for_error,
 )
 from vacfilter.metrics import (
-    filter_figures,
     gain,
     gain_vs_success_curve,
     sensitivity,
@@ -54,13 +50,6 @@ class TestSensitivity:
             sensitivity(det, 0.5, analytic=True), abs=1e-7
         )
 
-    def test_channel_independence(self):
-        # S depends only on detector and tap, so merit bundles computed at
-        # different channel probabilities p share the same sensitivity
-        det = Apd(eta=0.63, dark_prob=1.4e-4)
-        figs = [filter_figures(det, 0.5, 1.2, p) for p in (0.02, 0.3, 0.9)]
-        assert len({round(f.sensitivity, 14) for f in figs}) == 1
-
     def test_invalid_reflectivity(self):
         with pytest.raises(ValueError):
             sensitivity(IdealOnOff(), 0.0)
@@ -81,6 +70,17 @@ class TestSuccessProbability:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             success_probability(1.2, 0.5, 0.1)
+
+    def test_array_inputs_checked_elementwise(self):
+        p_acc = np.array([0.2, 0.5, 0.9])
+        p_s = success_probability(0.3, p_acc, 0.1)
+        np.testing.assert_array_equal(p_s, [success_probability(0.3, a, 0.1) for a in p_acc])
+        np.testing.assert_array_equal(gain(0.3, p_s, 0.1, p_accept=p_acc),
+                                      [gain(0.3, s, 0.1, p_accept=a) for s, a in zip(p_s, p_acc)])
+        with pytest.raises(ValueError):
+            success_probability(0.3, np.array([0.2, 1.5]), 0.1)
+        with pytest.raises(ValueError):
+            gain(0.3, np.array([0.2, 0.0]), 0.1)
 
 
 class TestGain:
@@ -161,13 +161,3 @@ class TestGainVsSuccessCurve:
         s_hds = sensitivity(HomodyneStabilized(eta=1.0, threshold=b), 0.5)
         s_hdr = sensitivity(HomodyneRandomized(eta=1.0, threshold=b), 0.5)
         assert s_apd > s_hds > s_hdr
-
-
-class TestFilterFigures:
-    def test_bundle_consistency(self):
-        det = Apd(eta=0.63, dark_prob=1.4e-4)
-        figs = filter_figures(det, 0.5, math.sqrt(3.3), 0.02)
-        assert figs.error_probability == 1.4e-4
-        assert figs.sensitivity_over_r == pytest.approx(figs.sensitivity / 0.5)
-        assert 0.0 < figs.success_probability < 1.0
-        assert figs.gain > 1.0

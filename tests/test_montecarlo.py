@@ -16,6 +16,7 @@ from vacfilter.detectors import (
     threshold_for_error,
 )
 from vacfilter.montecarlo import (
+    BLOCK_SIZE,
     McConfig,
     calibrate_prep_error,
     chi2_gof,
@@ -116,6 +117,33 @@ class TestTrialRecords:
         for rec in records:
             assert rec.accepted == rec.tap_outcome
             assert isinstance(rec.verify_x, float)
+
+    @pytest.mark.parametrize("detector", [
+        Apd(eta=0.63, dark_prob=1.4e-4),
+        HomodyneStabilized(eta=0.84, threshold=threshold_for_error(E_MATCH)),
+        HomodyneRandomized(eta=0.84, threshold=threshold_for_error(E_MATCH)),
+    ], ids=["apd", "hds", "hdr"])
+    def test_records_reproduce_counts_and_histograms(self, detector):
+        # the pull crosses a block boundary; leaked vacuum amplitude makes
+        # both truth branches reach the detector with a nonzero displacement
+        n = BLOCK_SIZE + 1500
+        records = sample_trials(make_cfg(detector, trials=3 * BLOCK_SIZE, prep_error=0.3), n)
+        res = run_trials(make_cfg(detector, trials=n, prep_error=0.3))
+        assert len(records) == n
+        coherent = np.array([r.truth == "coherent" for r in records])
+        accepted = np.array([r.accepted for r in records])
+        verify = np.array([r.verify_x for r in records])
+        assert (int(coherent.sum()), int((coherent & accepted).sum()),
+                int((~coherent & accepted).sum())) == (
+            res.n_coherent, res.n_accepted_coherent, res.n_accepted_vacuum)
+        edges = res.hist_all.edges
+
+        def hist(x):
+            return np.bincount(np.searchsorted(edges, x, side="right"),
+                               minlength=len(edges) + 1)
+
+        np.testing.assert_array_equal(hist(verify), res.hist_all.counts)
+        np.testing.assert_array_equal(hist(verify[accepted]), res.hist_accepted.counts)
 
 
 class TestVerificationHistograms:

@@ -15,25 +15,10 @@ from vacfilter.signal_model import (
     PostFilterMixture,
     marginal_density,
     posterior_mixture,
-    tap_split,
 )
 
 
 class TestTapSplit:
-    def test_deterministic_balanced_split(self):
-        mix = ErasureMixture(CoherentAmplitude(1.0), p=1.0, tap_reflectivity=0.5)
-        split = tap_split(mix)
-        (p_on, sig, tap), (p_off, sig0, tap0) = split.outcomes()
-        assert p_on == 1.0 and p_off == 0.0
-        assert sig.magnitude == pytest.approx(math.sqrt(0.5))
-        assert tap.magnitude == pytest.approx(math.sqrt(0.5))
-
-    def test_fully_erased_channel(self):
-        mix = ErasureMixture(CoherentAmplitude(1.3), p=0.0, tap_reflectivity=0.3)
-        (p_on, _, _), (p_off, sig0, tap0) = tap_split(mix).outcomes()
-        assert p_on == 0.0 and p_off == 1.0
-        assert sig0.mean_photons == 0.0 and tap0.mean_photons == 0.0
-
     def test_tap_mean_photon_number(self):
         # R |alpha|^2 = 1.65 in the filter arm conditioned on the signal branch
         mix = ErasureMixture(CoherentAmplitude(math.sqrt(3.3)), p=0.02, tap_reflectivity=0.5)
