@@ -112,7 +112,7 @@ def _parse_grid(spec: str) -> np.ndarray:
     """start:stop:step -> inclusive grid."""
     try:
         start, stop, step = (float(tok) for tok in spec.split(":"))
-    except Exception as exc:
+    except ValueError as exc:
         raise ValueError(f"bad grid {spec!r}, expected start:stop:step") from exc
     if step <= 0 or stop < start:
         raise ValueError(f"bad grid {spec!r}")
@@ -154,24 +154,6 @@ def _matched_trio(e_target: float):
         HomodyneStabilized(eta=1.0, threshold=b),
         HomodyneRandomized(eta=1.0, threshold=b),
     )
-
-
-def _add_detector_flags(sub):
-    sub.add_argument("--detector", choices=["ideal", "apd", "hds", "hdr"])
-    sub.add_argument("--eta", type=float, help="detector efficiency")
-    sub.add_argument("--pd", type=float, help="APD dark-count probability")
-    sub.add_argument("--threshold", type=float, help="homodyne threshold B")
-    sub.add_argument("--match-error", type=float,
-                     help="set the homodyne threshold from a target error probability")
-    sub.add_argument("--efficiency-model", choices=["linear", "sqrt"], default="linear")
-
-
-def _add_common_flags(sub):
-    sub.add_argument("--seed", type=int, default=2024)
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--format", choices=["csv", "json"], default="csv")
-    sub.add_argument("--out", help="output path (stdout when omitted)")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +209,8 @@ def cmd_simulate(args):
     prep = args.prep_error
     if args.error_target is not None:
         prep = calibrate_prep_error(det, args.tap, args.error_target)
-    cfg = McConfig(seed=args.seed, trials=args.trials or 10**6, detector=det,
+    trials = 10**6 if args.trials is None else args.trials
+    cfg = McConfig(seed=args.seed, trials=trials, detector=det,
                    mixture=mix, workers=args.workers, prep_error=prep)
     res = run_trials(cfg)
     n_mean = args.tap * args.alpha_sq
@@ -270,39 +253,45 @@ def cmd_marginal(args):
     return 0
 
 
-def cmd_qkd(args):
-    flt = None
-    if not args.no_filter:
-        if args.eta is None:
-            raise ValueError("filtered scenario needs --eta (or pass --no-filter)")
-        flt = qkd.TapFilter(tap_reflectivity=args.tap,
-                            eta=args.eta,
-                            dark_prob=args.pd if args.pd is not None else 0.0)
-    if args.prefactor != "ps" and (args.qkd_command == "pmin" or args.optimize):
+def _tap_filter(args):
+    if args.no_filter:
+        return None
+    if args.eta is None:
+        raise ValueError("filtered scenario needs --eta (or pass --no-filter)")
+    return qkd.TapFilter(tap_reflectivity=args.tap, eta=args.eta,
+                         dark_prob=args.pd if args.pd is not None else 0.0)
+
+
+def cmd_keyrate(args):
+    flt = _tap_filter(args)
+    if args.optimize:
+        if args.prefactor != "ps":
+            raise ValueError("--prefactor p_ps needs qkd keyrate without --optimize")
+        res = qkd.optimize_key_rate(args.p, flt, protocol=args.protocol,
+                                    erased_mode_variance=args.erased_variance)
+    else:
+        scenario = qkd.QkdScenario(V=args.V, p=args.p, filter=flt,
+                                   protocol=args.protocol,
+                                   erased_mode_variance=args.erased_variance,
+                                   prefactor=args.prefactor)
+        res = qkd.scenario_key_rate(scenario)
+    opt_v, opt_t = res.optimizer if res.optimizer else (args.V, None)
+    _emit(args, ["K_lower", "I_ab", "chi_bE", "P_S", "multiplier", "V", "T"],
+          [[res.k_lower, res.i_ab, res.chi_be, res.p_s, res.multiplier, opt_v, opt_t]])
+    return 0
+
+
+def cmd_pmin(args):
+    flt = _tap_filter(args)
+    if args.prefactor != "ps":
         raise ValueError("--prefactor p_ps needs qkd keyrate without --optimize")
-    if args.qkd_command == "keyrate":
-        if args.optimize:
-            res = qkd.optimize_key_rate(args.p, flt, protocol=args.protocol,
-                                        erased_mode_variance=args.erased_variance)
-        else:
-            scenario = qkd.QkdScenario(V=args.V, p=args.p, filter=flt,
-                                       protocol=args.protocol,
-                                       erased_mode_variance=args.erased_variance,
-                                       prefactor=args.prefactor)
-            res = qkd.scenario_key_rate(scenario)
-        opt_v, opt_t = res.optimizer if res.optimizer else (args.V, None)
-        _emit(args, ["K_lower", "I_ab", "chi_bE", "P_S", "multiplier", "V", "T"],
-              [[res.k_lower, res.i_ab, res.chi_be, res.p_s, res.multiplier, opt_v, opt_t]])
-        return 0
-    if args.qkd_command == "pmin":
-        res = qkd.p_min_search(flt, precision=args.precision, protocol=args.protocol,
-                               erased_mode_variance=args.erased_variance)
-        rows = [[p, k] for p, k in res.trace]
-        _emit(args, ["p", "max_K_lower"], rows,
-              extra={"p_min": res.p_min, "precision": res.precision,
-                     "bounded_below": res.bounded_below})
-        return 0
-    raise ValueError(f"unknown qkd subcommand {args.qkd_command!r}")
+    res = qkd.p_min_search(flt, precision=args.precision, protocol=args.protocol,
+                           erased_mode_variance=args.erased_variance)
+    rows = [[p, k] for p, k in res.trace]
+    _emit(args, ["p", "max_K_lower"], rows,
+          extra={"p_min": res.p_min, "precision": res.precision,
+                 "bounded_below": res.bounded_below})
+    return 0
 
 
 def cmd_oracle(args):
@@ -393,7 +382,7 @@ def cmd_figures(args):
 def _mc_acceptance_points(args, dets, ns):
     cols = ["R_alpha_sq", "detector", "P_hat", "P_se", "E_hat", "E_se"]
     rows = []
-    trials = args.trials or 200_000
+    trials = 200_000 if args.trials is None else args.trials
     tap = 0.5
     for d, name in zip(dets, ("apd", "hds", "hdr")):
         for n in ns:
@@ -411,7 +400,7 @@ def _mc_acceptance_points(args, dets, ns):
 def _figure3(args):
     tap = 0.5
     alpha_sq = FIG_TAP_PHOTONS / tap
-    trials = args.trials or 100_000
+    trials = 100_000 if args.trials is None else args.trials
     det_mc = Apd(eta=EXP_ETA_APD, dark_prob=EXP_PD_APD)
     leak = calibrate_prep_error(det_mc, tap, FIG_ERROR)
 
@@ -461,10 +450,89 @@ def _figure3(args):
 
 
 # ---------------------------------------------------------------------------
-# parser and dispatch
+# command table, parser and dispatch
 # ---------------------------------------------------------------------------
 
-_SUBPARSERS: dict = {}
+# An argument is (flag, add_argument keywords); a flag without dashes is positional.
+_DETECTOR = (
+    ("--detector", {"choices": ["ideal", "apd", "hds", "hdr"]}),
+    ("--eta", {"type": float, "help": "detector efficiency"}),
+    ("--pd", {"type": float, "help": "APD dark-count probability"}),
+    ("--threshold", {"type": float, "help": "homodyne threshold B"}),
+    ("--match-error", {"type": float,
+                       "help": "set the homodyne threshold from a target error probability"}),
+    ("--efficiency-model", {"choices": ["linear", "sqrt"], "default": "linear"}),
+)
+_SEED = ("--seed", {"type": int, "default": 2024})
+_FORMAT_OUT = (
+    ("--format", {"choices": ["csv", "json"], "default": "csv"}),
+    ("--out", {"help": "output path (stdout when omitted)"}),
+)
+_OUTPUT = (_SEED, *_FORMAT_OUT)
+_MC_OUTPUT = (_SEED, ("--trials", {"type": int}), ("--workers", {"type": int, "default": 1}),
+              *_FORMAT_OUT)
+_P = ("--p", {"type": float, "required": True})
+_TAP = ("--tap", {"type": float, "default": 0.5})
+_FILTER = (
+    ("--no-filter", {"action": "store_true"}),
+    ("--tap", {"type": float, "default": 0.5, "help": "filter tap reflectivity R"}),
+    ("--eta", {"type": float, "help": "filter APD efficiency"}),
+    ("--pd", {"type": float, "help": "filter APD dark-count probability"}),
+    ("--protocol", {"choices": ["heterodyne", "homodyne"], "default": "heterodyne"}),
+    ("--erased-variance", {"choices": ["marginal", "alphabet"], "default": "marginal"}),
+    ("--prefactor", {"choices": ["ps", "p_ps"], "default": "ps"}),
+)
+
+# Subcommand ("qkd keyrate" for a nested one) -> (handler, help, arguments); a
+# group such as "qkd" has no handler and holds the subcommands named after it.
+COMMANDS = {
+    "acceptance": (cmd_acceptance, "closed-form acceptance probability curves", (
+        *_DETECTOR,
+        ("--grid", {"default": "0:1.65:0.05", "help": "R|alpha|^2 grid start:stop:step"}),
+        ("--matched-error", {"type": float,
+                             "help": "emit all three detectors tuned to this error probability"}),
+        *_OUTPUT)),
+    "error": (cmd_error, "detector error probability E = P(0)", (*_DETECTOR, *_OUTPUT)),
+    "sensitivity": (cmd_sensitivity, "filter sensitivity S", (
+        *_DETECTOR,
+        ("--tap", {"type": float, "default": 0.5, "help": "tap reflectivity R"}),
+        *_OUTPUT)),
+    "gain": (cmd_gain, "gain and success probability over a grid", (
+        *_DETECTOR, _P, ("--grid", {"default": "0:1.65:0.05"}), *_OUTPUT)),
+    "simulate": (cmd_simulate, "Monte-Carlo estimate of P, E, P_S, G", (
+        *_DETECTOR, _P,
+        ("--alpha-sq", {"type": float, "required": True, "help": "|alpha|^2 of the signal"}),
+        _TAP,
+        ("--prep-error", {"type": float, "default": 0.0,
+                          "help": "residual coherent amplitude in vacuum slots"}),
+        ("--error-target", {"type": float, "help": "calibrate --prep-error so the error "
+                                                   "probability hits this value"}),
+        *_MC_OUTPUT)),
+    "marginal": (cmd_marginal, "analytic quadrature marginals", (
+        *_DETECTOR, _P, ("--alpha-sq", {"type": float, "required": True}), _TAP,
+        ("--x", {"default": "-2:3.5:0.05", "help": "quadrature grid start:stop:step"}),
+        *_OUTPUT)),
+    "figures": (cmd_figures, "regenerate figure data files", (
+        ("which", {"choices": ["fig3", "fig4", "fig5a", "fig5b", "fig5c"]}), *_MC_OUTPUT)),
+    "qkd": (None, "security analysis", ()),
+    "qkd keyrate": (cmd_keyrate, None, (
+        ("--V", {"type": float, "default": 1.1, "help": "two-mode squeezing variance"}),
+        ("--p", {"type": float, "default": 0.5}),
+        *_FILTER,
+        ("--optimize", {"action": "store_true", "help": "maximize over V (and T with a filter)"}),
+        *_OUTPUT)),
+    "qkd pmin": (cmd_pmin, None, (
+        *_FILTER, ("--precision", {"type": float, "default": 1e-3}), *_OUTPUT)),
+    "oracle": (cmd_oracle, "truncated-Fock spot checks of the Gaussian calculus", (
+        ("check", {"choices": ["coherent", "beamsplitter", "noclick"]}),
+        ("--alpha", {"type": float, "default": 1.0}),
+        ("--V", {"type": float, "default": 1.1}),
+        ("--tap", {"type": float, "default": 0.5}),
+        ("--eta", {"type": float, "default": 0.63}),
+        ("--pd", {"type": float, "default": 0.005}),
+        ("--nmax", {"type": int, "default": 30}),
+        *_OUTPUT)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,111 +541,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="vacuum-filtering analysis toolkit",
     )
     parser.add_argument("--version", action="version", version=f"vacfilter {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-    _SUBPARSERS.clear()
-
-    s = subs.add_parser("acceptance", help="closed-form acceptance probability curves")
-    _SUBPARSERS["acceptance"] = s
-    _add_detector_flags(s)
-    s.add_argument("--grid", default="0:1.65:0.05", help="R|alpha|^2 grid start:stop:step")
-    s.add_argument("--matched-error", type=float,
-                   help="emit all three detectors tuned to this error probability")
-    _add_common_flags(s)
-    s.set_defaults(func=cmd_acceptance)
-
-    s = subs.add_parser("error", help="detector error probability E = P(0)")
-    _SUBPARSERS["error"] = s
-    _add_detector_flags(s)
-    _add_common_flags(s)
-    s.set_defaults(func=cmd_error)
-
-    s = subs.add_parser("sensitivity", help="filter sensitivity S")
-    _SUBPARSERS["sensitivity"] = s
-    _add_detector_flags(s)
-    s.add_argument("--tap", type=float, default=0.5, help="tap reflectivity R")
-    _add_common_flags(s)
-    s.set_defaults(func=cmd_sensitivity)
-
-    s = subs.add_parser("gain", help="gain and success probability over a grid")
-    _SUBPARSERS["gain"] = s
-    _add_detector_flags(s)
-    s.add_argument("--p", type=float, required=True)
-    s.add_argument("--grid", default="0:1.65:0.05")
-    _add_common_flags(s)
-    s.set_defaults(func=cmd_gain)
-
-    s = subs.add_parser("simulate", help="Monte-Carlo estimate of P, E, P_S, G")
-    _SUBPARSERS["simulate"] = s
-    _add_detector_flags(s)
-    s.add_argument("--p", type=float, required=True)
-    s.add_argument("--alpha-sq", type=float, required=True, help="|alpha|^2 of the signal")
-    s.add_argument("--tap", type=float, default=0.5)
-    s.add_argument("--prep-error", type=float, default=0.0,
-                   help="residual coherent amplitude in vacuum slots")
-    s.add_argument("--error-target", type=float,
-                   help="calibrate --prep-error so the error probability hits this value")
-    _add_common_flags(s)
-    s.set_defaults(func=cmd_simulate)
-
-    s = subs.add_parser("marginal", help="analytic quadrature marginals")
-    _SUBPARSERS["marginal"] = s
-    _add_detector_flags(s)
-    s.add_argument("--p", type=float, required=True)
-    s.add_argument("--alpha-sq", type=float, required=True)
-    s.add_argument("--tap", type=float, default=0.5)
-    s.add_argument("--x", default="-2:3.5:0.05", help="quadrature grid start:stop:step")
-    _add_common_flags(s)
-    s.set_defaults(func=cmd_marginal)
-
-    s = subs.add_parser("figures", help="regenerate figure data files")
-    _SUBPARSERS["figures"] = s
-    s.add_argument("which", choices=["fig3", "fig4", "fig5a", "fig5b", "fig5c"])
-    _add_common_flags(s)
-    s.set_defaults(func=cmd_figures)
-
-    s = subs.add_parser("qkd", help="security analysis")
-    qsubs = s.add_subparsers(dest="qkd_command", required=True)
-    for name in ("keyrate", "pmin"):
-        q = qsubs.add_parser(name)
-        _SUBPARSERS[f"qkd {name}"] = q
-        q.add_argument("--V", type=float, default=1.1, help="two-mode squeezing variance")
-        q.add_argument("--p", type=float, default=0.5)
-        q.add_argument("--no-filter", action="store_true")
-        q.add_argument("--tap", type=float, default=0.5, help="filter tap reflectivity R")
-        q.add_argument("--eta", type=float, help="filter APD efficiency")
-        q.add_argument("--pd", type=float, help="filter APD dark-count probability")
-        q.add_argument("--protocol", choices=["heterodyne", "homodyne"], default="heterodyne")
-        q.add_argument("--erased-variance", choices=["marginal", "alphabet"],
-                       default="marginal")
-        q.add_argument("--prefactor", choices=["ps", "p_ps"], default="ps")
-        if name == "keyrate":
-            q.add_argument("--optimize", action="store_true",
-                           help="maximize over V (and T with a filter)")
-        else:
-            q.add_argument("--precision", type=float, default=1e-3)
-        _add_common_flags(q)
-        q.set_defaults(func=cmd_qkd)
-
-    s = subs.add_parser("oracle", help="truncated-Fock spot checks of the Gaussian calculus")
-    _SUBPARSERS["oracle"] = s
-    s.add_argument("check", choices=["coherent", "beamsplitter", "noclick"])
-    s.add_argument("--alpha", type=float, default=1.0)
-    s.add_argument("--V", type=float, default=1.1)
-    s.add_argument("--tap", type=float, default=0.5)
-    s.add_argument("--eta", type=float, default=0.63)
-    s.add_argument("--pd", type=float, default=0.005)
-    s.add_argument("--nmax", type=int, default=30)
-    _add_common_flags(s)
-    s.set_defaults(func=cmd_oracle)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (func, help_text, arguments) in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        sub = groups[group].add_parser(leaf, **({"help": help_text} if help_text else {}))
+        if func is None:
+            groups[name] = sub.add_subparsers(dest=f"{name}_command", required=True)
+            continue
+        for flag, kwargs in arguments:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(func=func)
     return parser
 
 
-def _options(subparser) -> dict:
-    """Option name (dashes as underscores) -> argparse action."""
-    return {opt.lstrip("-").replace("-", "_"): act
-            for act in subparser._actions  # noqa: SLF001 - argparse has no public option listing
-            for opt in act.option_strings}
+def _config_keys(arguments) -> dict:
+    """Config key (long option, dashes as underscores) -> add_argument keywords."""
+    return {flag[2:].replace("-", "_"): kwargs
+            for flag, kwargs in arguments if flag.startswith("--")}
 
 
 def _read_config(path: str) -> dict:
@@ -606,35 +586,25 @@ def _apply_config_file(argv: list) -> list:
     entries = _read_config(path)
     if not entries:
         return argv
-    all_known = set()
-    for sub in _SUBPARSERS.values():
-        all_known |= _options(sub).keys()
+    known = {key for _, _, arguments in COMMANDS.values() for key in _config_keys(arguments)}
     for key in entries:
-        if key not in all_known:
+        if key not in known:
             raise ValueError(f"unknown config key {key!r}")
-    head = [argv[0]]
-    rest = argv[1:]
-    name = argv[0]
-    if name == "qkd" and rest:
-        head = argv[:2]
-        rest = argv[2:]
-        name = f"qkd {argv[1]}"
-    sub = _SUBPARSERS.get(name)
-    if sub is None:
-        return argv
-    local = _options(sub)
+    depth = 2 if " ".join(argv[:2]) in COMMANDS else 1
+    _, _, arguments = COMMANDS.get(" ".join(argv[:depth]), (None, None, ()))
+    local = _config_keys(arguments)
     injected = []
     for key, value in entries.items():
         if key not in local:
             continue
         flag = f"--{key.replace('_', '-')}"
-        if not isinstance(local[key], argparse._StoreTrueAction):  # noqa: SLF001
+        if local[key].get("action") != "store_true":
             injected += [flag, value]
         elif value.lower() == "true":
             injected.append(flag)
         elif value.lower() != "false":
             raise ValueError(f"config key {key!r} is a switch, expected true or false, got {value!r}")
-    return [*head, *injected, *rest]
+    return [*argv[:depth], *injected, *argv[depth:]]
 
 
 def main(argv=None) -> int:

@@ -83,7 +83,7 @@ class QkdScenario:
     prefactor: str = "ps"  # "ps": K = P_S (I - chi);  "p_ps": K = p P_S (I - chi)
 
     def __post_init__(self):
-        if self.V < 1.0:
+        if not self.V >= 1.0:
             raise ValueError(f"squeezing variance must be >= 1, got {self.V}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"transmission probability must lie in [0, 1], got {self.p}")
@@ -259,6 +259,9 @@ def weak_squeezing_keyrate(p: float, p_s: float, transmissivity: float, V: float
 
 _V_COARSE = np.concatenate([np.linspace(1.002, 1.3, 25), np.linspace(1.35, 4.0, 23)])
 _T_COARSE = np.linspace(0.02, 0.95, 32)
+REFINE_ROUNDS = 2
+P_FLOOR = 1e-3
+MAX_ITERATIONS = 60
 
 
 def _rate_at(p, V, T, flt, protocol, erased_mode_variance):
@@ -266,17 +269,12 @@ def _rate_at(p, V, T, flt, protocol, erased_mode_variance):
                            erased_mode_variance=erased_mode_variance,
                            filter=None if flt is None else
                            TapFilter(1.0 - T, flt.eta, flt.dark_prob))
-    try:
-        res = scenario_key_rate(scenario)
-    except (NumericsError, ValueError):
-        return None
-    return res
+    return scenario_key_rate(scenario)
 
 
 def optimize_key_rate(p: float, flt: TapFilter | None = None, *,
                       protocol: str = "heterodyne",
-                      erased_mode_variance: str = "marginal",
-                      refine_rounds: int = 2) -> KeyRateResult:
+                      erased_mode_variance: str = "marginal") -> KeyRateResult:
     """Maximize the key-rate bound over the squeezing variance V (and the
     filter transmissivity T when a filter is present) by a deterministic
     coarse grid followed by local refinement."""
@@ -287,14 +285,12 @@ def optimize_key_rate(p: float, flt: TapFilter | None = None, *,
     for V in _V_COARSE:
         for T in t_values:
             res = _rate_at(p, V, T, flt, protocol, erased_mode_variance)
-            if res is not None and (best is None or res.k_lower > best.k_lower):
+            if best is None or res.k_lower > best.k_lower:
                 best, best_vt = res, (V, T)
-    if best is None:
-        raise NumericsError("key-rate optimization failed at every grid point")
 
     v_span = float(_V_COARSE[1] - _V_COARSE[0]) * 2.0
     t_span = float(_T_COARSE[1] - _T_COARSE[0]) * 2.0 if flt is not None else 0.0
-    for _ in range(refine_rounds):
+    for _ in range(REFINE_ROUNDS):
         v0, t0 = best_vt
         vs = np.linspace(max(1.0005, v0 - v_span), v0 + v_span, 9)
         ts = [1.0] if flt is None else np.linspace(
@@ -302,7 +298,7 @@ def optimize_key_rate(p: float, flt: TapFilter | None = None, *,
         for V in vs:
             for T in ts:
                 res = _rate_at(p, V, T, flt, protocol, erased_mode_variance)
-                if res is not None and res.k_lower > best.k_lower:
+                if res.k_lower > best.k_lower:
                     best, best_vt = res, (V, T)
         v_span /= 3.0
         t_span /= 3.0
@@ -322,17 +318,17 @@ class PminResult:
 def p_min_search(flt: TapFilter | None = None, *,
                  precision: float = 1e-3,
                  protocol: str = "heterodyne",
-                 erased_mode_variance: str = "marginal",
-                 p_floor: float = 1e-3,
-                 max_iterations: int = 60) -> PminResult:
+                 erased_mode_variance: str = "marginal") -> PminResult:
     """Smallest channel transmission probability with a positive optimized
     key-rate bound, by bisection on the sign of max_(V,T) K(p).
 
     The search is deterministic (fixed grids, no stochastic optimizer).  If
-    the bound is already positive at ``p_floor`` the floor is returned with
+    the bound is already positive at ``P_FLOOR`` the floor is returned with
     ``bounded_below=True`` (an ideal filter keeps the protocol secure for
-    arbitrarily small p).
+    arbitrarily small p).  ``precision`` must lie in (0, 1).
     """
+    if not 0.0 < precision < 1.0:
+        raise ValueError(f"precision must lie in (0, 1), got {precision}")
     trace = []
 
     def max_rate(p):
@@ -341,7 +337,7 @@ def p_min_search(flt: TapFilter | None = None, *,
         trace.append((p, k))
         return k
 
-    lo, hi = p_floor, 1.0 - 1e-9
+    lo, hi = P_FLOOR, 1.0 - 1e-9
     if max_rate(lo) > 0.0:
         return PminResult(lo, precision, True, trace)
     k_hi = max_rate(hi)
@@ -351,7 +347,7 @@ def p_min_search(flt: TapFilter | None = None, *,
         )
     iterations = 0
     while hi - lo > precision:
-        if iterations >= max_iterations:
+        if iterations >= MAX_ITERATIONS:
             raise NumericsError("bisection budget exhausted before reaching precision")
         mid = 0.5 * (lo + hi)
         if max_rate(mid) > 0.0:

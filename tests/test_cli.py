@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from vacfilter import cli
 from vacfilter.cli import main
 
 # minimal schema for the JSON output envelope
@@ -55,6 +56,25 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["acceptance", "--detector", "ideal",
                                         "--grid", "nope"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--detector", "ideal", "--p", "0.5", "--alpha-sq", "1", "--trials", "0"],
+        ["figures", "fig4", "--trials", "0"],
+    ])
+    def test_zero_trials_rejected(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, [*argv, "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "need at least one trial" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["qkd", "pmin", "--no-filter", "--precision", "nan"],
+        ["qkd", "keyrate", "--no-filter", "--V", "nan"],
+    ])
+    def test_nan_security_parameters_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
 
     def test_numerical_failure(self, capsys):
         # V = 1 with an ideal filter: the tap never clicks
@@ -235,6 +255,20 @@ class TestQkdPrefactor:
         assert rows["p_ps"]["multiplier"] == pytest.approx(0.5 * rows["ps"]["multiplier"], rel=1e-12)
 
 
+class TestCommandSurface:
+    @pytest.mark.parametrize("argv", [
+        ["acceptance", "--detector", "ideal", "--grid", "0:1:0.5", "--workers", "2"],
+        ["acceptance", "--detector", "ideal", "--grid", "0:1:0.5", "--trials", "3"],
+        ["qkd", "pmin", "--no-filter", "--V", "2"],
+        ["qkd", "pmin", "--no-filter", "--p", "0.5"],
+    ])
+    def test_flags_the_handler_does_not_read_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "vacfilter.conf"
@@ -269,3 +303,33 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert "expected true or false" in err
+
+    def test_known_key_ignored_where_the_subcommand_lacks_it(self, capsys, tmp_path,
+                                                             monkeypatch):
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("workers = 2\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        code, _, err = run_cli(capsys, ["acceptance", "--detector", "ideal",
+                                        "--grid", "0:1:0.5"])
+        assert code == 0, err
+        seen = []
+        real_run_trials = cli.run_trials
+
+        def recording_run_trials(cfg):
+            seen.append(cfg.workers)
+            return real_run_trials(cfg)
+
+        monkeypatch.setattr(cli, "run_trials", recording_run_trials)
+        code, _, err = run_cli(capsys, ["simulate", "--detector", "ideal", "--p", "0.5",
+                                        "--alpha-sq", "1", "--trials", "1000"])
+        assert code == 0, err
+        assert seen == [2]
+
+    def test_help_is_not_a_config_key(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("help = true\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, ["acceptance", "--detector", "ideal"])
+        assert code == 2
+        assert out == ""
+        assert "unknown config key 'help'" in err

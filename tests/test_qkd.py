@@ -4,7 +4,7 @@ key-rate formulas, weak-squeezing behavior and threshold searches."""
 import numpy as np
 import pytest
 
-from vacfilter import fock, gaussian
+from vacfilter import fock, gaussian, qkd
 from vacfilter.gaussian import CovMatrix, NumericsError, mixture_covariance, symplectic_eigenvalues
 from vacfilter.qkd import (
     KeyRateResult,
@@ -252,6 +252,17 @@ class TestOptimizationAndThresholds:
         res = p_min_search(None, precision=5e-3, erased_mode_variance="alphabet")
         assert res.p_min == pytest.approx(0.846, abs=0.01)
 
+    @pytest.mark.parametrize("precision", [float("nan"), 0.0, -1.0, 1.0])
+    def test_invalid_precision_rejected_before_any_optimization(self, precision, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("optimize_key_rate called")
+
+        monkeypatch.setattr(qkd, "optimize_key_rate", never)
+        with pytest.raises(ValueError, match="precision"):
+            p_min_search(None, precision=precision)
+        with pytest.raises(ValueError, match="precision"):
+            p_min_search(TapFilter(0.5, 0.63, 5e-4), precision=precision)
+
 
 class TestResultTypes:
     def test_key_rate_result_fields(self):
@@ -262,6 +273,8 @@ class TestResultTypes:
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             QkdScenario(V=0.9, p=0.5)
+        with pytest.raises(ValueError, match="squeezing variance"):
+            QkdScenario(V=float("nan"), p=0.5, filter=TapFilter(0.5, 0.63, 5e-4))
         with pytest.raises(ValueError):
             QkdScenario(V=1.1, p=1.5)
         with pytest.raises(ValueError):
