@@ -342,7 +342,7 @@ EXP_ETA_HD = 0.84
 def _fig_out(args, name):
     if args.out:
         return args.out
-    return f"{name}.csv"
+    return f"{name}.{args.format}"
 
 
 def cmd_figures(args):

@@ -61,7 +61,7 @@ class McConfig:
             raise ValueError("need at least one trial")
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        if self.prep_error < 0.0:
+        if not self.prep_error >= 0.0:
             raise ValueError("prep_error is an amplitude magnitude, must be >= 0")
 
 

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlogy
 
 from . import gaussian
 from .gaussian import (
@@ -248,7 +249,7 @@ def weak_squeezing_keyrate(p: float, p_s: float, transmissivity: float, V: float
     The exact bound approaches this expression with the P_S slot instantiated
     as the tap fraction 1 - T; the test suite pins that correspondence.
     """
-    if V < 1.0:
+    if not V >= 1.0:
         raise ValueError(f"squeezing variance must be >= 1, got {V}")
     return p * p_s * 0.5 * math.log2(math.e / 2.0) * transmissivity * (V - 1.0) ** 2
 
@@ -264,12 +265,63 @@ P_FLOOR = 1e-3
 MAX_ITERATIONS = 60
 
 
-def _rate_at(p, V, T, flt, protocol, erased_mode_variance):
-    scenario = QkdScenario(V=V, p=p, protocol=protocol,
-                           erased_mode_variance=erased_mode_variance,
-                           filter=None if flt is None else
-                           TapFilter(1.0 - T, flt.eta, flt.dark_prob))
-    return scenario_key_rate(scenario)
+def _entropy_g(nu):
+    """Vectorized ``entropy_g((nu - 1) / 2)``, clamped at nu = 1."""
+    y = np.maximum(nu - 1.0, 0.0) / 2.0
+    return (xlogy(y + 1.0, y + 1.0) - xlogy(y, y)) / math.log(2.0)
+
+
+def _key_rate_grid(V, T, p, flt, protocol, erased_mode_variance):
+    """Key-rate bound K (prefactor "ps") on broadcast arrays of V and T at one p.
+
+    Closed form of ``scenario_key_rate``: every branch is zero-mean with 2x2
+    blocks that are multiples of I or Z, so each CM is three scalars (Alice
+    variance A, Bob variance B, correlation C).  Behind the tap each branch
+    loses the no-click part w_off * (A', B', C'), s being the tap variance
+    plus the detector's 2/eta - 1; the symplectic spectrum of the resulting
+    (a, b, c) is the two-mode closed form.  Raises NumericsError on a
+    degenerate P_S or a non-finite K (argmax would pick a NaN).
+    """
+    w = V if erased_mode_variance == "marginal" else (V + 1.0 / V) / 2.0
+    C = np.sqrt(V * V - 1.0)
+    a = p * V + (1.0 - p) * w
+    b = p * V + 1.0 - p
+    c = p * C
+    p_s = 1.0
+    if flt is not None:
+        r = 1.0 - T
+        b = T * b + r
+        c = np.sqrt(T) * c
+        p0 = 0.0
+        for weight, A, B, Ck in ((p, V, V, C), (1.0 - p, w, 1.0, 0.0)):
+            s = r * B + T + (2.0 / flt.eta - 1.0)
+            w_off = weight * (1.0 - flt.dark_prob) * (2.0 / flt.eta) / s
+            p0 = p0 + w_off
+            a = a - w_off * (A - r * Ck * Ck / s)
+            b = b - w_off * (T * B + r - T * r * (1.0 - B) ** 2 / s)
+            c = c - w_off * np.sqrt(T) * Ck * (1.0 + r * (1.0 - B) / s)
+        p_s = 1.0 - p0
+        if np.any(p_s <= MIN_SUCCESS_PROB):
+            raise NumericsError(
+                f"filter success probability degenerate (P_S = {np.min(p_s):.3e})"
+            )
+        a, b, c = a / p_s, b / p_s, c / p_s
+
+    # nu+- = sqrt((Delta +- sqrt(Delta^2 - 4 D^2)) / 2); the root is factored
+    # and nu- = D / nu+ so that nearly pure states keep full precision
+    D = a * b - c * c
+    nu_plus = np.sqrt((a * a + b * b - 2.0 * c * c
+                       + np.abs(a - b) * np.sqrt((a + b) ** 2 - 4.0 * c * c)) / 2.0)
+    if protocol == "heterodyne":
+        i_ab = np.log2((a + 1.0) / (a + 1.0 - c * c / (b + 1.0)))
+        nu3 = a - c * c / (b + 1.0)
+    else:
+        i_ab = 0.5 * np.log2((a + 1.0) / (a + 1.0 - c * c / b))
+        nu3 = np.sqrt(np.maximum(a * (a - c * c / b), 0.0))
+    k = p_s * (i_ab - _entropy_g(nu_plus) - _entropy_g(D / nu_plus) + _entropy_g(nu3))
+    if not np.all(np.isfinite(k)):
+        raise NumericsError("key rate not finite on the (V, T) grid")
+    return k
 
 
 def optimize_key_rate(p: float, flt: TapFilter | None = None, *,
@@ -277,32 +329,39 @@ def optimize_key_rate(p: float, flt: TapFilter | None = None, *,
                       erased_mode_variance: str = "marginal") -> KeyRateResult:
     """Maximize the key-rate bound over the squeezing variance V (and the
     filter transmissivity T when a filter is present) by a deterministic
-    coarse grid followed by local refinement."""
-    t_values = [1.0] if flt is None else list(_T_COARSE)
+    coarse grid followed by local refinement.
 
-    best = None
-    best_vt = None
-    for V in _V_COARSE:
-        for T in t_values:
-            res = _rate_at(p, V, T, flt, protocol, erased_mode_variance)
-            if best is None or res.k_lower > best.k_lower:
-                best, best_vt = res, (V, T)
+    The grids are scored by the closed-form kernel; the reported result is
+    one ``scenario_key_rate`` evaluation at the chosen (V, T).
+    """
+    QkdScenario(1.0, p, flt, protocol, erased_mode_variance)  # argument checks
+
+    def grid_best(vs, ts):
+        k = _key_rate_grid(vs[:, None], ts[None, :], p, flt, protocol,
+                           erased_mode_variance)
+        i, j = np.unravel_index(np.argmax(k), k.shape)  # first maximum, V-major
+        return k[i, j], (vs[i], 1.0 if flt is None else ts[j])
+
+    t_coarse = np.array([1.0]) if flt is None else _T_COARSE
+    best_k, best_vt = grid_best(_V_COARSE, t_coarse)
 
     v_span = float(_V_COARSE[1] - _V_COARSE[0]) * 2.0
     t_span = float(_T_COARSE[1] - _T_COARSE[0]) * 2.0 if flt is not None else 0.0
     for _ in range(REFINE_ROUNDS):
         v0, t0 = best_vt
         vs = np.linspace(max(1.0005, v0 - v_span), v0 + v_span, 9)
-        ts = [1.0] if flt is None else np.linspace(
+        ts = t_coarse if flt is None else np.linspace(
             max(0.005, t0 - t_span), min(0.995, t0 + t_span), 9)
-        for V in vs:
-            for T in ts:
-                res = _rate_at(p, V, T, flt, protocol, erased_mode_variance)
-                if res.k_lower > best.k_lower:
-                    best, best_vt = res, (V, T)
+        k, vt = grid_best(vs, ts)
+        if k > best_k:
+            best_k, best_vt = k, vt
         v_span /= 3.0
         t_span /= 3.0
 
+    V, T = best_vt
+    best = scenario_key_rate(QkdScenario(
+        V=V, p=p, protocol=protocol, erased_mode_variance=erased_mode_variance,
+        filter=None if flt is None else TapFilter(1.0 - T, flt.eta, flt.dark_prob)))
     return KeyRateResult(best.k_lower, best.i_ab, best.chi_be, best.p_s,
                          best.multiplier, optimizer=best_vt)
 

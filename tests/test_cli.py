@@ -76,6 +76,14 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
 
+    def test_nan_prep_error_rejected(self, capsys):
+        code, out, err = run_cli(capsys, ["simulate", "--detector", "ideal", "--p", "0.5",
+                                          "--alpha-sq", "1", "--trials", "1000",
+                                          "--prep-error", "nan", "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert "prep_error" in err
+
     def test_numerical_failure(self, capsys):
         # V = 1 with an ideal filter: the tap never clicks
         code, _, err = run_cli(capsys, ["qkd", "keyrate", "--V", "1.0", "--p", "1.0",
@@ -223,6 +231,19 @@ class TestFigures:
         assert "theory_filtered_apd_ideal" in header
         assert "mc_count_filtered" in header
         assert len(rows) == 80  # histogram bins
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_default_file_name_follows_format(self, capsys, tmp_path, monkeypatch, fmt):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, ["figures", "fig5a", "--format", fmt])
+        assert code == 0, err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"fig5a.{fmt}"]
+        text = (tmp_path / f"fig5a.{fmt}").read_text()
+        if fmt == "json":
+            assert json.loads(text)["columns"][0] == "E"
+        else:
+            assert parse_csv(text)[0][0] == "E"
 
     def test_fig_determinism(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -249,3 +249,6 @@ class TestConfigValidation:
             McConfig(seed=1, trials=10, detector=IdealOnOff(), mixture=mix, workers=0)
         with pytest.raises(ValueError):
             McConfig(seed=1, trials=10, detector=IdealOnOff(), mixture=mix, prep_error=-1.0)
+        with pytest.raises(ValueError, match="prep_error"):
+            McConfig(seed=1, trials=10, detector=IdealOnOff(), mixture=mix,
+                     prep_error=float("nan"))

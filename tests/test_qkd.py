@@ -1,8 +1,12 @@
 """Security analysis: joint state construction, click-conditioned covariance,
 key-rate formulas, weak-squeezing behavior and threshold searches."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vacfilter import fock, gaussian, qkd
 from vacfilter.gaussian import CovMatrix, NumericsError, mixture_covariance, symplectic_eigenvalues
@@ -206,6 +210,10 @@ class TestWeakSqueezing:
         approx = weak_squeezing_keyrate(1.0, 1.0 - T, T, 1.01)
         assert approx / numeric == pytest.approx(1.0, abs=0.05)
 
+    def test_nan_variance_rejected(self):
+        with pytest.raises(ValueError, match="squeezing variance"):
+            weak_squeezing_keyrate(0.5, 0.5, 0.5, float("nan"))
+
     def test_prefactor_conventions_coincide_at_unit_p(self):
         flt = TapFilter(0.5, 1.0, 0.0)
         a = scenario_key_rate(QkdScenario(V=1.05, p=1.0, filter=flt, prefactor="ps"))
@@ -217,6 +225,102 @@ class TestWeakSqueezing:
         a = scenario_key_rate(QkdScenario(V=1.05, p=0.5, filter=flt, prefactor="ps"))
         b = scenario_key_rate(QkdScenario(V=1.05, p=0.5, filter=flt, prefactor="p_ps"))
         assert b.k_lower == pytest.approx(0.5 * a.k_lower, rel=1e-12)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestKeyRateKernel:
+    """The closed-form grid kernel of the optimizer against the Gaussian
+    mixture calculus, which stays the single-point oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(V=_log_uniform(1.001, 60.0),
+           p=st.floats(0.0, 1.0, exclude_min=True),
+           T=st.floats(0.005, 0.995),
+           eta=st.floats(0.05, 1.0),
+           pd=_log_uniform(1e-7, 3e-2),
+           filtered=st.booleans(),
+           protocol=st.sampled_from(["heterodyne", "homodyne"]),
+           erased=st.sampled_from(["marginal", "alphabet"]))
+    def test_kernel_matches_scenario_key_rate(self, V, p, T, eta, pd, filtered,
+                                              protocol, erased):
+        flt = TapFilter(1.0 - T, eta, pd) if filtered else None
+        oracle = scenario_key_rate(QkdScenario(V, p, flt, protocol, erased)).k_lower
+        T_eff = flt.transmissivity if filtered else 1.0
+        k = qkd._key_rate_grid(np.array([V]), np.array([T_eff]), p, flt, protocol, erased)
+        assert abs(k[0] - oracle) <= 1e-10
+
+    def test_degenerate_success_probability_raises(self):
+        # V = 1 is vacuum everywhere: an ideal tap detector never clicks
+        with pytest.raises(NumericsError, match="degenerate"):
+            qkd._key_rate_grid(np.array([1.0, 1.2]), np.array([0.5, 0.5]), 0.5,
+                               TapFilter(0.5, 1.0, 0.0), "heterodyne", "marginal")
+
+    @pytest.mark.parametrize("flt", [None, TapFilter(0.5, 0.63, 5e-4)])
+    def test_non_finite_rate_raises(self, flt):
+        # np.argmax would return the index of the NaN as the optimum
+        with pytest.raises(NumericsError, match="finite"):
+            qkd._key_rate_grid(np.array([1.2, np.nan]), np.array([0.5, 0.5]), 0.5,
+                               flt, "heterodyne", "marginal")
+
+
+def _brute_optimum(p, flt):
+    """The optimizer's grid schedule with one scenario_key_rate per point."""
+    def scan(vs, ts, best, best_vt):
+        for V in vs:
+            for T in ts:
+                res = scenario_key_rate(QkdScenario(
+                    V=V, p=p, filter=None if flt is None else
+                    TapFilter(1.0 - T, flt.eta, flt.dark_prob)))
+                if best is None or res.k_lower > best.k_lower:
+                    best, best_vt = res, (V, T)
+        return best, best_vt
+
+    t_values = [1.0] if flt is None else list(qkd._T_COARSE)
+    best, best_vt = scan(qkd._V_COARSE, t_values, None, None)
+    v_span = float(qkd._V_COARSE[1] - qkd._V_COARSE[0]) * 2.0
+    t_span = float(qkd._T_COARSE[1] - qkd._T_COARSE[0]) * 2.0 if flt is not None else 0.0
+    for _ in range(qkd.REFINE_ROUNDS):
+        v0, t0 = best_vt
+        vs = np.linspace(max(1.0005, v0 - v_span), v0 + v_span, 9)
+        ts = [1.0] if flt is None else np.linspace(
+            max(0.005, t0 - t_span), min(0.995, t0 + t_span), 9)
+        best, best_vt = scan(vs, ts, best, best_vt)
+        v_span /= 3.0
+        t_span /= 3.0
+    return best, best_vt
+
+
+class TestOptimizerHotPath:
+    @pytest.mark.parametrize("p, flt", [(0.01, TapFilter(0.5, 1.0, 0.0)), (0.9, None)])
+    def test_one_oracle_call_and_same_optimum_as_brute_loop(self, p, flt, monkeypatch):
+        calls = {"scenario_key_rate": 0, "noclick_outside": 0}
+        inside = [False]
+        real_rate, real_noclick = qkd.scenario_key_rate, gaussian.condition_on_noclick
+
+        def counted_rate(scenario):
+            calls["scenario_key_rate"] += 1
+            inside[0] = True
+            try:
+                return real_rate(scenario)
+            finally:
+                inside[0] = False
+
+        def counted_noclick(*args, **kwargs):
+            calls["noclick_outside"] += not inside[0]
+            return real_noclick(*args, **kwargs)
+
+        monkeypatch.setattr(qkd, "scenario_key_rate", counted_rate)
+        monkeypatch.setattr(gaussian, "condition_on_noclick", counted_noclick)
+        res = optimize_key_rate(p, flt)
+        assert calls == {"scenario_key_rate": 1, "noclick_outside": 0}
+
+        monkeypatch.undo()
+        brute, brute_vt = _brute_optimum(p, flt)
+        assert res.optimizer == brute_vt
+        assert res.k_lower == brute.k_lower
 
 
 class TestOptimizationAndThresholds:
