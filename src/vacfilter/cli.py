@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, fock, gaussian, metrics, qkd
+from . import __version__, fock, gaussian, metrics, qkd, signal_model
 from .detectors import (
     Apd,
     HomodyneRandomized,
@@ -37,7 +37,7 @@ from .signal_model import CoherentAmplitude, ErasureMixture, marginal_density, p
 
 CONVENTIONS = {
     "vacuum_cm": "identity",
-    "homodyne_vacuum_variance": 0.25,
+    "homodyne_vacuum_variance": signal_model.VACUUM_QUAD_VARIANCE,
     "hd_efficiency_model_default": "linear",
     "quadrature_ordering": "x1,p1,...,xn,pn",
 }
@@ -114,7 +114,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
         raise ValueError(f"bad grid {spec!r}, expected start:stop:step") from exc
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ValueError(f"bad grid {spec!r}")
     n = int(round((stop - start) / step))
     return np.linspace(start, stop, n + 1)
@@ -162,7 +162,12 @@ def _matched_trio(e_target: float):
 
 def cmd_acceptance(args):
     grid = _parse_grid(args.grid)
+    if np.any(grid < 0.0):
+        raise ValueError(f"R|alpha|^2 must be >= 0, got grid {args.grid!r}")
     if args.matched_error is not None:
+        flags = (args.detector, args.eta, args.pd, args.threshold, args.match_error)
+        if any(f is not None for f in flags):
+            raise ValueError("--matched-error sets its own detectors; drop the detector flags")
         dets = _matched_trio(args.matched_error)
         cols = ["R_alpha_sq", "P_apd", "P_hds", "P_hdr"]
     else:
@@ -187,27 +192,21 @@ def cmd_sensitivity(args):
     return 0
 
 
-def _gain_columns(det, p: float, grid: np.ndarray) -> tuple:
-    """P_accept, P_S and G of one detector over a grid of R|alpha|^2."""
-    e = error_probability(det)
-    p_acc = acceptance_probability(det, np.sqrt(grid))
-    p_s = metrics.success_probability(p, p_acc, e)
-    return p_acc, p_s, metrics.gain(p, p_s, e, p_accept=p_acc)
-
-
 def cmd_gain(args):
     det = _build_detector(args)
     grid = _parse_grid(args.grid)
     _emit(args, ["R_alpha_sq", "P_accept", "P_S", "G"],
-          _rows(grid, *_gain_columns(det, args.p, grid)))
+          _rows(grid, *metrics.gain_columns(det, args.p, grid)))
     return 0
 
 
 def cmd_simulate(args):
     det = _build_detector(args)
     mix = ErasureMixture(CoherentAmplitude(math.sqrt(args.alpha_sq)), args.p, args.tap)
-    prep = args.prep_error
+    prep = 0.0 if args.prep_error is None else args.prep_error
     if args.error_target is not None:
+        if args.prep_error is not None:
+            raise ValueError("--error-target calibrates --prep-error; pass only one of them")
         prep = calibrate_prep_error(det, args.tap, args.error_target)
     trials = 10**6 if args.trials is None else args.trials
     cfg = McConfig(seed=args.seed, trials=trials, detector=det,
@@ -336,17 +335,11 @@ FIG_P = 0.02
 FIG_TAP_PHOTONS = 1.65
 EXP_ETA_APD = 0.63
 EXP_PD_APD = 1.4e-4
-EXP_ETA_HD = 0.84
-
-
-def _fig_out(args, name):
-    if args.out:
-        return args.out
-    return f"{name}.{args.format}"
 
 
 def cmd_figures(args):
     which = args.which
+    args.out = args.out or f"{which}.{args.format}"
     ns = np.linspace(0.0, FIG_TAP_PHOTONS, 34)
     if which == "fig3":
         return _figure3(args)
@@ -355,7 +348,6 @@ def cmd_figures(args):
         cols = ["R_alpha_sq", "P_apd", "P_hds", "P_hdr"]
         rows = _rows(ns, *(acceptance_probability(d, np.sqrt(ns)) for d in dets_unit))
         mc_cols, mc_rows = _mc_acceptance_points(args, dets_unit, ns[::3])
-        args.out = _fig_out(args, "fig4")
         _emit(args, cols, rows, extra={"mc_points": {"columns": mc_cols, "rows": mc_rows}})
         return 0
     if which == "fig5a":
@@ -365,18 +357,14 @@ def cmd_figures(args):
             dets = _matched_trio(e)
             svals = [metrics.sensitivity(d, 1.0, analytic=True) for d in dets]
             rows.append([e, *svals])
-        args.out = _fig_out(args, "fig5a")
         _emit(args, ["E", "S_over_R_apd", "S_over_R_hds", "S_over_R_hdr"], rows)
         return 0
-    if which in ("fig5b", "fig5c"):
-        columns = [ns]
-        for d in _matched_trio(FIG_ERROR):
-            columns += _gain_columns(d, FIG_P, ns)[1:]
-        cols = ["R_alpha_sq", "Ps_apd", "G_apd", "Ps_hds", "G_hds", "Ps_hdr", "G_hdr"]
-        args.out = _fig_out(args, which)
-        _emit(args, cols, _rows(*columns))
-        return 0
-    raise ValueError(f"unknown figure {which!r}")
+    columns = [ns]  # fig5b and fig5c share their data
+    for d in _matched_trio(FIG_ERROR):
+        columns += metrics.gain_columns(d, FIG_P, ns)[1:]
+    cols = ["R_alpha_sq", "Ps_apd", "G_apd", "Ps_hds", "G_hds", "Ps_hdr", "G_hdr"]
+    _emit(args, cols, _rows(*columns))
+    return 0
 
 
 def _mc_acceptance_points(args, dets, ns):
@@ -443,7 +431,6 @@ def _figure3(args):
             res.hist_accepted.counts[1:-1],
         )
     ]
-    args.out = _fig_out(args, "fig3")
     _emit(args, cols, rows, extra={"prep_error": leak,
                                    "accepted_trials": res.n_accepted})
     return 0
@@ -503,7 +490,7 @@ COMMANDS = {
         *_DETECTOR, _P,
         ("--alpha-sq", {"type": float, "required": True, "help": "|alpha|^2 of the signal"}),
         _TAP,
-        ("--prep-error", {"type": float, "default": 0.0,
+        ("--prep-error", {"type": float,
                           "help": "residual coherent amplitude in vacuum slots"}),
         ("--error-target", {"type": float, "help": "calibrate --prep-error so the error "
                                                    "probability hits this value"}),

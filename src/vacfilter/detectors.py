@@ -38,19 +38,10 @@ class Apd:
             raise ValueError(f"dark-count probability must lie in [0, 1), got {self.dark_prob}")
 
 
-def _check_homodyne(eta, threshold, efficiency_model):
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"homodyne efficiency must lie in (0, 1], got {eta}")
-    if not (np.isfinite(threshold) and threshold >= 0.0):
-        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-    if efficiency_model not in ("linear", "sqrt"):
-        raise ValueError(f"efficiency_model must be 'linear' or 'sqrt', got {efficiency_model!r}")
-
-
 @dataclass(frozen=True)
-class HomodyneStabilized:
-    """Homodyne filter with a phase-locked local oscillator; accepts when
-    |x| exceeds ``threshold``.
+class Homodyne:
+    """Homodyne filter that accepts when |x| exceeds ``threshold``; use one of
+    the two local-oscillator variants below.
 
     ``efficiency_model`` selects how the detection efficiency scales the
     signal mean: 'linear' uses a = eta * |beta| (the model the acceptance
@@ -63,20 +54,23 @@ class HomodyneStabilized:
     efficiency_model: str = "linear"
 
     def __post_init__(self):
-        _check_homodyne(self.eta, self.threshold, self.efficiency_model)
+        if type(self) is Homodyne:
+            raise TypeError("use HomodyneStabilized or HomodyneRandomized")
+        if not 0.0 < self.eta <= 1.0:
+            raise ValueError(f"homodyne efficiency must lie in (0, 1], got {self.eta}")
+        if not (np.isfinite(self.threshold) and self.threshold >= 0.0):
+            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
+        if self.efficiency_model not in ("linear", "sqrt"):
+            raise ValueError(
+                f"efficiency_model must be 'linear' or 'sqrt', got {self.efficiency_model!r}")
 
 
-@dataclass(frozen=True)
-class HomodyneRandomized:
-    """Homodyne filter with a phase-randomized local oscillator; accepts when
-    |x| exceeds ``threshold``.  Efficiency scaling as in HomodyneStabilized."""
+class HomodyneStabilized(Homodyne):
+    """Homodyne filter with a phase-locked local oscillator."""
 
-    eta: float
-    threshold: float
-    efficiency_model: str = "linear"
 
-    def __post_init__(self):
-        _check_homodyne(self.eta, self.threshold, self.efficiency_model)
+class HomodyneRandomized(Homodyne):
+    """Homodyne filter with a phase-randomized local oscillator."""
 
 
 FilterDetector = IdealOnOff | Apd | HomodyneStabilized | HomodyneRandomized
@@ -109,7 +103,7 @@ def acceptance_probability(det: FilterDetector, beta):
     elif isinstance(det, Apd):
         q = 1.0 - det.dark_prob
         p = 1.0 - q * np.exp(-det.eta * q * b * b)
-    elif isinstance(det, (HomodyneStabilized, HomodyneRandomized)):
+    elif isinstance(det, Homodyne):
         a = effective_displacement(det, b)
         B = det.threshold
         if isinstance(det, HomodyneStabilized):

@@ -21,6 +21,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 TRUNCATION_GUARD = 1e-10
+QUAD_POINTS = 400  # Gauss-Legendre nodes of a QuadratureInterval POVM
 
 
 class TruncationError(ValueError):
@@ -272,7 +273,6 @@ class QuadratureInterval:
     variance 1/4).  Built from harmonic-oscillator eigenfunction overlaps."""
     lo: float
     hi: float
-    quad_points: int = 400
 
 
 def _povm_matrix(povm, n_max: int) -> np.ndarray:
@@ -285,7 +285,7 @@ def _povm_matrix(povm, n_max: int) -> np.ndarray:
     if isinstance(povm, QuadratureInterval):
         if not povm.lo < povm.hi:
             raise ValueError("quadrature interval must have lo < hi")
-        xs, ws = np.polynomial.legendre.leggauss(povm.quad_points)
+        xs, ws = np.polynomial.legendre.leggauss(QUAD_POINTS)
         xs = 0.5 * (povm.hi - povm.lo) * xs + 0.5 * (povm.hi + povm.lo)
         ws = 0.5 * (povm.hi - povm.lo) * ws
         psi = oscillator_wavefunctions(n_max, xs)

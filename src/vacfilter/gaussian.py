@@ -377,12 +377,15 @@ def _symplectic_eigenvalues_raw(mat: np.ndarray) -> np.ndarray:
     return np.sort(ev)[::2][:n]  # spectrum comes doubled
 
 
-def entropy_g(y: float) -> float:
-    """g(y) = (y+1) log2(y+1) - y log2 y with g(0) = 0, the bosonic entropy
-    of a thermal state with mean photon number y."""
-    if y <= 0.0:
-        return 0.0
-    return float((y + 1.0) * np.log2(y + 1.0) - y * np.log2(y))
+def entropy_g(y):
+    """g(y) = (y+1) log2(y+1) - y log2 y, the bosonic entropy of a thermal
+    state with mean photon number y, for a scalar (returns a float) or an
+    array; 0 where y <= 0 and NaN where y is NaN."""
+    y = np.asarray(y, dtype=float)
+    off = y <= 0.0
+    y_on = np.where(off, 1.0, y)  # keeps log2 away from zero and negatives
+    g = np.where(off, 0.0, (y_on + 1.0) * np.log2(y_on + 1.0) - y_on * np.log2(y_on))
+    return float(g) if g.ndim == 0 else g
 
 
 def gaussian_entropy(cm) -> float:

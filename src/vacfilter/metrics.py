@@ -7,9 +7,13 @@ import numpy as np
 
 from .detectors import acceptance_curvature, acceptance_probability, error_probability
 
+# Richardson extrapolation of the sensitivity: first step, halvings, agreement
+RICHARDSON_H0 = 1e-2
+RICHARDSON_LEVELS = 6
+RICHARDSON_TOL = 1e-8
 
-def sensitivity(det, tap_reflectivity: float, *, analytic: bool = False,
-                tol: float = 1e-8) -> float:
+
+def sensitivity(det, tap_reflectivity: float, *, analytic: bool = False) -> float:
     """Half the second derivative of the acceptance probability with respect
     to the signal amplitude |alpha|, at |alpha| = 0, for a tap of
     reflectivity R (the detector sees sqrt(R) |alpha|).
@@ -32,25 +36,25 @@ def sensitivity(det, tap_reflectivity: float, *, analytic: bool = False,
         # f(t) = P(sqrt(R) t) is even in t, so 2 (f(h) - f(0)) / h^2 -> f''(0)
         return 2.0 * (acceptance_probability(det, sqrt_r * h) - p0) / (h * h)
 
-    return 0.5 * _richardson_even(curvature, tol=tol)
+    return 0.5 * _richardson_even(curvature)
 
 
-def _richardson_even(d, *, h0: float = 1e-2, levels: int = 6, tol: float = 1e-8) -> float:
+def _richardson_even(d) -> float:
     """Richardson-extrapolate d(h) = c0 + c1 h^2 + c2 h^4 + ... toward h -> 0.
 
-    Halves the step from h0 down to ~3e-4 and returns the deepest Neville
-    column once consecutive estimates agree to ``tol``.
+    Halves the step from RICHARDSON_H0 down to ~3e-4 and returns the deepest
+    Neville column once consecutive estimates agree to RICHARDSON_TOL.
     """
     table = []
     best = None
-    for k in range(levels):
-        h = h0 / 2.0 ** k
+    for k in range(RICHARDSON_LEVELS):
+        h = RICHARDSON_H0 / 2.0 ** k
         row = [d(h)]
         for j, prev in enumerate(table[-1] if table else []):
             f = 4.0 ** (j + 1)
             row.append((f * row[j] - prev) / (f - 1.0))
         table.append(row)
-        if best is not None and abs(row[-1] - best) < tol:
+        if best is not None and abs(row[-1] - best) < RICHARDSON_TOL:
             return row[-1]
         best = row[-1]
     return table[-1][-1]
@@ -89,6 +93,18 @@ def gain(p, p_s, error_prob, p_accept=None):
     return g
 
 
+def gain_columns(det, p: float, tap_photon_numbers) -> tuple:
+    """Arrays (P_accept, P_S, G) of one detector over a grid of mean photon
+    numbers R|alpha|^2 hitting the filter detector."""
+    n_mean = np.asarray(tap_photon_numbers, dtype=float)
+    if np.any(n_mean < 0.0):
+        raise ValueError(f"mean photon numbers must be >= 0, got {n_mean}")
+    e = error_probability(det)
+    p_acc = acceptance_probability(det, np.sqrt(n_mean))
+    p_s = success_probability(p, p_acc, e)
+    return p_acc, p_s, gain(p, p_s, e, p_accept=p_acc)
+
+
 def gain_vs_success_curve(det, p: float, tap_photon_numbers):
     """Parametric (P_S, G) samples over a grid of mean photon numbers R|alpha|^2
     hitting the filter detector.
@@ -96,10 +112,5 @@ def gain_vs_success_curve(det, p: float, tap_photon_numbers):
     At matched error probability, points from different detectors fall on the
     single curve G = (1/p)(1 - (1-p) E / P_S).
     """
-    n_mean = np.asarray(tap_photon_numbers, dtype=float)
-    if np.any(n_mean < 0.0):
-        raise ValueError(f"mean photon numbers must be >= 0, got {n_mean}")
-    e = error_probability(det)
-    p_acc = acceptance_probability(det, np.sqrt(n_mean))
-    p_s = success_probability(p, p_acc, e)
-    return list(zip(p_s.tolist(), gain(p, p_s, e, p_accept=p_acc).tolist()))
+    _, p_s, g = gain_columns(det, p, tap_photon_numbers)
+    return list(zip(p_s.tolist(), g.tolist()))

@@ -31,17 +31,19 @@ from scipy.stats import chi2 as _chi2_dist
 
 from .detectors import (
     Apd,
+    Homodyne,
     HomodyneRandomized,
-    HomodyneStabilized,
     IdealOnOff,
     acceptance_probability,
     effective_displacement,
     error_probability,
 )
-from .signal_model import ErasureMixture, marginal_cdf
+from .signal_model import VACUUM_QUAD_VARIANCE, ErasureMixture, marginal_cdf
 
 BLOCK_SIZE = 1 << 16
-_QUAD_SD = 0.5  # vacuum quadrature standard deviation, homodyne convention
+_QUAD_SD = math.sqrt(VACUUM_QUAD_VARIANCE)  # exactly 0.5
+HIST_BINS = 80  # verification-quadrature histogram bins
+MIN_EXPECTED = 5.0  # chi-squared bins with fewer expected counts are pooled
 _U_LO = 2.0 ** -53
 _U_HI = 1.0 - 2.0 ** -53
 
@@ -54,7 +56,6 @@ class McConfig:
     mixture: ErasureMixture
     workers: int = 1
     prep_error: float = 0.0  # coherent amplitude leaked into vacuum slots
-    hist_bins: int = 80
 
     def __post_init__(self):
         if self.trials < 1:
@@ -172,7 +173,7 @@ def _hist_edges(cfg: McConfig) -> np.ndarray:
     mean = cfg.mixture.transmitted_amplitude.magnitude
     lo = -5.0 * _QUAD_SD
     hi = mean + 5.0 * _QUAD_SD
-    return np.linspace(lo, hi, cfg.hist_bins + 1)
+    return np.linspace(lo, hi, HIST_BINS + 1)
 
 
 def _block_uniforms(seed: int, block: int, n: int) -> np.ndarray:
@@ -200,7 +201,7 @@ def _block_trials(cfg: McConfig, block: int, stop: int):
         p_vac = acceptance_probability(det, sqrt_r * cfg.prep_error)
         accepted = u[:, 1] < np.where(truth, p_sig, p_vac)
         tap_outcome = accepted
-    elif isinstance(det, (HomodyneStabilized, HomodyneRandomized)):
+    elif isinstance(det, Homodyne):
         beta_tap = np.where(truth, sqrt_r * alpha, sqrt_r * cfg.prep_error)
         a = effective_displacement(det, 1.0) * beta_tap
         if isinstance(det, HomodyneRandomized):
@@ -291,18 +292,14 @@ def theory_branches(cfg: McConfig, condition: str) -> list:
         return [(p, amp_sig + 0j), (1.0 - p, amp_leak + 0j)]
     p_acc = acceptance_probability(cfg.detector, sqrt_r * mix.alpha.magnitude)
     e_eff = acceptance_probability(cfg.detector, sqrt_r * cfg.prep_error)
-    if condition == "accepted":
-        p_s = p * p_acc + (1.0 - p) * e_eff
-        if p_s <= 0.0:
-            raise ValueError("empty accepted subset in theory model")
-        return [(p * p_acc / p_s, amp_sig + 0j), ((1.0 - p) * e_eff / p_s, amp_leak + 0j)]
-    if condition == "rejected":
-        p_r = p * (1.0 - p_acc) + (1.0 - p) * (1.0 - e_eff)
-        if p_r <= 0.0:
-            raise ValueError("empty rejected subset in theory model")
-        return [(p * (1.0 - p_acc) / p_r, amp_sig + 0j),
-                ((1.0 - p) * (1.0 - e_eff) / p_r, amp_leak + 0j)]
-    raise ValueError(f"condition must be all/accepted/rejected, got {condition!r}")
+    if condition == "rejected":  # the same posterior for the other outcome
+        p_acc, e_eff = 1.0 - p_acc, 1.0 - e_eff
+    elif condition != "accepted":
+        raise ValueError(f"condition must be all/accepted/rejected, got {condition!r}")
+    p_s = p * p_acc + (1.0 - p) * e_eff
+    if p_s <= 0.0:
+        raise ValueError(f"empty {condition} subset in theory model")
+    return [(p * p_acc / p_s, amp_sig + 0j), ((1.0 - p) * e_eff / p_s, amp_leak + 0j)]
 
 
 @dataclass
@@ -311,8 +308,8 @@ class VerificationHistogram:
     expected_probs: np.ndarray  # per bin incl. under/overflow, from the model
     branches: list
 
-    def chi2_test(self, min_expected: float = 5.0):
-        return chi2_gof(self.histogram.counts, self.expected_probs, min_expected)
+    def chi2_test(self):
+        return chi2_gof(self.histogram.counts, self.expected_probs)
 
 
 def verification_histogram(cfg: McConfig, condition: str = "all",
@@ -332,10 +329,10 @@ def verification_histogram(cfg: McConfig, condition: str = "all",
     return VerificationHistogram(hist, probs, branches)
 
 
-def chi2_gof(counts: np.ndarray, probs: np.ndarray, min_expected: float = 5.0):
+def chi2_gof(counts: np.ndarray, probs: np.ndarray):
     """Pearson chi-squared goodness of fit with small-expectation pooling.
 
-    Bins whose expected count falls below ``min_expected`` are merged into
+    Bins whose expected count falls below ``MIN_EXPECTED`` are merged into
     their neighbor (left to right).  Returns (statistic, dof, p_value).
     """
     counts = np.asarray(counts, dtype=float)
@@ -346,7 +343,7 @@ def chi2_gof(counts: np.ndarray, probs: np.ndarray, min_expected: float = 5.0):
     for c, e in zip(counts, expected):
         acc_c += c
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= MIN_EXPECTED:
             merged_c.append(acc_c)
             merged_e.append(acc_e)
             acc_c = acc_e = 0.0

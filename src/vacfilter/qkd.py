@@ -35,9 +35,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import gaussian
+from .detectors import Apd
 from .gaussian import (
     CovMatrix,
     GaussianMixtureState,
@@ -53,7 +53,8 @@ MIN_SUCCESS_PROB = 1e-12
 
 @dataclass(frozen=True)
 class TapFilter:
-    """Filter hardware: tap reflectivity R and the on/off detector watching it."""
+    """Filter hardware: tap reflectivity R and the on/off detector watching
+    it, whose ``eta`` and ``dark_prob`` are checked as for ``detectors.Apd``."""
 
     tap_reflectivity: float
     eta: float = 1.0
@@ -64,10 +65,7 @@ class TapFilter:
             raise ValueError(
                 f"tap reflectivity must lie in (0, 1), got {self.tap_reflectivity}"
             )
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"detector efficiency must lie in (0, 1], got {self.eta}")
-        if not 0.0 <= self.dark_prob < 1.0:
-            raise ValueError(f"dark-count probability must lie in [0, 1), got {self.dark_prob}")
+        Apd(self.eta, self.dark_prob)
 
     @property
     def transmissivity(self) -> float:
@@ -265,12 +263,6 @@ P_FLOOR = 1e-3
 MAX_ITERATIONS = 60
 
 
-def _entropy_g(nu):
-    """Vectorized ``entropy_g((nu - 1) / 2)``, clamped at nu = 1."""
-    y = np.maximum(nu - 1.0, 0.0) / 2.0
-    return (xlogy(y + 1.0, y + 1.0) - xlogy(y, y)) / math.log(2.0)
-
-
 def _key_rate_grid(V, T, p, flt, protocol, erased_mode_variance):
     """Key-rate bound K (prefactor "ps") on broadcast arrays of V and T at one p.
 
@@ -318,7 +310,8 @@ def _key_rate_grid(V, T, p, flt, protocol, erased_mode_variance):
     else:
         i_ab = 0.5 * np.log2((a + 1.0) / (a + 1.0 - c * c / b))
         nu3 = np.sqrt(np.maximum(a * (a - c * c / b), 0.0))
-    k = p_s * (i_ab - _entropy_g(nu_plus) - _entropy_g(D / nu_plus) + _entropy_g(nu3))
+    k = p_s * (i_ab - entropy_g((nu_plus - 1.0) / 2.0) - entropy_g((D / nu_plus - 1.0) / 2.0)
+               + entropy_g((nu3 - 1.0) / 2.0))
     if not np.all(np.isfinite(k)):
         raise NumericsError("key rate not finite on the (V, T) grid")
     return k

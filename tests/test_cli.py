@@ -57,6 +57,19 @@ class TestExitCodes:
                                         "--grid", "nope"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["acceptance", "--detector", "ideal", "--grid=-1:1:0.5"], "must be >= 0"),
+        (["gain", "--detector", "ideal", "--p", "0.5", "--grid=-1:1:0.5"], "must be >= 0"),
+        (["marginal", "--p", "0.3", "--alpha-sq", "2", "--x", "0:inf:1"], "bad grid"),
+        (["acceptance", "--detector", "ideal", "--grid", "0:nan:1"], "bad grid"),
+        (["acceptance", "--detector", "ideal", "--grid", "0:1:inf"], "bad grid"),
+    ])
+    def test_negative_or_non_finite_grid_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--detector", "ideal", "--p", "0.5", "--alpha-sq", "1", "--trials", "0"],
         ["figures", "fig4", "--trials", "0"],
@@ -288,6 +301,28 @@ class TestCommandSurface:
             main(argv)
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--detector", "ideal", "--p", "0.5", "--alpha-sq", "1", "--trials", "1000",
+         "--prep-error", "0.3", "--error-target", "0.02"],
+        ["acceptance", "--matched-error", "0.01", "--detector", "apd", "--eta", "0.5"],
+        ["acceptance", "--matched-error", "0.01", "--threshold", "1.0"],
+    ])
+    def test_flags_another_flag_overrides_are_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_prep_error_defaults_to_zero(self, capsys):
+        argv = ["simulate", "--detector", "ideal", "--p", "0.5", "--alpha-sq", "1",
+                "--trials", "1000", "--format", "json"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        assert json.loads(out)["prep_error"] == 0.0
+        code, out, err = run_cli(capsys, [*argv, "--error-target", "0.02"])
+        assert code == 0, err
+        assert json.loads(out)["prep_error"] > 0.0
 
 
 class TestConfigFile:

@@ -10,6 +10,7 @@ from scipy.special import erfc
 from vacfilter import fock
 from vacfilter.detectors import (
     Apd,
+    Homodyne,
     HomodyneRandomized,
     HomodyneStabilized,
     IdealOnOff,
@@ -217,3 +218,15 @@ class TestValidation:
             HomodyneStabilized(eta=0.8, threshold=np.inf)
         with pytest.raises(ValueError):
             HomodyneRandomized(eta=0.8, threshold=1.0, efficiency_model="bogus")
+
+    def test_homodyne_variants_share_one_base_and_stay_distinct(self):
+        b = threshold_for_error(E_MATCH)
+        hds, hdr = HomodyneStabilized(0.8, b), HomodyneRandomized(0.8, b)
+        assert isinstance(hds, Homodyne) and isinstance(hdr, Homodyne)
+        assert hds != hdr
+        assert hds == HomodyneStabilized(0.8, b) and hdr == HomodyneRandomized(0.8, b)
+        assert repr(hdr) == f"HomodyneRandomized(eta=0.8, threshold={b!r}, efficiency_model='linear')"
+        with pytest.raises(AttributeError):
+            hds.eta = 0.5  # frozen
+        with pytest.raises(TypeError):
+            Homodyne(0.8, b)  # neither local-oscillator variant

@@ -193,6 +193,18 @@ class TestSpectraAndEntropy:
         assert entropy_g(0.0) == 0.0
         assert entropy_g(1.0) == pytest.approx(2.0)
 
+    def test_entropy_g_array_matches_scalar_calls(self):
+        ys = np.array([-3.0, -1.0, 0.0, 1e-300, 1e-9, 0.3, 1.0, 7.5, 1e6, np.nan])
+        vals = entropy_g(ys)
+        assert isinstance(vals, np.ndarray) and vals.shape == ys.shape
+        scalars = [entropy_g(float(y)) for y in ys]
+        assert all(type(v) is float for v in scalars)
+        np.testing.assert_array_equal(vals, scalars)  # bit for bit, NaN where NaN
+        np.testing.assert_array_equal(vals[:3], 0.0)
+        assert np.isnan(vals[-1]) and np.isnan(entropy_g(float("nan")))
+        y = 0.3  # the scalar keeps the textbook operation order
+        assert entropy_g(y) == (y + 1.0) * np.log2(y + 1.0) - y * np.log2(y)
+
 
 class TestFockEquivalenceRandomized:
     def test_random_two_mode_mixtures(self):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vacfilter import fock, gaussian, qkd
+from vacfilter.detectors import Apd
 from vacfilter.gaussian import CovMatrix, NumericsError, mixture_covariance, symplectic_eigenvalues
 from vacfilter.qkd import (
     KeyRateResult,
@@ -385,3 +386,13 @@ class TestResultTypes:
             QkdScenario(V=1.1, p=0.5, protocol="direct")
         with pytest.raises(ValueError):
             TapFilter(0.0)
+
+    def test_tap_filter_checks_its_detector_as_an_apd(self):
+        nan = float("nan")
+        for kwargs in ({"eta": 0.0}, {"eta": 1.5}, {"eta": nan},
+                       {"dark_prob": 1.0}, {"dark_prob": nan}):
+            with pytest.raises(ValueError) as tap_err:
+                TapFilter(0.5, **kwargs)
+            with pytest.raises(ValueError) as apd_err:
+                Apd(**{"eta": 1.0, **kwargs})
+            assert str(tap_err.value) == str(apd_err.value)
