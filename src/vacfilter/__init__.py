@@ -4,90 +4,43 @@ Detector models and figures of merit for an erasure channel with a tap
 filter, Monte-Carlo simulation of the full prepare/tap/decide/verify chain,
 a truncated-Fock reference implementation, and the covariance-matrix
 security analysis of the filtered key-distribution protocol.
+
+The public names below load their submodule on first access (PEP 562), so
+``import vacfilter`` imports no submodule and a command pays only for the
+scipy modules it uses.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .detectors import (
-    Apd,
-    HomodyneRandomized,
-    HomodyneStabilized,
-    IdealOnOff,
-    acceptance_probability,
-    error_probability,
-    threshold_for_error,
-)
-from .gaussian import (
-    CovMatrix,
-    GaussianComponent,
-    GaussianMixtureState,
-    NumericsError,
-    apply_beamsplitter,
-    condition_on_noclick,
-    gaussian_entropy,
-    symplectic_eigenvalues,
-)
-from .metrics import gain, gain_vs_success_curve, sensitivity, success_probability
-from .montecarlo import McConfig, McResult, TrialRecord, calibrate_prep_error, run_trials, verification_histogram
-from .qkd import (
-    KeyRateResult,
-    QkdScenario,
-    TapFilter,
-    filtered_covariance,
-    joint_state,
-    key_rate,
-    optimize_key_rate,
-    p_min_search,
-    scenario_key_rate,
-    weak_squeezing_keyrate,
-)
-from .signal_model import (
-    CoherentAmplitude,
-    ErasureMixture,
-    PostFilterMixture,
-    marginal_density,
-    posterior_mixture,
-)
+_EXPORTS = {
+    "detectors": ("Apd", "HomodyneRandomized", "HomodyneStabilized", "IdealOnOff",
+                  "acceptance_probability", "error_probability", "threshold_for_error"),
+    "gaussian": ("CovMatrix", "GaussianComponent", "GaussianMixtureState", "NumericsError",
+                 "apply_beamsplitter", "condition_on_noclick", "gaussian_entropy",
+                 "symplectic_eigenvalues"),
+    "metrics": ("gain", "gain_vs_success_curve", "sensitivity", "success_probability"),
+    "montecarlo": ("McConfig", "McResult", "TrialRecord", "calibrate_prep_error",
+                   "run_trials", "verification_histogram"),
+    "qkd": ("KeyRateResult", "QkdScenario", "TapFilter", "filtered_covariance", "joint_state",
+            "key_rate", "optimize_key_rate", "p_min_search", "scenario_key_rate",
+            "weak_squeezing_keyrate"),
+    "signal_model": ("CoherentAmplitude", "ErasureMixture", "PostFilterMixture",
+                     "marginal_density", "posterior_mixture"),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "Apd",
-    "CoherentAmplitude",
-    "CovMatrix",
-    "ErasureMixture",
-    "GaussianComponent",
-    "GaussianMixtureState",
-    "HomodyneRandomized",
-    "HomodyneStabilized",
-    "IdealOnOff",
-    "KeyRateResult",
-    "McConfig",
-    "McResult",
-    "NumericsError",
-    "PostFilterMixture",
-    "QkdScenario",
-    "TapFilter",
-    "TrialRecord",
-    "acceptance_probability",
-    "apply_beamsplitter",
-    "calibrate_prep_error",
-    "condition_on_noclick",
-    "error_probability",
-    "filtered_covariance",
-    "gain",
-    "gain_vs_success_curve",
-    "gaussian_entropy",
-    "joint_state",
-    "key_rate",
-    "marginal_density",
-    "optimize_key_rate",
-    "p_min_search",
-    "posterior_mixture",
-    "run_trials",
-    "scenario_key_rate",
-    "sensitivity",
-    "success_probability",
-    "symplectic_eigenvalues",
-    "threshold_for_error",
-    "verification_histogram",
-    "weak_squeezing_keyrate",
-]
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

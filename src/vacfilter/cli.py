@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, fock, gaussian, metrics, qkd, signal_model
+from . import __version__, gaussian, metrics, qkd, signal_model
 from .detectors import (
     Apd,
     HomodyneRandomized,
@@ -30,9 +30,7 @@ from .detectors import (
     error_probability,
     threshold_for_error,
 )
-from .fock import TruncationError
 from .gaussian import NumericsError
-from .montecarlo import McConfig, calibrate_prep_error, run_trials
 from .signal_model import CoherentAmplitude, ErasureMixture, marginal_density, posterior_mixture
 
 CONVENTIONS = {
@@ -201,6 +199,8 @@ def cmd_gain(args):
 
 
 def cmd_simulate(args):
+    from .montecarlo import McConfig, calibrate_prep_error, run_trials
+
     det = _build_detector(args)
     mix = ErasureMixture(CoherentAmplitude(math.sqrt(args.alpha_sq)), args.p, args.tap)
     prep = 0.0 if args.prep_error is None else args.prep_error
@@ -296,6 +296,8 @@ def cmd_pmin(args):
 def cmd_oracle(args):
     """Spot checks of the Gaussian calculus against the truncated-Fock
     reference; prints both values and their deviation."""
+    from . import fock
+
     n_max = args.nmax
     rows = []
     if args.check == "coherent":
@@ -368,6 +370,8 @@ def cmd_figures(args):
 
 
 def _mc_acceptance_points(args, dets, ns):
+    from .montecarlo import McConfig, run_trials
+
     cols = ["R_alpha_sq", "detector", "P_hat", "P_se", "E_hat", "E_se"]
     rows = []
     trials = 200_000 if args.trials is None else args.trials
@@ -386,6 +390,8 @@ def _mc_acceptance_points(args, dets, ns):
 
 
 def _figure3(args):
+    from .montecarlo import McConfig, calibrate_prep_error, run_trials, theory_branches
+
     tap = 0.5
     alpha_sq = FIG_TAP_PHOTONS / tap
     trials = 100_000 if args.trials is None else args.trials
@@ -402,8 +408,6 @@ def _figure3(args):
 
     edges = res.hist_all.edges
     mids = 0.5 * (edges[:-1] + edges[1:])
-
-    from .montecarlo import theory_branches
 
     model_all = marginal_density(theory_branches(cfg, "all"), mids)
     model_filtered = marginal_density(theory_branches(cfg, "accepted"), mids)
@@ -459,6 +463,7 @@ _OUTPUT = (_SEED, *_FORMAT_OUT)
 _MC_OUTPUT = (_SEED, ("--trials", {"type": int}), ("--workers", {"type": int, "default": 1}),
               *_FORMAT_OUT)
 _P = ("--p", {"type": float, "required": True})
+_R_GRID_HELP = "R|alpha|^2 grid start:stop:step, start >= 0"
 _TAP = ("--tap", {"type": float, "default": 0.5})
 _FILTER = (
     ("--no-filter", {"action": "store_true"}),
@@ -475,7 +480,7 @@ _FILTER = (
 COMMANDS = {
     "acceptance": (cmd_acceptance, "closed-form acceptance probability curves", (
         *_DETECTOR,
-        ("--grid", {"default": "0:1.65:0.05", "help": "R|alpha|^2 grid start:stop:step"}),
+        ("--grid", {"default": "0:1.65:0.05", "help": _R_GRID_HELP}),
         ("--matched-error", {"type": float,
                              "help": "emit all three detectors tuned to this error probability"}),
         *_OUTPUT)),
@@ -485,7 +490,8 @@ COMMANDS = {
         ("--tap", {"type": float, "default": 0.5, "help": "tap reflectivity R"}),
         *_OUTPUT)),
     "gain": (cmd_gain, "gain and success probability over a grid", (
-        *_DETECTOR, _P, ("--grid", {"default": "0:1.65:0.05"}), *_OUTPUT)),
+        *_DETECTOR, _P, ("--grid", {"default": "0.05:1.65:0.05", "help": _R_GRID_HELP}),
+        *_OUTPUT)),
     "simulate": (cmd_simulate, "Monte-Carlo estimate of P, E, P_S, G", (
         *_DETECTOR, _P,
         ("--alpha-sq", {"type": float, "required": True, "help": "|alpha|^2 of the signal"}),
@@ -497,7 +503,9 @@ COMMANDS = {
         *_MC_OUTPUT)),
     "marginal": (cmd_marginal, "analytic quadrature marginals", (
         *_DETECTOR, _P, ("--alpha-sq", {"type": float, "required": True}), _TAP,
-        ("--x", {"default": "-2:3.5:0.05", "help": "quadrature grid start:stop:step"}),
+        ("--x", {"default": "-2:3.5:0.05",
+                 "help": "quadrature grid start:stop:step; write a negative start "
+                         "with '=', e.g. --x=-1:2:0.25"}),
         *_OUTPUT)),
     "figures": (cmd_figures, "regenerate figure data files", (
         ("which", {"choices": ["fig3", "fig4", "fig5a", "fig5b", "fig5c"]}), *_MC_OUTPUT)),
@@ -601,7 +609,7 @@ def main(argv=None) -> int:
         argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, TruncationError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericsError, FloatingPointError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 
 @dataclass(frozen=True)
@@ -104,6 +103,8 @@ def acceptance_probability(det: FilterDetector, beta):
         q = 1.0 - det.dark_prob
         p = 1.0 - q * np.exp(-det.eta * q * b * b)
     elif isinstance(det, Homodyne):
+        from scipy.special import erfc
+
         a = effective_displacement(det, b)
         B = det.threshold
         if isinstance(det, HomodyneStabilized):
@@ -127,6 +128,8 @@ def error_probability(det: FilterDetector) -> float:
         return 0.0
     if isinstance(det, Apd):
         return det.dark_prob
+    from scipy.special import erfc
+
     return float(erfc(np.sqrt(2.0) * det.threshold))
 
 
@@ -136,6 +139,8 @@ def threshold_for_error(error_target: float) -> float:
     The map B -> E is strictly decreasing, so the inverse is unique; the test
     suite cross-checks this value against an independent bisection root find.
     """
+    from scipy.special import erfcinv
+
     if not 0.0 < error_target <= 1.0:
         raise ValueError(f"error target must lie in (0, 1], got {error_target}")
     return float(erfcinv(error_target) / np.sqrt(2.0))

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from vacfilter import cli
+from vacfilter import cli, montecarlo
 from vacfilter.cli import main
 
 # minimal schema for the JSON output envelope
@@ -149,6 +149,28 @@ class TestAcceptanceCommand:
         assert header == ["R_alpha_sq", "P_apd", "P_hds", "P_hdr"]
         for _, pa, ps, pr in rows:
             assert float(pa) >= float(ps) - 1e-12 >= float(pr) - 2e-12
+
+
+class TestGridFlags:
+    # with no dark counts P_S = 0 at R|alpha|^2 = 0, where the gain is undefined
+    @pytest.mark.parametrize("detector", [["ideal"], ["apd", "--eta", "0.63"]],
+                             ids=["ideal", "apd-without-pd"])
+    def test_gain_default_grid_has_positive_success_probability(self, capsys, detector):
+        code, out, err = run_cli(capsys, ["gain", "--detector", *detector, "--p", "0.02"])
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        assert float(rows[0][0]) == 0.05 and float(rows[-1][0]) == 1.65
+        assert all(float(row[header.index("P_S")]) > 0.0 for row in rows)
+
+    def test_negative_grid_start_in_equals_form(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["marginal", "--help"])
+        assert "--x=-1:2:0.25" in capsys.readouterr().out
+        code, out, err = run_cli(capsys, ["marginal", "--p", "0.3", "--alpha-sq", "2",
+                                          "--x=-1:2:0.25"])
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert [float(rows[0][0]), float(rows[-1][0]), len(rows)] == [-1.0, 2.0, 13]
 
 
 class TestSimulateCommand:
@@ -369,13 +391,13 @@ class TestConfigFile:
                                         "--grid", "0:1:0.5"])
         assert code == 0, err
         seen = []
-        real_run_trials = cli.run_trials
+        real_run_trials = montecarlo.run_trials
 
         def recording_run_trials(cfg):
             seen.append(cfg.workers)
             return real_run_trials(cfg)
 
-        monkeypatch.setattr(cli, "run_trials", recording_run_trials)
+        monkeypatch.setattr(montecarlo, "run_trials", recording_run_trials)
         code, _, err = run_cli(capsys, ["simulate", "--detector", "ideal", "--p", "0.5",
                                         "--alpha-sq", "1", "--trials", "1000"])
         assert code == 0, err
