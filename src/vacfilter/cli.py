@@ -4,7 +4,8 @@ regeneration, security analysis, and oracle spot checks.
 All outputs carry a provenance header (command line, seed, version and the
 conventions in force).  Exit codes: 0 success, 2 validation error, 3
 numerical failure.  A flat key=value config file pointed to by the
-VACFILTER_CONFIG environment variable supplies defaults; explicit flags win.
+VACFILTER_CONFIG environment variable supplies defaults; typed flags win,
+also over a config value of a flag they conflict with.
 """
 
 from __future__ import annotations
@@ -144,6 +145,13 @@ def _build_detector(args) -> object:
     raise ValueError(f"unknown detector {kind!r}")
 
 
+def _mixture(args) -> ErasureMixture:
+    if not (math.isfinite(args.alpha_sq) and args.alpha_sq >= 0.0):
+        raise ValueError(f"--alpha-sq is a mean photon number, must be finite and >= 0, "
+                         f"got {args.alpha_sq}")
+    return ErasureMixture(CoherentAmplitude(math.sqrt(args.alpha_sq)), args.p, args.tap)
+
+
 def _matched_trio(e_target: float):
     """Unit-efficiency APD/HDS/HDR detectors tuned to the same error probability."""
     b = threshold_for_error(e_target)
@@ -163,9 +171,6 @@ def cmd_acceptance(args):
     if np.any(grid < 0.0):
         raise ValueError(f"R|alpha|^2 must be >= 0, got grid {args.grid!r}")
     if args.matched_error is not None:
-        flags = (args.detector, args.eta, args.pd, args.threshold, args.match_error)
-        if any(f is not None for f in flags):
-            raise ValueError("--matched-error sets its own detectors; drop the detector flags")
         dets = _matched_trio(args.matched_error)
         cols = ["R_alpha_sq", "P_apd", "P_hds", "P_hdr"]
     else:
@@ -202,11 +207,9 @@ def cmd_simulate(args):
     from .montecarlo import McConfig, calibrate_prep_error, run_trials
 
     det = _build_detector(args)
-    mix = ErasureMixture(CoherentAmplitude(math.sqrt(args.alpha_sq)), args.p, args.tap)
+    mix = _mixture(args)
     prep = 0.0 if args.prep_error is None else args.prep_error
     if args.error_target is not None:
-        if args.prep_error is not None:
-            raise ValueError("--error-target calibrates --prep-error; pass only one of them")
         prep = calibrate_prep_error(det, args.tap, args.error_target)
     trials = 10**6 if args.trials is None else args.trials
     cfg = McConfig(seed=args.seed, trials=trials, detector=det,
@@ -238,7 +241,7 @@ def cmd_simulate(args):
 
 def cmd_marginal(args):
     xs = _parse_grid(args.x)
-    mix = ErasureMixture(CoherentAmplitude(math.sqrt(args.alpha_sq)), args.p, args.tap)
+    mix = _mixture(args)
     cols = ["x", "density_perturbed", "density_vacuum"]
     dens = [xs, marginal_density(mix, xs), marginal_density([(1.0, 0j)], xs)]
     if args.detector:
@@ -530,7 +533,24 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Flags that override one another, per subcommand: (flags, flags they override,
+# message).  Values set on both sides are rejected unless only one side was
+# typed, in which case the typed side wins over the config defaults.
+CONFLICTS = {
+    "acceptance": ((("matched_error",), ("detector", "eta", "pd", "threshold", "match_error"),
+                    "--matched-error sets its own detectors; drop the detector flags"),),
+    "simulate": ((("error_target",), ("prep_error",),
+                  "--error-target calibrates --prep-error; pass only one of them"),),
+}
+
+
+def build_parser(config: dict | None = None, typed_only: bool = False) -> argparse.ArgumentParser:
+    """The command-line parser.  ``config`` maps option keys (dashes as
+    underscores) to defaults that replace the declared ones and satisfy
+    required options; argparse converts string values with the option's type.
+    With ``typed_only`` no option has a default, so the parsed namespace holds
+    only the options on the command line."""
+    config = config or {}
     parser = argparse.ArgumentParser(
         prog="vacfilter",
         description="vacuum-filtering analysis toolkit",
@@ -544,6 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
             groups[name] = sub.add_subparsers(dest=f"{name}_command", required=True)
             continue
         for flag, kwargs in arguments:
+            key = flag[2:].replace("-", "_")
+            if flag.startswith("--") and (typed_only or key in config):
+                kwargs = {**kwargs, "required": False,
+                          "default": argparse.SUPPRESS if typed_only else config[key]}
             sub.add_argument(flag, **kwargs)
         sub.set_defaults(func=func)
     return parser
@@ -569,18 +593,16 @@ def _read_config(path: str) -> dict:
     return entries
 
 
-def _apply_config_file(argv: list) -> list:
-    """Merge the flat key=value config file named by VACFILTER_CONFIG under
-    the command line: known keys of the invoked subcommand are injected as
-    flags ahead of the user's (so explicit flags win), a switch bare when
-    true and not at all when false; keys unknown to every subcommand are
-    rejected."""
+def _config_defaults(argv: list) -> dict:
+    """Defaults for the invoked subcommand from the flat key=value config file
+    named by VACFILTER_CONFIG: a switch takes true or false, a choice must be
+    one of its choices, other values stay strings for argparse to convert.
+    Keys unknown to every subcommand are rejected; keys of other subcommands
+    are ignored."""
     path = os.environ.get("VACFILTER_CONFIG")
     if not path or not argv:
-        return argv
+        return {}
     entries = _read_config(path)
-    if not entries:
-        return argv
     known = {key for _, _, arguments in COMMANDS.values() for key in _config_keys(arguments)}
     for key in entries:
         if key not in known:
@@ -588,26 +610,46 @@ def _apply_config_file(argv: list) -> list:
     depth = 2 if " ".join(argv[:2]) in COMMANDS else 1
     _, _, arguments = COMMANDS.get(" ".join(argv[:depth]), (None, None, ()))
     local = _config_keys(arguments)
-    injected = []
+    defaults = {}
     for key, value in entries.items():
         if key not in local:
             continue
-        flag = f"--{key.replace('_', '-')}"
-        if local[key].get("action") != "store_true":
-            injected += [flag, value]
-        elif value.lower() == "true":
-            injected.append(flag)
-        elif value.lower() != "false":
-            raise ValueError(f"config key {key!r} is a switch, expected true or false, got {value!r}")
-    return [*argv[:depth], *injected, *argv[depth:]]
+        kwargs = local[key]
+        if kwargs.get("action") == "store_true":
+            if value.lower() not in ("true", "false"):
+                raise ValueError(f"config key {key!r} is a switch, expected true or false, "
+                                 f"got {value!r}")
+            value = value.lower() == "true"
+        elif value not in kwargs.get("choices", (value,)):
+            raise ValueError(f"config key {key!r} must be one of "
+                             f"{', '.join(kwargs['choices'])}, got {value!r}")
+        defaults[key] = value
+    return defaults
+
+
+def _check_conflicts(args, typed: set | None):
+    """Apply CONFLICTS to the parsed ``args``; ``typed`` names the options on
+    the command line, None when every value set came from it."""
+    name = " ".join(filter(None, (args.command, getattr(args, f"{args.command}_command", None))))
+    for flags, overridden, message in CONFLICTS.get(name, ()):
+        sides = [{dest for dest in side if getattr(args, dest) is not None}
+                 for side in (flags, overridden)]
+        if not all(sides):
+            continue
+        on_line = [side & typed for side in sides] if typed is not None else sides
+        if all(on_line) or not any(on_line):
+            raise ValueError(message)
+        for dest in sides[1] if on_line[0] else sides[0]:  # a config default loses
+            setattr(args, dest, None)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
+        config = _config_defaults(argv)
+        args = build_parser(config).parse_args(argv)
+        typed = set(vars(build_parser(typed_only=True).parse_args(argv))) if config else None
+        _check_conflicts(args, typed)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

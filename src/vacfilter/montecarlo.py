@@ -10,7 +10,9 @@ Randomness contract: trial t consumes exactly four uniform variates derived
 from a Philox stream keyed by (seed, t // BLOCK_SIZE), so results are
 bit-identical for any worker count and any partitioning of the trial range.
 Normal variates are produced from uniforms by the inverse CDF, never by
-rejection sampling, to keep the per-trial consumption fixed.
+rejection sampling, to keep the per-trial consumption fixed.  Each block's
+verification quadratures are binned once, by an arithmetic bin index that
+equals ``searchsorted(edges, x, side="right")``, into both histograms.
 
 Imperfect vacuum preparation is modeled by an optional residual coherent
 amplitude ``prep_error`` leaking into nominal vacuum slots; it lets the
@@ -217,19 +219,30 @@ def _block_trials(cfg: McConfig, block: int, stop: int):
     return truth, tap_outcome, accepted, verify_x
 
 
+def _bin_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(edges, x, side="right")`` for evenly spaced edges:
+    an arithmetic guess, then an exact +-1 fix-up against the edges."""
+    n = len(edges)
+    guess = np.floor((x - edges[0]) / ((edges[-1] - edges[0]) / (n - 1)))
+    k = np.clip(guess, -1, n - 1).astype(np.intp) + 1
+    padded = np.concatenate(([-np.inf], edges, [np.inf]))  # padded[k] = edges[k - 1]
+    k -= x < padded[k]
+    k += x >= padded[k + 1]
+    return k
+
+
 def _block_counts(cfg: McConfig, block: int, edges: np.ndarray):
     truth, _, accepted, verify_x = _block_trials(cfg, block, cfg.trials)
-
-    def hist(x):
-        return np.bincount(np.searchsorted(edges, x, side="right"), minlength=len(edges) + 1)
-
+    nbins = len(edges) + 1
+    # one pass: rejected trials fill bins [0, nbins), accepted ones [nbins, 2 nbins)
+    split = np.bincount(_bin_index(edges, verify_x) + nbins * accepted, minlength=2 * nbins)
     return (
         int(truth.sum()),
         int((truth & accepted).sum()),
         int((~truth).sum()),
         int((~truth & accepted).sum()),
-        hist(verify_x),
-        hist(verify_x[accepted]),
+        split[:nbins] + split[nbins:],
+        split[nbins:],
     )
 
 
@@ -362,8 +375,14 @@ def chi2_gof(counts: np.ndarray, probs: np.ndarray):
 def calibrate_prep_error(det, tap_reflectivity: float, error_target: float) -> float:
     """Residual vacuum-slot amplitude that makes the measured error
     probability hit ``error_target`` for this detector and tap, found by a
-    bracketed root search.  Requires error_target >= the detector's intrinsic
-    error probability."""
+    bracketed root search.  Requires the detector's intrinsic error
+    probability <= error_target < 1 and, above the intrinsic error, a tap
+    that sends light to the filter."""
+    if not math.isfinite(error_target):
+        raise ValueError(f"target error must be finite, got {error_target}")
+    if error_target >= 1.0:
+        raise ValueError(f"target error {error_target} unreachable: an error probability "
+                         "stays below 1 at any prep_error")
     base = error_probability(det)
     if error_target < base:
         raise ValueError(
@@ -371,6 +390,9 @@ def calibrate_prep_error(det, tap_reflectivity: float, error_target: float) -> f
         )
     if error_target == base:
         return 0.0
+    if tap_reflectivity == 0.0:
+        raise ValueError(f"target error {error_target} unreachable at tap reflectivity 0: "
+                         "no prep_error light reaches the filter")
     sqrt_r = math.sqrt(tap_reflectivity)
 
     def f(amp):
@@ -379,4 +401,7 @@ def calibrate_prep_error(det, tap_reflectivity: float, error_target: float) -> f
     hi = 1.0
     while f(hi) < 0.0 and hi < 1e3:
         hi *= 2.0
+    if f(hi) < 0.0:
+        raise ValueError(f"target error {error_target} not reached by this detector "
+                         f"at prep_error up to {hi}")
     return float(brentq(f, 0.0, hi, xtol=1e-12))

@@ -5,9 +5,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vacfilter
 from vacfilter import cli, montecarlo
 from vacfilter.cli import main
 
@@ -25,6 +30,9 @@ JSON_SCHEMA = {
         "rows": {"type": "array"},
     },
 }
+
+
+SRC = Path(vacfilter.__file__).resolve().parent.parent
 
 
 def run_cli(capsys, argv):
@@ -347,7 +355,94 @@ class TestCommandSurface:
         assert json.loads(out)["prep_error"] > 0.0
 
 
+SIMULATE_APD = ["simulate", "--detector", "apd", "--eta", "0.8", "--pd", "1e-3", "--p", "0.5",
+                "--alpha-sq", "2", "--trials", "1000"]
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("extra, message", [
+        (["--error-target", "1.5"], "stays below 1"),
+        (["--error-target", "nan"], "must be finite"),
+        (["--tap", "0", "--error-target", "0.01"], "tap reflectivity 0"),
+    ], ids=["above-one", "nan", "dark-tap"])
+    def test_unreachable_error_target(self, capsys, extra, message):
+        code, out, err = run_cli(capsys, [*SIMULATE_APD, *extra])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [
+        [*SIMULATE_APD, "--alpha-sq", "-1"],
+        ["marginal", "--p", "0.5", "--alpha-sq", "-1"],
+        ["marginal", "--p", "0.5", "--alpha-sq", "nan"],
+    ], ids=["simulate", "marginal", "marginal-nan"])
+    def test_negative_alpha_sq_names_the_flag(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "--alpha-sq" in err
+
+
+def run_with_config(tmp_path, config: str, argv: list):
+    """``vacfilter argv`` in a fresh interpreter with a VACFILTER_CONFIG file."""
+    path = tmp_path / "vacfilter.conf"
+    path.write_text(config)
+    env = dict(os.environ, VACFILTER_CONFIG=str(path), PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "vacfilter.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestConfigFile:
+    def test_config_detector_default_yields_to_typed_matched_error(self, tmp_path):
+        proc = run_with_config(tmp_path, "eta = 0.63\n",
+                               ["acceptance", "--matched-error", "0.01", "--grid", "0:1:0.5"])
+        assert proc.returncode == 0, proc.stderr
+        assert parse_csv(proc.stdout)[0] == ["R_alpha_sq", "P_apd", "P_hds", "P_hdr"]
+
+    def test_config_prep_error_yields_to_typed_error_target(self, tmp_path):
+        proc = run_with_config(tmp_path, "prep_error = 0.2\n",
+                               [*SIMULATE_APD, "--format", "json", "--error-target", "0.01"])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["prep_error"] != 0.2
+
+    def test_config_error_target_yields_to_typed_prep_error(self, capsys, tmp_path,
+                                                             monkeypatch):
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("error_target = 0.01\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, [*SIMULATE_APD, "--format", "json",
+                                          "--prep-error", "0.2"])
+        assert code == 0, err
+        assert json.loads(out)["prep_error"] == 0.2
+
+    def test_conflicting_config_values_rejected(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("matched_error = 0.01\neta = 0.5\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        code, _, err = run_cli(capsys, ["acceptance", "--grid", "0:1:0.5"])
+        assert code == 2
+        assert "--matched-error sets its own detectors" in err
+        code, out, err = run_cli(capsys, ["acceptance", "--detector", "apd", "--grid", "0:1:0.5"])
+        assert code == 0, err
+        assert parse_csv(out)[0] == ["R_alpha_sq", "P_accept"]
+
+    def test_config_choice_validated(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("format = xml\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, ["acceptance", "--detector", "ideal"])
+        assert code == 2
+        assert out == ""
+        assert "config key 'format' must be one of csv, json" in err
+
+    def test_config_satisfies_a_required_flag(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("p = 0.3\nalpha_sq = 2\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, ["marginal", "--x", "0:1:0.5"])
+        assert code == 0, err
+        assert len(parse_csv(out)[1]) == 3
+
     def test_config_supplies_defaults_flags_win(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "vacfilter.conf"
         cfg.write_text("seed=123\ngrid=0:1:0.5\n")

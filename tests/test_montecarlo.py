@@ -1,10 +1,14 @@
 """Stochastic simulation: determinism across workers, convergence to the
 closed forms, record consistency and verification histograms."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vacfilter.detectors import (
     Apd,
@@ -18,6 +22,8 @@ from vacfilter.detectors import (
 from vacfilter.montecarlo import (
     BLOCK_SIZE,
     McConfig,
+    _bin_index,
+    _hist_edges,
     calibrate_prep_error,
     chi2_gof,
     run_trials,
@@ -146,6 +152,49 @@ class TestTrialRecords:
         np.testing.assert_array_equal(hist(verify[accepted]), res.hist_accepted.counts)
 
 
+# Counts and histograms recorded at the commit before the histogram reduction
+# switched from searchsorted to arithmetic bin indices (d61c1b3); any change to
+# the randomness contract or the binning shows up here bit for bit.
+_GOLDEN = json.loads((Path(__file__).parent / "data" / "run_trials_golden.json").read_text())
+_GOLDEN_DETECTORS = {
+    "apd": (Apd(eta=0.63, dark_prob=1.4e-4), 0.3),
+    "hds": (HomodyneStabilized(eta=0.84, threshold=threshold_for_error(E_MATCH)), 0.0),
+    "hdr": (HomodyneRandomized(eta=0.84, threshold=threshold_for_error(E_MATCH)), 0.0),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("key", sorted(_GOLDEN))
+def test_run_trials_golden(key, workers):
+    kind, seed = key.split("-")
+    detector, prep_error = _GOLDEN_DETECTORS[kind]
+    # three full blocks and a partial one
+    res = run_trials(make_cfg(detector, trials=3 * BLOCK_SIZE + 1500, seed=int(seed),
+                              workers=workers, prep_error=prep_error))
+    want = _GOLDEN[key]
+    assert [res.n_coherent, res.n_accepted_coherent, res.n_vacuum,
+            res.n_accepted_vacuum] == want["counts"]
+    assert res.hist_all.counts.tolist() == want["hist_all"]
+    assert res.hist_accepted.counts.tolist() == want["hist_accepted"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(amp=st.floats(0.0, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_bin_index_matches_searchsorted(amp, seed):
+    # edges exactly as run_trials builds them (a lossless tap passes amp through)
+    mix = ErasureMixture(CoherentAmplitude(amp), 0.5, 0.0)
+    edges = _hist_edges(McConfig(seed=1, trials=1, detector=IdealOnOff(), mixture=mix))
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        [-1e300, -1e6, edges[0] - 1.0, edges[-1] + 1.0, 1e6, 1e300],
+        rng.normal(amp / 2.0, 2.0, 4096),
+    ])
+    np.testing.assert_array_equal(_bin_index(edges, x), np.searchsorted(edges, x, side="right"))
+
+
 class TestVerificationHistograms:
     def test_vacuum_variance_matches(self):
         cfg = make_cfg(IdealOnOff(), p=0.0, trials=100_000)
@@ -238,6 +287,26 @@ class TestPrepErrorCalibration:
         det = Apd(eta=0.63, dark_prob=1e-3)
         with pytest.raises(ValueError, match="below intrinsic"):
             calibrate_prep_error(det, 0.5, 1e-4)
+
+    @pytest.mark.parametrize("target, message", [
+        (1.5, "stays below 1"),
+        (1.0, "stays below 1"),
+        (float("nan"), "must be finite"),
+        (float("inf"), "must be finite"),
+    ])
+    def test_unreachable_target_rejected(self, target, message):
+        with pytest.raises(ValueError, match=message):
+            calibrate_prep_error(Apd(eta=0.8, dark_prob=1e-3), 0.5, target)
+
+    def test_dark_tap_rejected(self):
+        with pytest.raises(ValueError, match="tap reflectivity 0"):
+            calibrate_prep_error(Apd(eta=0.8, dark_prob=1e-3), 0.0, 0.01)
+        assert calibrate_prep_error(Apd(eta=0.8, dark_prob=1e-3), 0.0, 1e-3) == 0.0
+
+    def test_target_beyond_a_weak_detector_rejected(self):
+        det = HomodyneStabilized(eta=1e-6, threshold=1.0)
+        with pytest.raises(ValueError, match="not reached by this detector"):
+            calibrate_prep_error(det, 0.5, 0.9)
 
 
 class TestConfigValidation:
