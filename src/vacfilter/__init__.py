@@ -20,9 +20,9 @@ _EXPORTS = {
     "gaussian": ("CovMatrix", "GaussianComponent", "GaussianMixtureState", "NumericsError",
                  "apply_beamsplitter", "condition_on_noclick", "gaussian_entropy",
                  "symplectic_eigenvalues"),
-    "metrics": ("gain", "gain_vs_success_curve", "sensitivity", "success_probability"),
+    "metrics": ("gain", "gain_columns", "sensitivity", "success_probability"),
     "montecarlo": ("McConfig", "McResult", "TrialRecord", "calibrate_prep_error",
-                   "run_trials", "verification_histogram"),
+                   "run_trials", "verification_chi2"),
     "qkd": ("KeyRateResult", "QkdScenario", "TapFilter", "filtered_covariance", "joint_state",
             "key_rate", "optimize_key_rate", "p_min_search", "scenario_key_rate",
             "weak_squeezing_keyrate"),

@@ -267,10 +267,9 @@ def _tap_filter(args):
 def cmd_keyrate(args):
     flt = _tap_filter(args)
     if args.optimize:
-        if args.prefactor != "ps":
-            raise ValueError("--prefactor p_ps needs qkd keyrate without --optimize")
         res = qkd.optimize_key_rate(args.p, flt, protocol=args.protocol,
-                                    erased_mode_variance=args.erased_variance)
+                                    erased_mode_variance=args.erased_variance,
+                                    prefactor=args.prefactor)
     else:
         scenario = qkd.QkdScenario(V=args.V, p=args.p, filter=flt,
                                    protocol=args.protocol,
@@ -285,8 +284,6 @@ def cmd_keyrate(args):
 
 def cmd_pmin(args):
     flt = _tap_filter(args)
-    if args.prefactor != "ps":
-        raise ValueError("--prefactor p_ps needs qkd keyrate without --optimize")
     res = qkd.p_min_search(flt, precision=args.precision, protocol=args.protocol,
                            erased_mode_variance=args.erased_variance)
     rows = [[p, k] for p, k in res.trace]
@@ -303,11 +300,11 @@ def cmd_oracle(args):
 
     n_max = args.nmax
     rows = []
-    if args.check == "coherent":
+    if args.oracle_command == "coherent":
         st = fock.coherent_state(args.alpha, n_max)
         rows.append(["mean_photons", fock.mean_photon(st, 0), args.alpha ** 2])
         rows.append(["trace_deficit", st.deficit, 0.0])
-    elif args.check == "beamsplitter":
+    elif args.oracle_command == "beamsplitter":
         st = fock.tensor(fock.coherent_state(args.alpha, n_max), fock.vacuum_state(n_max))
         st = fock.fock_beamsplitter(st, 0, 1, 1.0 - args.tap)
         target = fock.tensor(
@@ -315,20 +312,18 @@ def cmd_oracle(args):
             fock.coherent_state(-math.sqrt(args.tap) * args.alpha, n_max),
         )
         rows.append(["fidelity_vs_product", fock.fidelity(st, target), 1.0])
-    elif args.check == "noclick":
+    else:  # noclick
         st = fock.tmsv_state(args.V, n_max)
         st = fock.tensor(st, fock.vacuum_state(n_max))
         st = fock.fock_beamsplitter(st, 1, 2, 1.0 - args.tap)
-        prob, cond = fock.povm_expectation(st, 2, fock.NoClick(args.eta, args.pd or 0.0))
+        prob, cond = fock.povm_expectation(st, 2, fock.NoClick(args.eta, args.pd))
         gstate = gaussian.tensor(gaussian.two_mode_squeezed(args.V), gaussian.vacuum(1))
         gstate = gaussian.apply_beamsplitter(gstate, 1, 2, 1.0 - args.tap)
-        w, gcond = gaussian.condition_on_noclick(gstate, 2, args.eta, args.pd or 0.0)
+        w, gcond = gaussian.condition_on_noclick(gstate, 2, args.eta, args.pd)
         cm_f = fock.covariance_matrix(cond)[:4, :4]
         cm_g = gcond.components[0].cm.mat
         rows.append(["noclick_prob_fock", prob, w])
         rows.append(["max_cm_deviation", float(np.max(np.abs(cm_f - cm_g))), 0.0])
-    else:
-        raise ValueError(f"unknown oracle check {args.check!r}")
     _emit(args, ["quantity", "value", "reference"], rows)
     return 0
 
@@ -475,8 +470,9 @@ _FILTER = (
     ("--pd", {"type": float, "help": "filter APD dark-count probability"}),
     ("--protocol", {"choices": ["heterodyne", "homodyne"], "default": "heterodyne"}),
     ("--erased-variance", {"choices": ["marginal", "alphabet"], "default": "marginal"}),
-    ("--prefactor", {"choices": ["ps", "p_ps"], "default": "ps"}),
 )
+_ALPHA = ("--alpha", {"type": float, "default": 1.0})
+_NMAX = ("--nmax", {"type": int, "default": 30})
 
 # Subcommand ("qkd keyrate" for a nested one) -> (handler, help, arguments); a
 # group such as "qkd" has no handler and holds the subcommands named after it.
@@ -517,19 +513,19 @@ COMMANDS = {
         ("--V", {"type": float, "default": 1.1, "help": "two-mode squeezing variance"}),
         ("--p", {"type": float, "default": 0.5}),
         *_FILTER,
+        ("--prefactor", {"choices": ["ps", "p_ps"], "default": "ps"}),
         ("--optimize", {"action": "store_true", "help": "maximize over V (and T with a filter)"}),
         *_OUTPUT)),
     "qkd pmin": (cmd_pmin, None, (
         *_FILTER, ("--precision", {"type": float, "default": 1e-3}), *_OUTPUT)),
-    "oracle": (cmd_oracle, "truncated-Fock spot checks of the Gaussian calculus", (
-        ("check", {"choices": ["coherent", "beamsplitter", "noclick"]}),
-        ("--alpha", {"type": float, "default": 1.0}),
-        ("--V", {"type": float, "default": 1.1}),
-        ("--tap", {"type": float, "default": 0.5}),
+    "oracle": (None, "truncated-Fock spot checks of the Gaussian calculus", ()),
+    "oracle coherent": (cmd_oracle, None, (_ALPHA, _NMAX, *_OUTPUT)),
+    "oracle beamsplitter": (cmd_oracle, None, (_ALPHA, _TAP, _NMAX, *_OUTPUT)),
+    "oracle noclick": (cmd_oracle, None, (
+        ("--V", {"type": float, "default": 1.1}), _TAP,
         ("--eta", {"type": float, "default": 0.63}),
         ("--pd", {"type": float, "default": 0.005}),
-        ("--nmax", {"type": int, "default": 30}),
-        *_OUTPUT)),
+        _NMAX, *_OUTPUT)),
 }
 
 
@@ -544,12 +540,14 @@ CONFLICTS = {
 }
 
 
-def build_parser(config: dict | None = None, typed_only: bool = False) -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None, typed_only: bool = False,
+                 invoked: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser.  ``config`` maps option keys (dashes as
     underscores) to defaults that replace the declared ones and satisfy
     required options; argparse converts string values with the option's type.
     With ``typed_only`` no option has a default, so the parsed namespace holds
-    only the options on the command line."""
+    only the options on the command line.  Given the ``invoked`` subcommand,
+    only its arguments are declared: parsing never reads the others'."""
     config = config or {}
     parser = argparse.ArgumentParser(
         prog="vacfilter",
@@ -563,13 +561,15 @@ def build_parser(config: dict | None = None, typed_only: bool = False) -> argpar
         if func is None:
             groups[name] = sub.add_subparsers(dest=f"{name}_command", required=True)
             continue
+        sub.set_defaults(func=func)
+        if invoked is not None and name != invoked:
+            continue
         for flag, kwargs in arguments:
             key = flag[2:].replace("-", "_")
             if flag.startswith("--") and (typed_only or key in config):
                 kwargs = {**kwargs, "required": False,
                           "default": argparse.SUPPRESS if typed_only else config[key]}
             sub.add_argument(flag, **kwargs)
-        sub.set_defaults(func=func)
     return parser
 
 
@@ -593,22 +593,21 @@ def _read_config(path: str) -> dict:
     return entries
 
 
-def _config_defaults(argv: list) -> dict:
-    """Defaults for the invoked subcommand from the flat key=value config file
-    named by VACFILTER_CONFIG: a switch takes true or false, a choice must be
-    one of its choices, other values stay strings for argparse to convert.
+def _config_defaults(invoked: str) -> dict:
+    """Defaults for the ``invoked`` subcommand from the flat key=value config
+    file named by VACFILTER_CONFIG: a switch takes true or false, a choice must
+    be one of its choices, other values stay strings for argparse to convert.
     Keys unknown to every subcommand are rejected; keys of other subcommands
     are ignored."""
     path = os.environ.get("VACFILTER_CONFIG")
-    if not path or not argv:
+    if not path or not invoked:
         return {}
     entries = _read_config(path)
     known = {key for _, _, arguments in COMMANDS.values() for key in _config_keys(arguments)}
     for key in entries:
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
-    depth = 2 if " ".join(argv[:2]) in COMMANDS else 1
-    _, _, arguments = COMMANDS.get(" ".join(argv[:depth]), (None, None, ()))
+    _, _, arguments = COMMANDS.get(invoked, (None, None, ()))
     local = _config_keys(arguments)
     defaults = {}
     for key, value in entries.items():
@@ -646,9 +645,11 @@ def _check_conflicts(args, typed: set | None):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = _config_defaults(argv)
-        args = build_parser(config).parse_args(argv)
-        typed = set(vars(build_parser(typed_only=True).parse_args(argv))) if config else None
+        invoked = " ".join(argv[:2 if " ".join(argv[:2]) in COMMANDS else 1])  # e.g. "qkd keyrate"
+        config = _config_defaults(invoked)
+        args = build_parser(config, invoked=invoked).parse_args(argv)
+        typed = (set(vars(build_parser(typed_only=True, invoked=invoked).parse_args(argv)))
+                 if config else None)
         _check_conflicts(args, typed)
         return args.func(args)
     except ValueError as exc:

@@ -67,11 +67,12 @@ class CovMatrix:
                     f"unphysical covariance matrix: min eig of Gamma + i Omega = {min_eig:.3e}"
                 )
             mat = mat + (-min_eig + PHYSICALITY_TOL) * np.eye(2 * n)
-        nus = _symplectic_eigenvalues_raw(mat)
-        if nus.min() < 1.0 - PHYSICALITY_TOL and not repair:
-            raise ValueError(
-                f"unphysical covariance matrix: min symplectic eigenvalue {nus.min():.12f}"
-            )
+        if not repair:
+            nu_min = _symplectic_eigenvalues_raw(mat).min()
+            if nu_min < 1.0 - PHYSICALITY_TOL:
+                raise ValueError(
+                    f"unphysical covariance matrix: min symplectic eigenvalue {nu_min:.12f}"
+                )
         mat.setflags(write=False)
         self._mat = mat
 

@@ -1,5 +1,7 @@
-"""Figures of merit for the filtering protocol: sensitivity, gain, success
-probability and the parametric gain-versus-success curves."""
+"""Figures of merit for the filtering protocol: sensitivity, gain and success
+probability.  At matched error probability the (P_S, G) points of
+:func:`gain_columns` for different detectors fall on the single curve
+G = (1/p)(1 - (1-p) E / P_S)."""
 
 from __future__ import annotations
 
@@ -103,14 +105,3 @@ def gain_columns(det, p: float, tap_photon_numbers) -> tuple:
     p_acc = acceptance_probability(det, np.sqrt(n_mean))
     p_s = success_probability(p, p_acc, e)
     return p_acc, p_s, gain(p, p_s, e, p_accept=p_acc)
-
-
-def gain_vs_success_curve(det, p: float, tap_photon_numbers):
-    """Parametric (P_S, G) samples over a grid of mean photon numbers R|alpha|^2
-    hitting the filter detector.
-
-    At matched error probability, points from different detectors fall on the
-    single curve G = (1/p)(1 - (1-p) E / P_S).
-    """
-    _, p_s, g = gain_columns(det, p, tap_photon_numbers)
-    return list(zip(p_s.tolist(), g.tolist()))

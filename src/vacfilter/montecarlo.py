@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtri
-from scipy.stats import chi2 as _chi2_dist
+from scipy.special import chdtrc, ndtri
 
 from .detectors import (
     Apd,
@@ -315,31 +314,18 @@ def theory_branches(cfg: McConfig, condition: str) -> list:
     return [(p * p_acc / p_s, amp_sig + 0j), ((1.0 - p) * e_eff / p_s, amp_leak + 0j)]
 
 
-@dataclass
-class VerificationHistogram:
-    histogram: Histogram
-    expected_probs: np.ndarray  # per bin incl. under/overflow, from the model
-    branches: list
-
-    def chi2_test(self):
-        return chi2_gof(self.histogram.counts, self.expected_probs)
-
-
-def verification_histogram(cfg: McConfig, condition: str = "all",
-                           result: McResult | None = None) -> VerificationHistogram:
-    """Histogram of verification quadratures over a subset of trials,
-    together with the analytic marginal of the corresponding mixture."""
-    if result is None:
-        result = run_trials(cfg)
+def verification_chi2(result: McResult, condition: str = "all"):
+    """Chi-squared fit of the verification quadratures over a subset of
+    trials ('all', 'accepted' or 'rejected') to the analytic marginal of the
+    corresponding mixture.  Returns (statistic, dof, p_value)."""
     hist = {"all": result.hist_all,
             "accepted": result.hist_accepted,
             "rejected": result.hist_rejected}[condition]
     if hist.total == 0:
         raise ValueError(f"no trials in subset {condition!r}")
-    branches = theory_branches(cfg, condition)
-    cdf = marginal_cdf(branches, hist.edges)
+    cdf = marginal_cdf(theory_branches(result.config, condition), hist.edges)
     probs = np.concatenate([[cdf[0]], np.diff(cdf), [1.0 - cdf[-1]]])
-    return VerificationHistogram(hist, probs, branches)
+    return chi2_gof(hist.counts, probs)
 
 
 def chi2_gof(counts: np.ndarray, probs: np.ndarray):
@@ -369,7 +355,7 @@ def chi2_gof(counts: np.ndarray, probs: np.ndarray):
         raise ValueError("too few populated bins for a chi-squared test")
     stat = float(np.sum((c - e) ** 2 / e))
     dof = len(c) - 1
-    return stat, dof, float(_chi2_dist.sf(stat, dof))
+    return stat, dof, float(chdtrc(dof, stat))
 
 
 def calibrate_prep_error(det, tap_reflectivity: float, error_target: float) -> float:

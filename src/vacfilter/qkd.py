@@ -95,11 +95,6 @@ class QkdScenario:
         if self.prefactor not in ("ps", "p_ps"):
             raise ValueError(f"prefactor must be ps/p_ps, got {self.prefactor!r}")
 
-    @property
-    def sigma(self) -> float:
-        """Displacement variance of the prepared coherent alphabet."""
-        return (self.V + 1.0 / self.V) / 2.0 - 1.0
-
 
 @dataclass(frozen=True)
 class KeyRateResult:
@@ -319,15 +314,18 @@ def _key_rate_grid(V, T, p, flt, protocol, erased_mode_variance):
 
 def optimize_key_rate(p: float, flt: TapFilter | None = None, *,
                       protocol: str = "heterodyne",
-                      erased_mode_variance: str = "marginal") -> KeyRateResult:
+                      erased_mode_variance: str = "marginal",
+                      prefactor: str = "ps") -> KeyRateResult:
     """Maximize the key-rate bound over the squeezing variance V (and the
     filter transmissivity T when a filter is present) by a deterministic
     coarse grid followed by local refinement.
 
-    The grids are scored by the closed-form kernel; the reported result is
-    one ``scenario_key_rate`` evaluation at the chosen (V, T).
+    The grids are scored by the closed-form kernel under ``prefactor`` "ps";
+    "p_ps" scales K by the constant p, which leaves the maximizer alone.  The
+    reported result is one ``scenario_key_rate`` evaluation at the chosen
+    (V, T) under ``prefactor``.
     """
-    QkdScenario(1.0, p, flt, protocol, erased_mode_variance)  # argument checks
+    QkdScenario(1.0, p, flt, protocol, erased_mode_variance, prefactor)  # argument checks
 
     def grid_best(vs, ts):
         k = _key_rate_grid(vs[:, None], ts[None, :], p, flt, protocol,
@@ -354,6 +352,7 @@ def optimize_key_rate(p: float, flt: TapFilter | None = None, *,
     V, T = best_vt
     best = scenario_key_rate(QkdScenario(
         V=V, p=p, protocol=protocol, erased_mode_variance=erased_mode_variance,
+        prefactor=prefactor,
         filter=None if flt is None else TapFilter(1.0 - T, flt.eta, flt.dark_prob)))
     return KeyRateResult(best.k_lower, best.i_ab, best.chi_be, best.p_s,
                          best.multiplier, optimizer=best_vt)

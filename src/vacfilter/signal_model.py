@@ -114,33 +114,30 @@ def _branches(mixture) -> list:
     return [(float(w), complex(amp)) for w, amp in mixture]
 
 
-def marginal_density(mixture, x, lo_phase: float = 0.0):
+def marginal_density(mixture, x):
     """Quadrature probability density of a coherent/vacuum mixture.
 
     ``mixture`` may be an ErasureMixture, a PostFilterMixture, or an explicit
     list of (weight, complex amplitude) branches.  Each branch contributes a
-    normal component with mean Re(amp * exp(-i lo_phase)) and variance 1/4.
+    normal component with mean Re(amp) and variance 1/4.
     """
     x = np.asarray(x, dtype=float)
-    rot = np.exp(-1j * lo_phase)
     dens = np.zeros_like(x, dtype=float)
     norm = 1.0 / np.sqrt(2.0 * np.pi * VACUUM_QUAD_VARIANCE)
     for w, amp in _branches(mixture):
-        mean = float(np.real(amp * rot))
+        mean = amp.real
         dens += w * norm * np.exp(-((x - mean) ** 2) / (2.0 * VACUUM_QUAD_VARIANCE))
     return dens if dens.ndim else float(dens)
 
 
-def marginal_cdf(mixture, x, lo_phase: float = 0.0):
+def marginal_cdf(mixture, x):
     """Cumulative version of :func:`marginal_density` (used for binned
     expected probabilities in goodness-of-fit tests)."""
     from scipy.special import ndtr
 
     x = np.asarray(x, dtype=float)
-    rot = np.exp(-1j * lo_phase)
     sd = np.sqrt(VACUUM_QUAD_VARIANCE)
     out = np.zeros_like(x, dtype=float)
     for w, amp in _branches(mixture):
-        mean = float(np.real(amp * rot))
-        out += w * ndtr((x - mean) / sd)
+        out += w * ndtr((x - amp.real) / sd)
     return out if out.ndim else float(out)

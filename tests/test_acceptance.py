@@ -22,8 +22,8 @@ from vacfilter.detectors import (
     threshold_for_error,
 )
 from vacfilter.gaussian import condition_on_noclick
-from vacfilter.metrics import gain_vs_success_curve, sensitivity
-from vacfilter.montecarlo import McConfig, calibrate_prep_error, run_trials, verification_histogram
+from vacfilter.metrics import gain_columns, sensitivity
+from vacfilter.montecarlo import McConfig, calibrate_prep_error, run_trials, verification_chi2
 from vacfilter.qkd import QkdScenario, TapFilter, optimize_key_rate, p_min_search, scenario_key_rate, weak_squeezing_keyrate
 from vacfilter.signal_model import CoherentAmplitude, ErasureMixture
 
@@ -141,7 +141,7 @@ class TestAcceptance:
         grid = np.linspace(0.0, 1.65, 23)
         worst = 0.0
         for det in dets:
-            for p_s, g in gain_vs_success_curve(det, p, grid):
+            for p_s, g in zip(*gain_columns(det, p, grid)[1:]):
                 on_curve = (1 - (1 - p) * E_MATCH / p_s) / p
                 worst = max(worst, abs(g - on_curve))
         ok = worst < 1e-12
@@ -271,9 +271,9 @@ class TestAcceptance:
         vac_res = run_trials(vac_cfg)
 
         pvals = {
-            "perturbed": verification_histogram(cfg, "all", result=res).chi2_test()[2],
-            "vacuum": verification_histogram(vac_cfg, "all", result=vac_res).chi2_test()[2],
-            "filtered": verification_histogram(cfg, "accepted", result=res).chi2_test()[2],
+            "perturbed": verification_chi2(res, "all")[2],
+            "vacuum": verification_chi2(vac_res, "all")[2],
+            "filtered": verification_chi2(res, "accepted")[2],
         }
         chi_ok = all(pv > 0.01 for pv in pvals.values())
         ok = complete and chi_ok

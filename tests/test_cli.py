@@ -298,15 +298,19 @@ class TestFigures:
 
 
 class TestQkdPrefactor:
-    @pytest.mark.parametrize("argv", [
-        ["qkd", "keyrate", "--optimize", "--p", "0.5", "--eta", "0.63", "--pd", "5e-4"],
-        ["qkd", "pmin", "--no-filter"],
-    ])
-    def test_p_ps_rejected_where_the_optimizer_ignores_it(self, capsys, argv):
-        code, out, err = run_cli(capsys, [*argv, "--prefactor", "p_ps"])
-        assert code == 2
-        assert out == ""
-        assert "--prefactor" in err
+    def test_p_ps_scales_the_optimized_rate(self, capsys):
+        argv = ["qkd", "keyrate", "--optimize", "--p", "0.5", "--eta", "0.63", "--pd", "5e-4",
+                "--format", "json"]
+        rows = {}
+        for prefactor in ("ps", "p_ps"):
+            code, out, err = run_cli(capsys, [*argv, "--prefactor", prefactor])
+            assert code == 0, err
+            rows[prefactor] = dict(zip(json.loads(out)["columns"], json.loads(out)["rows"][0]))
+        ps, p_ps = rows["ps"], rows["p_ps"]
+        assert (p_ps["V"], p_ps["T"]) == (ps["V"], ps["T"])
+        assert p_ps["P_S"] == ps["P_S"]
+        assert p_ps["multiplier"] == pytest.approx(0.5 * p_ps["P_S"], rel=1e-12)
+        assert p_ps["K_lower"] == pytest.approx(0.5 * ps["K_lower"], rel=1e-12)
 
     def test_p_ps_scales_a_single_evaluation(self, capsys):
         argv = ["qkd", "keyrate", "--V", "1.1", "--p", "0.5", "--eta", "0.63", "--pd", "5e-4",
@@ -325,6 +329,10 @@ class TestCommandSurface:
         ["acceptance", "--detector", "ideal", "--grid", "0:1:0.5", "--trials", "3"],
         ["qkd", "pmin", "--no-filter", "--V", "2"],
         ["qkd", "pmin", "--no-filter", "--p", "0.5"],
+        ["qkd", "pmin", "--no-filter", "--prefactor", "ps"],
+        ["oracle", "coherent", "--V", "3"],
+        ["oracle", "beamsplitter", "--eta", "0.2"],
+        ["oracle", "noclick", "--alpha", "2"],
     ])
     def test_flags_the_handler_does_not_read_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -434,6 +442,17 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert "config key 'format' must be one of csv, json" in err
+
+    def test_config_prefactor_leaves_pmin_alone(self, capsys, tmp_path, monkeypatch):
+        argv = ["qkd", "pmin", "--eta", "0.63", "--pd", "5e-4"]
+        code, plain, err = run_cli(capsys, argv)
+        assert code == 0, err
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("prefactor = p_ps\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        assert out == plain
 
     def test_config_satisfies_a_required_flag(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "vacfilter.conf"

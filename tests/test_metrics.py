@@ -14,7 +14,7 @@ from vacfilter.detectors import (
 )
 from vacfilter.metrics import (
     gain,
-    gain_vs_success_curve,
+    gain_columns,
     sensitivity,
     success_probability,
 )
@@ -129,7 +129,7 @@ class TestGainVsSuccessCurve:
     def test_points_satisfy_gain_relation(self):
         det = Apd(eta=1.0, dark_prob=E_MATCH)
         p = 0.02
-        for p_s, g in gain_vs_success_curve(det, p, np.linspace(0.0, 1.65, 12)):
+        for p_s, g in zip(*gain_columns(det, p, np.linspace(0.0, 1.65, 12))[1:]):
             assert g == pytest.approx((1 - (1 - p) * E_MATCH / p_s) / p, abs=1e-12)
 
     def test_three_detectors_fall_on_one_curve(self):
@@ -146,12 +146,12 @@ class TestGainVsSuccessCurve:
         def curve(p_s):
             return (1 - (1 - p) * E_MATCH / p_s) / p
         for det in dets:
-            for p_s, g in gain_vs_success_curve(det, p, grid):
+            for p_s, g in zip(*gain_columns(det, p, grid)[1:]):
                 assert abs(g - curve(p_s)) < 1e-12
 
     def test_zero_photon_endpoint(self):
         det = Apd(eta=1.0, dark_prob=E_MATCH)
-        (p_s, g), = gain_vs_success_curve(det, 0.02, [0.0])
+        _, (p_s,), (g,) = gain_columns(det, 0.02, [0.0])
         assert p_s == pytest.approx(E_MATCH, rel=1e-12)
         assert g == pytest.approx(1.0, rel=1e-9)
 

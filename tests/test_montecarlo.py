@@ -28,7 +28,7 @@ from vacfilter.montecarlo import (
     chi2_gof,
     run_trials,
     sample_trials,
-    verification_histogram,
+    verification_chi2,
 )
 from vacfilter.signal_model import CoherentAmplitude, ErasureMixture
 
@@ -239,15 +239,14 @@ class TestVerificationHistograms:
         cfg = make_cfg(det, p=0.02, trials=100_000, seed=5150)
         res = run_trials(cfg)
         for condition in ("all", "accepted", "rejected"):
-            vh = verification_histogram(cfg, condition, result=res)
-            stat, dof, pval = vh.chi2_test()
+            stat, dof, pval = verification_chi2(res, condition)
             assert pval > 0.01, f"{condition}: chi2={stat:.1f} dof={dof} p={pval:.4f}"
 
     def test_empty_subset_raises(self):
         cfg = make_cfg(IdealOnOff(), p=0.0, trials=2000)  # never accepts: E = 0
         res = run_trials(cfg)
         with pytest.raises(ValueError, match="no trials"):
-            verification_histogram(cfg, "accepted", result=res)
+            verification_chi2(res, "accepted")
         assert res.g_hat is None
 
 

@@ -67,11 +67,6 @@ class TestJointState:
         state = joint_state(V, 0.0, erased_mode_variance="marginal")
         assert mixture_covariance(state)[0, 0] == pytest.approx(V)
 
-    def test_sigma_derived_field(self):
-        sc = QkdScenario(V=1.5, p=0.5)
-        assert sc.sigma == pytest.approx((1.5 + 1 / 1.5) / 2 - 1)
-        assert QkdScenario(V=1.0, p=0.5).sigma == pytest.approx(0.0)
-
 
 class TestFilteredCovariance:
     def test_unit_variance_never_clicks(self):

@@ -110,14 +110,6 @@ class TestMarginalDensity:
         assert marginal_density(post, 0.0) < marginal_density(mix, 0.0)
         assert post.p_prime > mix.p
 
-    def test_lo_phase_rotates_the_mean(self):
-        branches = [(1.0, 1.2 + 0.0j)]
-        x = np.linspace(-3, 3, 301)
-        d0 = marginal_density(branches, x, lo_phase=0.0)
-        d90 = marginal_density(branches, x, lo_phase=np.pi / 2)
-        assert x[np.argmax(d0)] == pytest.approx(1.2, abs=0.05)
-        assert x[np.argmax(d90)] == pytest.approx(0.0, abs=0.05)
-
     def test_nonnegative(self):
         mix = ErasureMixture(CoherentAmplitude(1.1, -0.4), p=0.4, tap_reflectivity=0.2)
         x = np.linspace(-6, 6, 501)
