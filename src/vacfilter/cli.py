@@ -530,13 +530,18 @@ COMMANDS = {
 
 
 # Flags that override one another, per subcommand: (flags, flags they override,
-# message).  Values set on both sides are rejected unless only one side was
-# typed, in which case the typed side wins over the config defaults.
+# message).  A value is set unless it is None or a switch left off.  Values set
+# on both sides are rejected unless only one side was typed, in which case the
+# typed side wins over the config defaults.
+_NO_FILTER = ((("no_filter",), ("eta", "pd"),
+               "--no-filter drops the filter; drop --eta and --pd"),)
 CONFLICTS = {
     "acceptance": ((("matched_error",), ("detector", "eta", "pd", "threshold", "match_error"),
                     "--matched-error sets its own detectors; drop the detector flags"),),
     "simulate": ((("error_target",), ("prep_error",),
                   "--error-target calibrates --prep-error; pass only one of them"),),
+    "qkd keyrate": _NO_FILTER,
+    "qkd pmin": _NO_FILTER,
 }
 
 
@@ -631,7 +636,8 @@ def _check_conflicts(args, typed: set | None):
     the command line, None when every value set came from it."""
     name = " ".join(filter(None, (args.command, getattr(args, f"{args.command}_command", None))))
     for flags, overridden, message in CONFLICTS.get(name, ()):
-        sides = [{dest for dest in side if getattr(args, dest) is not None}
+        sides = [{dest for dest in side  # `is`, not `in`: 0.0 == False
+                  if getattr(args, dest) is not None and getattr(args, dest) is not False}
                  for side in (flags, overridden)]
         if not all(sides):
             continue

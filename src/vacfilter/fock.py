@@ -1,11 +1,15 @@
 """Brute-force truncated-Fock-space reference implementation.
 
 Everything here is deliberately direct and dense: states live on a photon
-number grid 0..n_max per mode, beam splitters act block-exactly within each
+number grid 0..n_max per mode, beam splitters act exactly within each
 total-photon sector, and detector POVMs are applied as explicit matrices.
-This module is the numerical authority the Gaussian calculus is validated
-against; it has no performance ambitions and supports at most three modes
-(pure states) or two modes (density operators).
+The beam splitter is an SU(2) rotation in every sector; its real orthogonal
+blocks are built one photon at a time from the transformed creation
+operators, with no matrix exponential.  Pure-state quadrature moments come
+from one real Gram matrix of the state and its 2m quadrature images.  This
+module is the numerical authority the Gaussian calculus is validated against;
+it is sized for at most three modes (pure states) or two modes (density
+operators) at the usual cutoffs.
 
 Quadrature moments are reported in the covariance-matrix convention of
 :mod:`vacfilter.gaussian` (vacuum variance 1); quadrature-interval POVMs take
@@ -86,6 +90,8 @@ def coherent_state(alpha: complex, n_max: int) -> FockState:
     Fails if the Poisson tail beyond the cutoff exceeds 1e-10 (guard
     |alpha|^2 <= n_max / 4 comfortably satisfies this).
     """
+    if not np.isfinite(alpha):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha}")
     mean = abs(alpha) ** 2
     tail = _poisson_tail(mean, n_max)
     if tail > TRUNCATION_GUARD:
@@ -104,7 +110,7 @@ def coherent_state(alpha: complex, n_max: int) -> FockState:
 def tmsv_state(V: float, n_max: int) -> FockState:
     """Two-mode squeezed vacuum of quadrature variance V, via
     tanh r = sqrt((V-1)/(V+1)): sqrt(1-lam^2) sum lam^n |nn>."""
-    if V < 1.0:
+    if not V >= 1.0:
         raise ValueError(f"two-mode squeezing variance must be >= 1, got {V}")
     lam = np.sqrt((V - 1.0) / (V + 1.0))
     tail = float(lam ** (2 * (n_max + 1)))
@@ -119,7 +125,7 @@ def tmsv_state(V: float, n_max: int) -> FockState:
 def thermal_state(n_bar: float, n_max: int) -> FockState:
     """Thermal state of mean photon number n_bar (quadrature variance
     2 n_bar + 1), stored as a diagonal density tensor."""
-    if n_bar < 0.0:
+    if not n_bar >= 0.0:
         raise ValueError(f"mean photon number must be >= 0, got {n_bar}")
     n = np.arange(n_max + 1)
     probs = n_bar ** n / (n_bar + 1.0) ** (n + 1)
@@ -171,6 +177,8 @@ def apply_mode_operator(state: FockState, op: np.ndarray, mode: int) -> FockStat
 def displace(state: FockState, mode: int, alpha: complex) -> FockState:
     """Displacement via the exponential of the truncated generator
     alpha a† - alpha* a (exactly unitary on the truncated grid)."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"displacement must be finite, got {alpha}")
     a = lowering_matrix(state.n_max)
     d = expm(alpha * a.conj().T - np.conj(alpha) * a)
     return apply_mode_operator(state, d, mode)
@@ -187,17 +195,28 @@ def phase_rotate(state: FockState, mode: int, phi: float) -> FockState:
 # ---------------------------------------------------------------------------
 
 def _bs_blocks(theta: float, n_total_max: int) -> list:
-    """Rotation matrices of exp(theta (a†b - a b†)) within each sector of
-    total photon number n; sector n has dimension n+1 and the generator is
-    tridiagonal with elements sqrt((k+1)(n-k))."""
-    blocks = []
-    for n in range(n_total_max + 1):
-        k = np.arange(n)
-        off = np.sqrt((k + 1.0) * (n - k))
-        g = np.zeros((n + 1, n + 1))
-        g[k + 1, k] = theta * off
-        g[k, k + 1] = -theta * off
-        blocks.append(expm(g))
+    """Real orthogonal blocks of U = exp(theta (a†b - a b†)) within each sector
+    of total photon number n, built one photon at a time: with c, s = cos
+    theta, sin theta, U a† U† = c a† - s b† and U b† U† = s a† + c b†, so
+
+        U|k,m> = [sqrt(k) (c a† - s b†) U|k-1,m> + sqrt(m) (s a† + c b†) U|k,m-1>] / (k+m).
+
+    Column k of block n is U|k, n-k> on the basis |j, n-j>, j = 0..n.  Both
+    paths are weighted in; either alone drifts from orthogonality."""
+    root = np.sqrt(np.outer(np.arange(n_total_max + 1.0), np.arange(n_total_max + 1.0)))
+    c_root, s_root = np.cos(theta) * root, np.sin(theta) * root  # c sqrt(jk), s sqrt(jk)
+    blocks = [np.ones((1, 1))]
+    for n in range(1, n_total_max + 1):
+        prev = blocks[-1]
+        # sqrt(j) for row or column j = 1..n, sqrt(n - j) for j = 0..n-1
+        up, down = slice(1, n + 1), slice(n, 0, -1)
+        block = np.zeros((n + 1, n + 1))
+        block[1:, 1:] = c_root[up, up] * prev      # sqrt(k) c a† U|k-1,m>
+        block[:n, 1:] -= s_root[down, up] * prev   # sqrt(k) s b† U|k-1,m>
+        block[1:, :n] += s_root[up, down] * prev   # sqrt(m) s a† U|k,m-1>
+        block[:n, :n] += c_root[down, down] * prev  # sqrt(m) c b† U|k,m-1>
+        block /= n
+        blocks.append(block)
     return blocks
 
 
@@ -221,9 +240,8 @@ def fock_beamsplitter(state: FockState, mode_i: int, mode_j: int,
         vec, lost = _bs_apply(state.vec, mode_i, mode_j, blocks, state.n_max)
         return FockState(state.n_max, vec=vec, deficit=state.deficit + lost)
     m = state.n_modes
-    rho, lost_k = _bs_apply(state.rho, mode_i, mode_j, blocks, state.n_max)
-    rho, _ = _bs_apply(rho, m + mode_i, m + mode_j,
-                       [b.conj() for b in blocks], state.n_max)
+    rho, _ = _bs_apply(state.rho, mode_i, mode_j, blocks, state.n_max)
+    rho, _ = _bs_apply(rho, m + mode_i, m + mode_j, blocks, state.n_max)  # real blocks
     tr_after = float(np.einsum(rho, list(range(m)) * 2).real)
     return FockState(state.n_max, rho=rho,
                      deficit=state.deficit + max(0.0, 1.0 - state.deficit - tr_after))
@@ -232,19 +250,19 @@ def fock_beamsplitter(state: FockState, mode_i: int, mode_j: int,
 def _bs_apply(tensor_: np.ndarray, ax_i: int, ax_j: int, blocks: list, n_max: int):
     work = np.moveaxis(tensor_, (ax_i, ax_j), (0, 1))
     shape = work.shape
-    work = work.reshape(shape[0], shape[1], -1).copy()
+    work = work.reshape(shape[0], shape[1], -1).astype(complex)
     lost = 0.0
     for n in range(2 * n_max + 1):
         k0, k1 = max(0, n - n_max), min(n, n_max)
         ks = np.arange(k0, k1 + 1)
         sub = work[ks, n - ks, :]
-        full = np.zeros((n + 1, sub.shape[1]), dtype=complex)
-        full[ks] = sub
-        rotated = blocks[n] @ full
+        # only the columns of amplitudes on the grid; the real block acts on
+        # the real and imaginary parts at once through the float view
+        rotated = (blocks[n][:, k0:k1 + 1] @ sub.view(float)).view(complex)
         if n > n_max:
             outside = np.concatenate([rotated[:k0], rotated[k1 + 1:]])
             lost += float(np.sum(np.abs(outside) ** 2))
-        work[ks, n - ks, :] = rotated[ks]
+        work[ks, n - ks, :] = rotated[k0:k1 + 1]
     work = work.reshape(shape)
     return np.moveaxis(work, (0, 1), (ax_i, ax_j)), lost
 
@@ -254,17 +272,25 @@ def _bs_apply(tensor_: np.ndarray, ax_i: int, ax_j: int, blocks: list, n_max: in
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class NoClick:
-    """On/off detector stays silent: diag (1-p_d)(1-eta)^n."""
+class _OnOff:
     eta: float
     dark_prob: float = 0.0
+
+    def __post_init__(self):
+        for name in ("eta", "dark_prob"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
-class Click:
+class NoClick(_OnOff):
+    """On/off detector stays silent: diag (1-p_d)(1-eta)^n."""
+
+
+@dataclass(frozen=True)
+class Click(_OnOff):
     """On/off detector fires: 1 - NoClick."""
-    eta: float
-    dark_prob: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -276,7 +302,7 @@ class QuadratureInterval:
 
 
 def _povm_matrix(povm, n_max: int) -> np.ndarray:
-    if isinstance(povm, (NoClick, Click)):
+    if isinstance(povm, _OnOff):
         n = np.arange(n_max + 1)
         d = (1.0 - povm.dark_prob) * (1.0 - povm.eta) ** n
         if isinstance(povm, Click):
@@ -352,8 +378,29 @@ def quadrature_matrices(n_max: int):
     return x, p
 
 
+def _quadrature_gram(state: FockState) -> np.ndarray:
+    """Real Gram matrix Re<u_i|u_j> of u = (psi, x1 psi, p1 psi, ..., pm psi)
+    for a pure state.  The quadratures are hermitian on the truncated grid, so
+    row 0 holds the norm and the means, and Re<O_i psi|O_j psi> is the
+    symmetrized second moment <(O_i O_j + O_j O_i)/2>."""
+    root = np.sqrt(np.arange(1.0, state.n_max + 1))
+    u = np.zeros((2 * state.n_modes + 1,) + state.vec.shape, dtype=complex)
+    u[0] = state.vec
+    for mode in range(state.n_modes):
+        psi = np.moveaxis(state.vec, mode, -1)
+        x, p = (np.moveaxis(u[k], mode, -1) for k in (2 * mode + 1, 2 * mode + 2))
+        x[..., :-1] = root * psi[..., 1:]  # x = a + a†
+        x[..., 1:] += root * psi[..., :-1]
+        p[..., :-1] = -1j * root * psi[..., 1:]  # p = i (a† - a)
+        p[..., 1:] += 1j * root * psi[..., :-1]
+    flat = u.reshape(len(u), -1).view(float)  # Re<u|v> is the dot of the float views
+    return flat @ flat.T
+
+
 def mean_vector(state: FockState) -> np.ndarray:
     """Quadrature means (x1, p1, ...) with x = a + a† (vacuum variance 1)."""
+    if state.is_pure:
+        return _quadrature_gram(state)[0, 1:]
     x, p = quadrature_matrices(state.n_max)
     out = np.zeros(2 * state.n_modes)
     for mode in range(state.n_modes):
@@ -364,6 +411,9 @@ def mean_vector(state: FockState) -> np.ndarray:
 
 def covariance_matrix(state: FockState) -> np.ndarray:
     """Symmetrized quadrature covariance matrix in vacuum-variance-1 units."""
+    if state.is_pure:
+        gram = _quadrature_gram(state)
+        return gram[1:, 1:] - np.outer(gram[0, 1:], gram[0, 1:])
     x, p = quadrature_matrices(state.n_max)
     quads = [(k // 2, x if k % 2 == 0 else p) for k in range(2 * state.n_modes)]
     mean = mean_vector(state)

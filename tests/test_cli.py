@@ -246,6 +246,18 @@ class TestOracleCommand:
         assert fockp == pytest.approx(gaussp, abs=1e-9)
         assert values["max_cm_deviation"][0] < 1e-9
 
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "coherent", "--alpha", "nan"], "must be finite"),
+        (["oracle", "beamsplitter", "--alpha", "nan", "--tap", "0.3"], "must be finite"),
+        (["oracle", "noclick", "--V", "nan"], "variance must be >= 1"),
+        (["oracle", "noclick", "--pd", "1.5"], "dark_prob must lie in [0, 1]"),
+    ], ids=["coherent", "beamsplitter", "noclick-V", "noclick-pd"])
+    def test_bad_inputs_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_beamsplitter_check(self, capsys):
         code, out, _ = run_cli(capsys, ["oracle", "beamsplitter", "--alpha", "1.0",
                                         "--tap", "0.3", "--nmax", "25"])
@@ -345,6 +357,9 @@ class TestCommandSurface:
          "--prep-error", "0.3", "--error-target", "0.02"],
         ["acceptance", "--matched-error", "0.01", "--detector", "apd", "--eta", "0.5"],
         ["acceptance", "--matched-error", "0.01", "--threshold", "1.0"],
+        ["qkd", "keyrate", "--no-filter", "--eta", "0.5", "--pd", "0.1"],
+        ["qkd", "keyrate", "--no-filter", "--pd", "0"],
+        ["qkd", "pmin", "--no-filter", "--eta", "0.63"],
     ])
     def test_flags_another_flag_overrides_are_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, argv)
@@ -454,6 +469,17 @@ class TestConfigFile:
         assert code == 0, err
         assert out == plain
 
+    def test_typed_no_filter_wins_over_config_eta(self, capsys, tmp_path, monkeypatch):
+        argv = ["qkd", "keyrate", "--no-filter", "--p", "0.95"]
+        code, plain, err = run_cli(capsys, argv)
+        assert code == 0, err
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("eta = 0.63\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        assert out == plain
+
     def test_config_satisfies_a_required_flag(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "vacfilter.conf"
         cfg.write_text("p = 0.3\nalpha_sq = 2\n")
@@ -481,14 +507,18 @@ class TestConfigFile:
         assert "unknown config key" in err
 
     def test_boolean_config_key_is_a_switch(self, capsys, tmp_path, monkeypatch):
-        argv = ["qkd", "keyrate", "--V", "1.1", "--p", "1", "--eta", "0.63", "--pd", "5e-4"]
-        _, filtered, _ = run_cli(capsys, argv)
+        argv = ["qkd", "keyrate", "--V", "1.1", "--p", "1"]
+        filter_flags = ["--eta", "0.63", "--pd", "5e-4"]
+        _, filtered, _ = run_cli(capsys, [*argv, *filter_flags])
         _, unfiltered, _ = run_cli(capsys, [*argv, "--no-filter"])
         cfg = tmp_path / "vacfilter.conf"
         monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        for value, expected in (("true", unfiltered), ("False", filtered)):
+        # a configured switch acts; typed filter flags win over it
+        for value, typed, expected in (("true", [], unfiltered),
+                                       ("False", filter_flags, filtered),
+                                       ("true", filter_flags, filtered)):
             cfg.write_text(f"no_filter = {value}\n")
-            code, out, err = run_cli(capsys, argv)
+            code, out, err = run_cli(capsys, [*argv, *typed])
             assert code == 0, err
             assert parse_csv(out) == parse_csv(expected)
         cfg.write_text("no_filter = yes please\n")

@@ -3,6 +3,8 @@ beam splitter, POVMs and moments."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
+from scipy.linalg import expm
 from scipy.special import erf
 
 from vacfilter import fock, gaussian
@@ -23,6 +25,19 @@ class TestConstructors:
     def test_coherent_cutoff_guard(self):
         with pytest.raises(fock.TruncationError):
             fock.coherent_state(4.0, 12)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, complex(0.5, np.nan)])
+    def test_coherent_rejects_non_finite_amplitude(self, alpha):
+        with pytest.raises(ValueError, match="must be finite"):
+            fock.coherent_state(alpha, 10)
+
+    def test_tmsv_rejects_nan_variance(self):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            fock.tmsv_state(np.nan, 10)
+
+    def test_thermal_rejects_nan_photon_number(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            fock.thermal_state(np.nan, 10)
 
     def test_tmsv_reduced_variance(self):
         st = fock.tmsv_state(1.2, 30)
@@ -74,6 +89,24 @@ class TestBeamSplitter:
         out = fock.fock_beamsplitter(st, 0, 1, 0.35)
         assert out.trace() + out.deficit == pytest.approx(1.0, abs=1e-9)
 
+    @settings(max_examples=25, deadline=None)
+    @given(transmissivity=strategies.floats(0.0, 1.0))
+    @example(transmissivity=0.0)
+    @example(transmissivity=1.0)
+    def test_blocks_match_expm_and_stay_orthogonal(self, transmissivity):
+        # reference: expm of the tridiagonal generator of theta (a†b - a b†) in
+        # sector n, elements sqrt((k+1)(n-k)) on the basis |k, n-k>
+        theta = np.arccos(np.sqrt(transmissivity))
+        blocks = fock._bs_blocks(theta, 80)
+        assert len(blocks) == 81
+        for n, block in enumerate(blocks):
+            k = np.arange(n)
+            gen = np.zeros((n + 1, n + 1))
+            gen[k + 1, k] = theta * np.sqrt((k + 1.0) * (n - k))
+            gen[k, k + 1] = -gen[k + 1, k]
+            np.testing.assert_allclose(block, expm(gen), rtol=0, atol=1e-11)
+            np.testing.assert_allclose(block @ block.T, np.eye(n + 1), rtol=0, atol=1e-13)
+
     def test_density_route_matches_pure_route(self):
         # same physical state via vec and via rho
         st = fock.tensor(fock.coherent_state(0.8, 15), fock.vacuum_state(15))
@@ -84,6 +117,18 @@ class TestBeamSplitter:
         np.testing.assert_allclose(
             fock.covariance_matrix(mixed), fock.covariance_matrix(pure), atol=1e-10
         )
+
+    def test_density_route_matches_pure_route_on_three_modes(self):
+        # a generic state: every cross-mode second moment is non-zero
+        rng = np.random.default_rng(9)
+        psi = rng.normal(size=(6, 6, 6)) + 1j * rng.normal(size=(6, 6, 6))
+        psi /= np.linalg.norm(psi)
+        pure = fock.FockState(5, vec=psi)
+        mixed = fock.FockState(5, rho=np.tensordot(psi, psi.conj(), axes=0))
+        np.testing.assert_allclose(fock.mean_vector(pure), fock.mean_vector(mixed),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fock.covariance_matrix(pure), fock.covariance_matrix(mixed),
+                                   rtol=0, atol=1e-12)
 
 
 class TestPovms:
@@ -117,6 +162,15 @@ class TestPovms:
         prob, cond = fock.povm_expectation(st, 1, fock.Click(0.8, 0.0))
         assert 0.0 < prob < 1.0
         assert cond.trace() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("povm", [fock.NoClick, fock.Click])
+    @pytest.mark.parametrize("fields, name", [
+        ((np.nan, 0.0), "eta"), ((1.5, 0.0), "eta"), ((-0.1, 0.0), "eta"),
+        ((0.6, np.nan), "dark_prob"), ((0.6, 1.5), "dark_prob"),
+    ])
+    def test_on_off_detector_rejects_fields_outside_unit_interval(self, povm, fields, name):
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            povm(*fields)
 
     def test_zero_probability_conditioning_raises(self):
         st = fock.vacuum_state(10)
@@ -157,6 +211,10 @@ class TestDisplacementAndRotation:
         st = fock.displace(fock.vacuum_state(30), 0, 0.7 - 0.3j)
         target = fock.coherent_state(0.7 - 0.3j, 30)
         assert fock.fidelity(st, target) > 1.0 - 1e-10
+
+    def test_displace_rejects_non_finite_amplitude(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            fock.displace(fock.vacuum_state(10), 0, complex(np.nan, 0.0))
 
     def test_phase_rotation_moves_mean(self):
         st = fock.coherent_state(1.0, 30)
