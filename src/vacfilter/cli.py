@@ -255,35 +255,39 @@ def cmd_marginal(args):
     return 0
 
 
-def _tap_filter(args):
+def _tap_filter(args, tap: float):
     if args.no_filter:
         return None
     if args.eta is None:
         raise ValueError("filtered scenario needs --eta (or pass --no-filter)")
-    return qkd.TapFilter(tap_reflectivity=args.tap, eta=args.eta,
+    return qkd.TapFilter(tap_reflectivity=tap, eta=args.eta,
                          dark_prob=args.pd if args.pd is not None else 0.0)
 
 
 def cmd_keyrate(args):
-    flt = _tap_filter(args)
+    # --V, --tap and --prefactor default to None so that CONFLICTS sees them
+    # only when set; the optimizer replaces the placeholder tap
+    flt = _tap_filter(args, 0.5 if args.tap is None else args.tap)
+    prefactor = args.prefactor or "ps"
     if args.optimize:
         res = qkd.optimize_key_rate(args.p, flt, protocol=args.protocol,
                                     erased_mode_variance=args.erased_variance,
-                                    prefactor=args.prefactor)
+                                    prefactor=prefactor)
+        V, T = res.optimizer
     else:
-        scenario = qkd.QkdScenario(V=args.V, p=args.p, filter=flt,
+        V, T = 1.1 if args.V is None else args.V, None
+        scenario = qkd.QkdScenario(V=V, p=args.p, filter=flt,
                                    protocol=args.protocol,
                                    erased_mode_variance=args.erased_variance,
-                                   prefactor=args.prefactor)
+                                   prefactor=prefactor)
         res = qkd.scenario_key_rate(scenario)
-    opt_v, opt_t = res.optimizer if res.optimizer else (args.V, None)
     _emit(args, ["K_lower", "I_ab", "chi_bE", "P_S", "multiplier", "V", "T"],
-          [[res.k_lower, res.i_ab, res.chi_be, res.p_s, res.multiplier, opt_v, opt_t]])
+          [[res.k_lower, res.i_ab, res.chi_be, res.p_s, res.multiplier, V, T]])
     return 0
 
 
 def cmd_pmin(args):
-    flt = _tap_filter(args)
+    flt = _tap_filter(args, 0.5)  # placeholder: the search optimizes T
     res = qkd.p_min_search(flt, precision=args.precision, protocol=args.protocol,
                            erased_mode_variance=args.erased_variance)
     rows = [[p, k] for p, k in res.trace]
@@ -465,7 +469,6 @@ _R_GRID_HELP = "R|alpha|^2 grid start:stop:step, start >= 0"
 _TAP = ("--tap", {"type": float, "default": 0.5})
 _FILTER = (
     ("--no-filter", {"action": "store_true"}),
-    ("--tap", {"type": float, "default": 0.5, "help": "filter tap reflectivity R"}),
     ("--eta", {"type": float, "help": "filter APD efficiency"}),
     ("--pd", {"type": float, "help": "filter APD dark-count probability"}),
     ("--protocol", {"choices": ["heterodyne", "homodyne"], "default": "heterodyne"}),
@@ -510,10 +513,11 @@ COMMANDS = {
         ("which", {"choices": ["fig3", "fig4", "fig5a", "fig5b", "fig5c"]}), *_MC_OUTPUT)),
     "qkd": (None, "security analysis", ()),
     "qkd keyrate": (cmd_keyrate, None, (
-        ("--V", {"type": float, "default": 1.1, "help": "two-mode squeezing variance"}),
+        ("--V", {"type": float, "help": "two-mode squeezing variance (default 1.1)"}),
         ("--p", {"type": float, "default": 0.5}),
         *_FILTER,
-        ("--prefactor", {"choices": ["ps", "p_ps"], "default": "ps"}),
+        ("--tap", {"type": float, "help": "filter tap reflectivity R (default 0.5)"}),
+        ("--prefactor", {"choices": ["ps", "p_ps"], "help": "default ps"}),
         ("--optimize", {"action": "store_true", "help": "maximize over V (and T with a filter)"}),
         *_OUTPUT)),
     "qkd pmin": (cmd_pmin, None, (
@@ -533,15 +537,17 @@ COMMANDS = {
 # message).  A value is set unless it is None or a switch left off.  Values set
 # on both sides are rejected unless only one side was typed, in which case the
 # typed side wins over the config defaults.
-_NO_FILTER = ((("no_filter",), ("eta", "pd"),
-               "--no-filter drops the filter; drop --eta and --pd"),)
 CONFLICTS = {
     "acceptance": ((("matched_error",), ("detector", "eta", "pd", "threshold", "match_error"),
                     "--matched-error sets its own detectors; drop the detector flags"),),
     "simulate": ((("error_target",), ("prep_error",),
                   "--error-target calibrates --prep-error; pass only one of them"),),
-    "qkd keyrate": _NO_FILTER,
-    "qkd pmin": _NO_FILTER,
+    "qkd keyrate": (
+        (("no_filter",), ("eta", "pd", "tap", "prefactor"),
+         "--no-filter drops the filter; drop --eta, --pd, --tap and --prefactor"),
+        (("optimize",), ("V", "tap"), "--optimize chooses V and the tap; drop --V and --tap")),
+    "qkd pmin": ((("no_filter",), ("eta", "pd"),
+                  "--no-filter drops the filter; drop --eta and --pd"),),
 }
 
 

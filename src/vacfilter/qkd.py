@@ -312,21 +312,11 @@ def _key_rate_grid(V, T, p, flt, protocol, erased_mode_variance):
     return k
 
 
-def optimize_key_rate(p: float, flt: TapFilter | None = None, *,
-                      protocol: str = "heterodyne",
-                      erased_mode_variance: str = "marginal",
-                      prefactor: str = "ps") -> KeyRateResult:
-    """Maximize the key-rate bound over the squeezing variance V (and the
-    filter transmissivity T when a filter is present) by a deterministic
-    coarse grid followed by local refinement.
-
-    The grids are scored by the closed-form kernel under ``prefactor`` "ps";
-    "p_ps" scales K by the constant p, which leaves the maximizer alone.  The
-    reported result is one ``scenario_key_rate`` evaluation at the chosen
-    (V, T) under ``prefactor``.
-    """
-    QkdScenario(1.0, p, flt, protocol, erased_mode_variance, prefactor)  # argument checks
-
+def _grid_optimum(p, flt, protocol, erased_mode_variance):
+    """Kernel maximum of K (prefactor "ps") over V, and over the filter
+    transmissivity T when a filter is present, by a deterministic coarse grid
+    followed by local refinement.  Returns (K, (V, T)), T being 1.0 without a
+    filter; the arguments are assumed checked."""
     def grid_best(vs, ts):
         k = _key_rate_grid(vs[:, None], ts[None, :], p, flt, protocol,
                            erased_mode_variance)
@@ -348,14 +338,29 @@ def optimize_key_rate(p: float, flt: TapFilter | None = None, *,
             best_k, best_vt = k, vt
         v_span /= 3.0
         t_span /= 3.0
+    return best_k, best_vt
 
-    V, T = best_vt
+
+def optimize_key_rate(p: float, flt: TapFilter | None = None, *,
+                      protocol: str = "heterodyne",
+                      erased_mode_variance: str = "marginal",
+                      prefactor: str = "ps") -> KeyRateResult:
+    """Maximize the key-rate bound over the squeezing variance V (and the
+    filter transmissivity T when a filter is present) on the kernel's grids.
+
+    The grids are scored by the closed-form kernel under ``prefactor`` "ps";
+    "p_ps" scales K by the constant p, which leaves the maximizer alone.  The
+    reported result is one ``scenario_key_rate`` evaluation at the chosen
+    (V, T) under ``prefactor``.
+    """
+    QkdScenario(1.0, p, flt, protocol, erased_mode_variance, prefactor)  # argument checks
+    _, (V, T) = _grid_optimum(p, flt, protocol, erased_mode_variance)
     best = scenario_key_rate(QkdScenario(
         V=V, p=p, protocol=protocol, erased_mode_variance=erased_mode_variance,
         prefactor=prefactor,
         filter=None if flt is None else TapFilter(1.0 - T, flt.eta, flt.dark_prob)))
     return KeyRateResult(best.k_lower, best.i_ab, best.chi_be, best.p_s,
-                         best.multiplier, optimizer=best_vt)
+                         best.multiplier, optimizer=(V, T))
 
 
 @dataclass
@@ -363,7 +368,7 @@ class PminResult:
     p_min: float
     precision: float
     bounded_below: bool  # True when the rate is already positive at the floor
-    trace: list  # (p, max K) pairs explored by the bisection
+    trace: list  # (p, max K) pairs explored by the bisection, K from the kernel
 
 
 def p_min_search(flt: TapFilter | None = None, *,
@@ -373,18 +378,21 @@ def p_min_search(flt: TapFilter | None = None, *,
     """Smallest channel transmission probability with a positive optimized
     key-rate bound, by bisection on the sign of max_(V,T) K(p).
 
-    The search is deterministic (fixed grids, no stochastic optimizer).  If
-    the bound is already positive at ``P_FLOOR`` the floor is returned with
-    ``bounded_below=True`` (an ideal filter keeps the protocol secure for
-    arbitrarily small p).  ``precision`` must lie in (0, 1).
+    Each step reads the kernel's grid optimum, the maximum that
+    ``optimize_key_rate`` re-evaluates on the Gaussian-mixture path; the two
+    agree to rounding (~1e-13).  The search is deterministic (fixed grids, no
+    stochastic optimizer), and the filter's own tap is ignored because T is
+    optimized.  If the bound is already positive at ``P_FLOOR`` the floor is
+    returned with ``bounded_below=True`` (an ideal filter keeps the protocol
+    secure for arbitrarily small p).  ``precision`` must lie in (0, 1).
     """
     if not 0.0 < precision < 1.0:
         raise ValueError(f"precision must lie in (0, 1), got {precision}")
+    QkdScenario(1.0, P_FLOOR, flt, protocol, erased_mode_variance)  # argument checks
     trace = []
 
     def max_rate(p):
-        k = optimize_key_rate(p, flt, protocol=protocol,
-                              erased_mode_variance=erased_mode_variance).k_lower
+        k = float(_grid_optimum(p, flt, protocol, erased_mode_variance)[0])
         trace.append((p, k))
         return k
 

@@ -342,6 +342,7 @@ class TestCommandSurface:
         ["qkd", "pmin", "--no-filter", "--V", "2"],
         ["qkd", "pmin", "--no-filter", "--p", "0.5"],
         ["qkd", "pmin", "--no-filter", "--prefactor", "ps"],
+        ["qkd", "pmin", "--eta", "0.63", "--pd", "5e-3", "--tap", "0.3"],
         ["oracle", "coherent", "--V", "3"],
         ["oracle", "beamsplitter", "--eta", "0.2"],
         ["oracle", "noclick", "--alpha", "2"],
@@ -360,6 +361,10 @@ class TestCommandSurface:
         ["qkd", "keyrate", "--no-filter", "--eta", "0.5", "--pd", "0.1"],
         ["qkd", "keyrate", "--no-filter", "--pd", "0"],
         ["qkd", "pmin", "--no-filter", "--eta", "0.63"],
+        ["qkd", "keyrate", "--optimize", "--V", "1.5"],
+        ["qkd", "keyrate", "--optimize", "--eta", "0.63", "--pd", "5e-4", "--tap", "0.3"],
+        ["qkd", "keyrate", "--no-filter", "--tap", "0.3"],
+        ["qkd", "keyrate", "--no-filter", "--prefactor", "p_ps"],
     ])
     def test_flags_another_flag_overrides_are_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, argv)
@@ -468,6 +473,22 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, argv)
         assert code == 0, err
         assert out == plain
+
+    def test_config_tap_yields_to_typed_optimize(self, capsys, tmp_path, monkeypatch):
+        single = ["qkd", "keyrate", "--p", "0.5", "--eta", "0.63", "--pd", "5e-4"]
+        code, optimized, err = run_cli(capsys, [*single, "--optimize"])
+        assert code == 0, err
+        code, tapped, err = run_cli(capsys, [*single, "--tap", "0.3"])
+        assert code == 0, err
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("tap = 0.3\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, [*single, "--optimize"])
+        assert code == 0, err
+        assert parse_csv(out) == parse_csv(optimized)
+        code, out, err = run_cli(capsys, single)  # the configured tap still acts here
+        assert code == 0, err
+        assert parse_csv(out) == parse_csv(tapped)
 
     def test_typed_no_filter_wins_over_config_eta(self, capsys, tmp_path, monkeypatch):
         argv = ["qkd", "keyrate", "--no-filter", "--p", "0.95"]

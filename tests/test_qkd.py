@@ -352,16 +352,70 @@ class TestOptimizationAndThresholds:
         res = p_min_search(None, precision=5e-3, erased_mode_variance="alphabet")
         assert res.p_min == pytest.approx(0.846, abs=0.01)
 
-    @pytest.mark.parametrize("precision", [float("nan"), 0.0, -1.0, 1.0])
-    def test_invalid_precision_rejected_before_any_optimization(self, precision, monkeypatch):
+    @staticmethod
+    def _forbid_evaluation(monkeypatch):
         def never(*args, **kwargs):
-            raise AssertionError("optimize_key_rate called")
+            raise AssertionError("a key rate was evaluated")
 
         monkeypatch.setattr(qkd, "optimize_key_rate", never)
+        monkeypatch.setattr(qkd, "_key_rate_grid", never)
+
+    @pytest.mark.parametrize("precision", [float("nan"), 0.0, -1.0, 1.0])
+    def test_invalid_precision_rejected_before_any_optimization(self, precision, monkeypatch):
+        self._forbid_evaluation(monkeypatch)
         with pytest.raises(ValueError, match="precision"):
             p_min_search(None, precision=precision)
         with pytest.raises(ValueError, match="precision"):
             p_min_search(TapFilter(0.5, 0.63, 5e-4), precision=precision)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"protocol": "direct"}, "protocol"),
+        ({"erased_mode_variance": "thermal"}, "erased_mode_variance"),
+    ])
+    def test_invalid_scenario_rejected_before_any_optimization(self, kwargs, message,
+                                                               monkeypatch):
+        self._forbid_evaluation(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            p_min_search(None, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            p_min_search(TapFilter(0.5, 0.63, 5e-4), **kwargs)
+
+
+# p_min at the published settings (filter APD efficiency 0.63) and precision
+# 1e-3, as first computed with one Gaussian-mixture evaluation per bisection step
+PUBLISHED_P_MIN = {
+    None: 0.8697592764741212,
+    5e-3: 0.21806787087646484,
+    5e-4: 0.026853027317871096,
+    5e-5: 0.002463378904785157,
+}
+
+
+def _published_filter(pd):
+    return None if pd is None else TapFilter(0.5, 0.63, pd)
+
+
+class TestPminOnTheKernel:
+    """The bisection reads the kernel's grid optimum; the optimizer's
+    Gaussian-mixture evaluation at the same p stays the oracle."""
+
+    @pytest.mark.parametrize("precision", [1e-3, 1e-6])
+    @pytest.mark.parametrize("pd", list(PUBLISHED_P_MIN))
+    def test_trace_matches_the_optimizer(self, pd, precision):
+        flt = _published_filter(pd)
+        for p, k in p_min_search(flt, precision=precision).trace:
+            oracle = optimize_key_rate(p, flt).k_lower
+            assert (k > 0.0) == (oracle > 0.0), f"p={p}"
+            assert abs(k - oracle) <= 1e-12, f"p={p}"
+
+    @pytest.mark.parametrize("pd, p_min", list(PUBLISHED_P_MIN.items()))
+    def test_published_thresholds_unchanged(self, pd, p_min):
+        assert p_min_search(_published_filter(pd), precision=1e-3).p_min == p_min
+
+    def test_filter_tap_is_ignored(self):
+        a = p_min_search(TapFilter(0.5, 0.63, 5e-3))
+        b = p_min_search(TapFilter(0.3, 0.63, 5e-3))
+        assert a == b
 
 
 class TestResultTypes:
