@@ -110,8 +110,8 @@ def coherent_state(alpha: complex, n_max: int) -> FockState:
 def tmsv_state(V: float, n_max: int) -> FockState:
     """Two-mode squeezed vacuum of quadrature variance V, via
     tanh r = sqrt((V-1)/(V+1)): sqrt(1-lam^2) sum lam^n |nn>."""
-    if not V >= 1.0:
-        raise ValueError(f"two-mode squeezing variance must be >= 1, got {V}")
+    if not 1.0 <= V < np.inf:
+        raise ValueError(f"two-mode squeezing variance must be >= 1 and finite, got {V}")
     lam = np.sqrt((V - 1.0) / (V + 1.0))
     tail = float(lam ** (2 * (n_max + 1)))
     if tail > TRUNCATION_GUARD:
@@ -301,13 +301,12 @@ class QuadratureInterval:
     hi: float
 
 
-def _povm_matrix(povm, n_max: int) -> np.ndarray:
+def _kraus_operator(povm, n_max: int) -> np.ndarray:
+    """sqrt(Pi) of a POVM element: elementwise on the diagonal on/off
+    elements, through the spectrum of a quadrature interval."""
     if isinstance(povm, _OnOff):
-        n = np.arange(n_max + 1)
-        d = (1.0 - povm.dark_prob) * (1.0 - povm.eta) ** n
-        if isinstance(povm, Click):
-            d = 1.0 - d
-        return np.diag(d.astype(complex))
+        d = (1.0 - povm.dark_prob) * (1.0 - povm.eta) ** np.arange(n_max + 1)
+        return np.diag(np.sqrt(1.0 - d if isinstance(povm, Click) else d).astype(complex))
     if isinstance(povm, QuadratureInterval):
         if not povm.lo < povm.hi:
             raise ValueError("quadrature interval must have lo < hi")
@@ -315,7 +314,8 @@ def _povm_matrix(povm, n_max: int) -> np.ndarray:
         xs = 0.5 * (povm.hi - povm.lo) * xs + 0.5 * (povm.hi + povm.lo)
         ws = 0.5 * (povm.hi - povm.lo) * ws
         psi = oscillator_wavefunctions(n_max, xs)
-        return (psi * ws) @ psi.T.astype(complex)
+        evals, evecs = np.linalg.eigh((psi * ws) @ psi.T.astype(complex))
+        return (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
     raise TypeError(f"unknown POVM {povm!r}")
 
 
@@ -339,11 +339,7 @@ def povm_expectation(state: FockState, mode: int, povm):
 
     Raises on zero-probability conditioning.
     """
-    pi = _povm_matrix(povm, state.n_max)
-    evals, evecs = np.linalg.eigh(pi)
-    evals = np.clip(evals.real, 0.0, None)
-    kraus = (evecs * np.sqrt(evals)) @ evecs.conj().T
-    updated = apply_mode_operator(state, kraus, mode)
+    updated = apply_mode_operator(state, _kraus_operator(povm, state.n_max), mode)
     prob = updated.trace()
     if prob <= 0.0:
         raise ValueError("zero-probability POVM outcome; conditioning undefined")

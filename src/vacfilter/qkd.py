@@ -17,6 +17,10 @@ the second-moment identity
 where CV_all is the tap-traced covariance after the beam splitter and
 CV_noclick the no-click-conditioned one.
 
+Every reported rate comes from one closed-form kernel, ``_key_rate_grid``.
+The Gaussian-mixture route (``joint_state`` -> ``filtered_covariance`` ->
+``key_rate``) is the reference evaluator that the tests hold it to.
+
 Two modeling knobs are exposed because they change the numbers:
 
 * ``erased_mode_variance``: variance of Alice's mode in the erased branch.
@@ -49,6 +53,7 @@ from .gaussian import (
 
 SYMMETRIC_FORM_TOL = 1e-8
 MIN_SUCCESS_PROB = 1e-12
+MAX_VARIANCE = 1e4  # kernel rounding grows as V^2 near pure states, 2.2e-7 at 1e4
 
 
 @dataclass(frozen=True)
@@ -82,8 +87,8 @@ class QkdScenario:
     prefactor: str = "ps"  # "ps": K = P_S (I - chi);  "p_ps": K = p P_S (I - chi)
 
     def __post_init__(self):
-        if not self.V >= 1.0:
-            raise ValueError(f"squeezing variance must be >= 1, got {self.V}")
+        if not 1.0 <= self.V <= MAX_VARIANCE:
+            raise ValueError(f"squeezing variance must lie in [1, {MAX_VARIANCE:g}], got {self.V}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"transmission probability must lie in [0, 1], got {self.p}")
         if self.protocol not in ("heterodyne", "homodyne"):
@@ -110,7 +115,7 @@ def joint_state(V: float, p: float,
                 erased_mode_variance: str = "marginal") -> GaussianMixtureState:
     """Two-mode Alice/Bob mixture after the erasure channel: with weight p the
     two-mode squeezed vacuum, with weight 1-p Alice's thermal mode next to
-    vacuum at Bob."""
+    vacuum at Bob.  Reference evaluator only."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"transmission probability must lie in [0, 1], got {p}")
     w = V if erased_mode_variance == "marginal" else (V + 1.0 / V) / 2.0
@@ -125,7 +130,7 @@ def joint_state(V: float, p: float,
 
 def filtered_covariance(scenario: QkdScenario):
     """Click-conditioned covariance matrix of the Alice/Bob state behind the
-    tap filter, with the success probability.
+    tap filter, with the success probability (reference evaluator).
 
     Returns (CovMatrix, P_S, P0).  Means vanish by symmetry (every mixture
     component is zero-mean and all operations preserve that); a nonzero mean
@@ -180,7 +185,7 @@ def _symmetric_form(cm) -> tuple:
 def key_rate(cm, multiplier: float = 1.0, protocol: str = "heterodyne",
              p_s: float | None = None) -> KeyRateResult:
     """Reverse-reconciliation Gaussian key-rate bound from a two-mode CM of
-    symmetric form [[a I, c Z], [c Z, b I]].
+    symmetric form [[a I, c Z], [c Z, b I]] (reference evaluator).
 
     heterodyne (Bob measures both quadratures):
         I_ab  = log2[(a+1) / (a+1 - c^2/(b+1))]
@@ -225,15 +230,18 @@ def key_rate(cm, multiplier: float = 1.0, protocol: str = "heterodyne",
 
 
 def scenario_key_rate(scenario: QkdScenario) -> KeyRateResult:
-    """Key-rate bound of a full scenario (filtered or not)."""
-    if scenario.filter is None:
-        cm = mixture_covariance(
-            joint_state(scenario.V, scenario.p, scenario.erased_mode_variance)
-        )
-        return key_rate(CovMatrix(cm), 1.0, scenario.protocol, p_s=1.0)
-    cm, p_s, _ = filtered_covariance(scenario)
-    mult = p_s if scenario.prefactor == "ps" else scenario.p * p_s
-    return key_rate(cm, mult, scenario.protocol, p_s=p_s)
+    """Key-rate bound of a full scenario (filtered or not), from the kernel."""
+    flt = scenario.filter
+    terms = _key_rate_grid(scenario.V, 1.0 if flt is None else flt.transmissivity,
+                           scenario.p, flt, scenario.protocol, scenario.erased_mode_variance)
+    return _report(terms, scenario.p, flt, scenario.prefactor)
+
+
+def _report(terms, p, flt, prefactor, optimizer=None) -> KeyRateResult:
+    """KeyRateResult of kernel terms; "p_ps" scales a filtered K by p."""
+    k, i_ab, chi, p_s = (float(x) for x in terms)
+    scale = p if flt is not None and prefactor == "p_ps" else 1.0
+    return KeyRateResult(scale * k, i_ab, chi, p_s, scale * p_s, optimizer)
 
 
 def weak_squeezing_keyrate(p: float, p_s: float, transmissivity: float, V: float) -> float:
@@ -259,23 +267,25 @@ MAX_ITERATIONS = 60
 
 
 def _key_rate_grid(V, T, p, flt, protocol, erased_mode_variance):
-    """Key-rate bound K (prefactor "ps") on broadcast arrays of V and T at one p.
+    """Key-rate terms (K, I_ab, chi_bE, P_S) at one p on scalars or broadcast
+    arrays of V and T, K under prefactor "ps" and P_S 1.0 without a filter.
 
-    Closed form of ``scenario_key_rate``: every branch is zero-mean with 2x2
-    blocks that are multiples of I or Z, so each CM is three scalars (Alice
-    variance A, Bob variance B, correlation C).  Behind the tap each branch
-    loses the no-click part w_off * (A', B', C'), s being the tap variance
-    plus the detector's 2/eta - 1; the symplectic spectrum of the resulting
-    (a, b, c) is the two-mode closed form.  Raises NumericsError on a
-    degenerate P_S or a non-finite K (argmax would pick a NaN).
+    Closed form of the reference evaluator: every branch is zero-mean with
+    2x2 blocks that are multiples of I or Z, so each CM is three scalars
+    (Alice variance A, Bob variance B, correlation C).  Behind the tap each
+    branch loses the no-click part w_off * (A', B', C'), s being the tap
+    variance plus the detector's 2/eta - 1; the symplectic spectrum of the
+    resulting (a, b, c) is the two-mode closed form.  Raises NumericsError on
+    a degenerate P_S or a non-finite K (argmax would pick a NaN).
     """
     w = V if erased_mode_variance == "marginal" else (V + 1.0 / V) / 2.0
     C = np.sqrt(V * V - 1.0)
     a = p * V + (1.0 - p) * w
     b = p * V + 1.0 - p
     c = p * C
-    p_s = 1.0
-    if flt is not None:
+    if flt is None:
+        p_s = np.ones_like(a)
+    else:
         r = 1.0 - T
         b = T * b + r
         c = np.sqrt(T) * c
@@ -305,26 +315,27 @@ def _key_rate_grid(V, T, p, flt, protocol, erased_mode_variance):
     else:
         i_ab = 0.5 * np.log2((a + 1.0) / (a + 1.0 - c * c / b))
         nu3 = np.sqrt(np.maximum(a * (a - c * c / b), 0.0))
-    k = p_s * (i_ab - entropy_g((nu_plus - 1.0) / 2.0) - entropy_g((D / nu_plus - 1.0) / 2.0)
-               + entropy_g((nu3 - 1.0) / 2.0))
+    g_plus, g_minus = entropy_g((nu_plus - 1.0) / 2.0), entropy_g((D / nu_plus - 1.0) / 2.0)
+    g3 = entropy_g((nu3 - 1.0) / 2.0)
+    k = p_s * (i_ab - g_plus - g_minus + g3)
     if not np.all(np.isfinite(k)):
         raise NumericsError("key rate not finite on the (V, T) grid")
-    return k
+    return k, i_ab, g_plus + g_minus - g3, p_s
 
 
 def _grid_optimum(p, flt, protocol, erased_mode_variance):
     """Kernel maximum of K (prefactor "ps") over V, and over the filter
     transmissivity T when a filter is present, by a deterministic coarse grid
-    followed by local refinement.  Returns (K, (V, T)), T being 1.0 without a
-    filter; the arguments are assumed checked."""
+    followed by local refinement.  Returns the kernel's terms there and
+    (V, T), T being 1.0 without a filter; the arguments are assumed checked."""
     def grid_best(vs, ts):
-        k = _key_rate_grid(vs[:, None], ts[None, :], p, flt, protocol,
-                           erased_mode_variance)
-        i, j = np.unravel_index(np.argmax(k), k.shape)  # first maximum, V-major
-        return k[i, j], (vs[i], 1.0 if flt is None else ts[j])
+        terms = _key_rate_grid(vs[:, None], ts[None, :], p, flt, protocol,
+                               erased_mode_variance)
+        i, j = np.unravel_index(np.argmax(terms[0]), terms[0].shape)  # first maximum, V-major
+        return [x[i, j] for x in terms], (vs[i], 1.0 if flt is None else ts[j])
 
     t_coarse = np.array([1.0]) if flt is None else _T_COARSE
-    best_k, best_vt = grid_best(_V_COARSE, t_coarse)
+    best, best_vt = grid_best(_V_COARSE, t_coarse)
 
     v_span = float(_V_COARSE[1] - _V_COARSE[0]) * 2.0
     t_span = float(_T_COARSE[1] - _T_COARSE[0]) * 2.0 if flt is not None else 0.0
@@ -333,12 +344,12 @@ def _grid_optimum(p, flt, protocol, erased_mode_variance):
         vs = np.linspace(max(1.0005, v0 - v_span), v0 + v_span, 9)
         ts = t_coarse if flt is None else np.linspace(
             max(0.005, t0 - t_span), min(0.995, t0 + t_span), 9)
-        k, vt = grid_best(vs, ts)
-        if k > best_k:
-            best_k, best_vt = k, vt
+        terms, vt = grid_best(vs, ts)
+        if terms[0] > best[0]:
+            best, best_vt = terms, vt
         v_span /= 3.0
         t_span /= 3.0
-    return best_k, best_vt
+    return best, best_vt
 
 
 def optimize_key_rate(p: float, flt: TapFilter | None = None, *,
@@ -350,17 +361,11 @@ def optimize_key_rate(p: float, flt: TapFilter | None = None, *,
 
     The grids are scored by the closed-form kernel under ``prefactor`` "ps";
     "p_ps" scales K by the constant p, which leaves the maximizer alone.  The
-    reported result is one ``scenario_key_rate`` evaluation at the chosen
-    (V, T) under ``prefactor``.
+    result holds the kernel's terms at the chosen (V, T) under ``prefactor``.
     """
     QkdScenario(1.0, p, flt, protocol, erased_mode_variance, prefactor)  # argument checks
-    _, (V, T) = _grid_optimum(p, flt, protocol, erased_mode_variance)
-    best = scenario_key_rate(QkdScenario(
-        V=V, p=p, protocol=protocol, erased_mode_variance=erased_mode_variance,
-        prefactor=prefactor,
-        filter=None if flt is None else TapFilter(1.0 - T, flt.eta, flt.dark_prob)))
-    return KeyRateResult(best.k_lower, best.i_ab, best.chi_be, best.p_s,
-                         best.multiplier, optimizer=(V, T))
+    terms, (V, T) = _grid_optimum(p, flt, protocol, erased_mode_variance)
+    return _report(terms, p, flt, prefactor, optimizer=(float(V), float(T)))
 
 
 @dataclass
@@ -378,9 +383,8 @@ def p_min_search(flt: TapFilter | None = None, *,
     """Smallest channel transmission probability with a positive optimized
     key-rate bound, by bisection on the sign of max_(V,T) K(p).
 
-    Each step reads the kernel's grid optimum, the maximum that
-    ``optimize_key_rate`` re-evaluates on the Gaussian-mixture path; the two
-    agree to rounding (~1e-13).  The search is deterministic (fixed grids, no
+    Each step reads the kernel's grid optimum, the K that ``optimize_key_rate``
+    reports at that p.  The search is deterministic (fixed grids, no
     stochastic optimizer), and the filter's own tap is ignored because T is
     optimized.  If the bound is already positive at ``P_FLOOR`` the floor is
     returned with ``bounded_below=True`` (an ideal filter keeps the protocol
@@ -392,7 +396,7 @@ def p_min_search(flt: TapFilter | None = None, *,
     trace = []
 
     def max_rate(p):
-        k = float(_grid_optimum(p, flt, protocol, erased_mode_variance)[0])
+        k = float(_grid_optimum(p, flt, protocol, erased_mode_variance)[0][0])
         trace.append((p, k))
         return k
 

@@ -91,11 +91,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["qkd", "pmin", "--no-filter", "--precision", "nan"],
         ["qkd", "keyrate", "--no-filter", "--V", "nan"],
+        ["qkd", "keyrate", "--no-filter", "--V", "inf"],
+        ["qkd", "keyrate", "--eta", "0.63", "--pd", "5e-3", "--V", "inf"],
     ])
     def test_nan_security_parameters_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, argv)
         assert code == 2
         assert out == ""
+        rule = "precision must lie in (0, 1)" if "--precision" in argv else \
+            "squeezing variance must lie in [1, 10000]"
+        assert f"error: {rule}, got {argv[-1]}" in err
 
     def test_nan_prep_error_rejected(self, capsys):
         code, out, err = run_cli(capsys, ["simulate", "--detector", "ideal", "--p", "0.5",
@@ -233,6 +238,21 @@ class TestQkdCommands:
         assert row["K_lower"] > 0.0
         assert 0.0 < row["T"] < 1.0
 
+    @pytest.mark.parametrize("argv", [
+        ["qkd", "keyrate", "--V", "1.3", "--p", "0.5", "--no-filter"],
+        ["qkd", "keyrate", "--V", "1.3", "--p", "0.5", "--eta", "0.63", "--pd", "5e-4"],
+        ["qkd", "keyrate", "--optimize", "--p", "0.5", "--eta", "0.63", "--pd", "5e-4"],
+        ["qkd", "keyrate", "--optimize", "--p", "0.95", "--no-filter"],
+        ["qkd", "pmin", "--eta", "0.63", "--pd", "5e-4"],
+        ["qkd", "pmin", "--no-filter"],
+    ], ids=["single", "single-filtered", "optimize", "optimize-unfiltered", "pmin",
+            "pmin-unfiltered"])
+    def test_commands_run_without_the_reference_evaluator(self, capsys, no_reference_evaluator,
+                                                          argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        assert out
+
 
 class TestOracleCommand:
     def test_noclick_check(self, capsys):
@@ -250,8 +270,9 @@ class TestOracleCommand:
         (["oracle", "coherent", "--alpha", "nan"], "must be finite"),
         (["oracle", "beamsplitter", "--alpha", "nan", "--tap", "0.3"], "must be finite"),
         (["oracle", "noclick", "--V", "nan"], "variance must be >= 1"),
+        (["oracle", "noclick", "--V", "inf"], "variance must be >= 1 and finite, got inf"),
         (["oracle", "noclick", "--pd", "1.5"], "dark_prob must lie in [0, 1]"),
-    ], ids=["coherent", "beamsplitter", "noclick-V", "noclick-pd"])
+    ], ids=["coherent", "beamsplitter", "noclick-V", "noclick-V-inf", "noclick-pd"])
     def test_bad_inputs_exit_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, argv)
         assert code == 2

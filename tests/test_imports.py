@@ -45,7 +45,8 @@ def cli_run(*argv: str) -> str:
     "import vacfilter.qkd",
     cli_run("qkd", "pmin", "--eta", "0.63", "--pd", "5e-4"),
     cli_run("qkd", "keyrate", "--optimize", "--p", "0.5", "--eta", "0.63", "--pd", "5e-4"),
-], ids=["import-qkd", "qkd-pmin", "qkd-keyrate-optimize"])
+    cli_run("qkd", "keyrate", "--eta", "0.63", "--pd", "5e-4"),
+], ids=["import-qkd", "qkd-pmin", "qkd-keyrate-optimize", "qkd-keyrate"])
 def test_security_path_loads_no_scipy(statement):
     assert {m for m in loaded_after(statement) if m.split(".")[0] == "scipy"} == set()
 
