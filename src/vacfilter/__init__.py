@@ -22,7 +22,7 @@ _EXPORTS = {
                  "symplectic_eigenvalues"),
     "metrics": ("gain", "gain_columns", "sensitivity", "success_probability"),
     "montecarlo": ("McConfig", "McResult", "TrialRecord", "calibrate_prep_error",
-                   "run_trials", "verification_chi2"),
+                   "run_sweep", "run_trials", "verification_chi2"),
     "qkd": ("KeyRateResult", "QkdScenario", "TapFilter", "filtered_covariance", "joint_state",
             "key_rate", "optimize_key_rate", "p_min_search", "scenario_key_rate",
             "weak_squeezing_keyrate"),

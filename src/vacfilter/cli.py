@@ -372,22 +372,20 @@ def cmd_figures(args):
 
 
 def _mc_acceptance_points(args, dets, ns):
-    from .montecarlo import McConfig, run_trials
+    """Monte-Carlo acceptance estimates at every nonzero point, all from one
+    sweep over the same --seed trials."""
+    from .montecarlo import McConfig, run_sweep
 
-    cols = ["R_alpha_sq", "detector", "P_hat", "P_se", "E_hat", "E_se"]
-    rows = []
     trials = 200_000 if args.trials is None else args.trials
     tap = 0.5
-    for d, name in zip(dets, ("apd", "hds", "hdr")):
-        for n in ns:
-            if n == 0.0:
-                continue
-            mix = ErasureMixture(CoherentAmplitude(math.sqrt(n / tap)), 0.5, tap)
-            cfg = McConfig(seed=args.seed, trials=trials, detector=d, mixture=mix,
-                           workers=args.workers)
-            res = run_trials(cfg)
-            rows.append([n, name, res.p_accept_hat, res.stderr("p_accept"),
-                         res.e_hat, res.stderr("e")])
+    points = [(n, name, McConfig(seed=args.seed, trials=trials, detector=d, workers=args.workers,
+                                 mixture=ErasureMixture(CoherentAmplitude(math.sqrt(n / tap)),
+                                                        0.5, tap)))
+              for d, name in zip(dets, ("apd", "hds", "hdr")) for n in ns if n != 0.0]
+    results = run_sweep([cfg for _, _, cfg in points])
+    cols = ["R_alpha_sq", "detector", "P_hat", "P_se", "E_hat", "E_se"]
+    rows = [[n, name, res.p_accept_hat, res.stderr("p_accept"), res.e_hat, res.stderr("e")]
+            for (n, name, _), res in zip(points, results)]
     return cols, rows
 
 
@@ -558,15 +556,22 @@ def build_parser(config: dict | None = None, typed_only: bool = False,
     required options; argparse converts string values with the option's type.
     With ``typed_only`` no option has a default, so the parsed namespace holds
     only the options on the command line.  Given the ``invoked`` subcommand,
-    only its arguments are declared: parsing never reads the others'."""
+    only its arguments are declared: parsing never reads the others'.  When
+    it has a handler, only it and its group are declared at all; help, a bare
+    group and unknown commands get the full tree."""
     config = config or {}
     parser = argparse.ArgumentParser(
         prog="vacfilter",
         description="vacuum-filtering analysis toolkit",
     )
     parser.add_argument("--version", action="version", version=f"vacfilter {__version__}")
-    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    prune = COMMANDS.get(invoked, (None,))[0] is not None
+    # a pruned tree still lists every command in the usage line of its errors
+    metavar = {"metavar": "{%s}" % ",".join(n for n in COMMANDS if " " not in n)} if prune else {}
+    groups = {"": parser.add_subparsers(dest="command", required=True, **metavar)}
     for name, (func, help_text, arguments) in COMMANDS.items():
+        if prune and invoked != name and not invoked.startswith(name + " "):
+            continue
         group, _, leaf = name.rpartition(" ")
         sub = groups[group].add_parser(leaf, **({"help": help_text} if help_text else {}))
         if func is None:

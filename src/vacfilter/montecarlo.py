@@ -14,6 +14,14 @@ rejection sampling, to keep the per-trial consumption fixed.  Each block's
 verification quadratures are binned once, by an arithmetic bin index that
 equals ``searchsorted(edges, x, side="right")``, into both histograms.
 
+``run_sweep`` evaluates configurations that share seed, trials and workers
+on the same trials: it draws each block once (the uniforms and the normal
+variates, computed only when a configuration reads them) and runs every
+configuration on those draws, which live for that one block; each worker
+writes its blocks' uniforms into one buffer.  Each result equals a run of
+its configuration alone; across the sweep they are common-random-number
+estimates, not independent ones.
+
 Imperfect vacuum preparation is modeled by an optional residual coherent
 amplitude ``prep_error`` leaking into nominal vacuum slots; it lets the
 simulated error probability reproduce an experimental floor that sits above
@@ -25,6 +33,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -177,19 +186,41 @@ def _hist_edges(cfg: McConfig) -> np.ndarray:
     return np.linspace(lo, hi, HIST_BINS + 1)
 
 
-def _block_uniforms(seed: int, block: int, n: int) -> np.ndarray:
+def _block_uniforms(seed: int, block: int, out: np.ndarray) -> np.ndarray:
+    """Fill the (n, 4) array ``out`` with the uniforms of the block's first n trials."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.random((n, 4))
+    return rng.random(out=out)
 
 
-def _block_trials(cfg: McConfig, block: int, stop: int):
-    """Trials [block * BLOCK_SIZE, stop) of one block as arrays
+class _Draws:
+    """Trials [block * BLOCK_SIZE, stop) of one block: the uniforms, written
+    into ``buffer``, and the variates that depend on no configuration, each
+    computed on first use so that a run pays only for the ones its detectors
+    read."""
+
+    def __init__(self, seed: int, block: int, stop: int, buffer: np.ndarray):
+        n = min(BLOCK_SIZE, stop - block * BLOCK_SIZE)
+        self.u = _block_uniforms(seed, block, buffer[:n])
+
+    @cached_property
+    def tap_noise(self) -> np.ndarray:
+        return _QUAD_SD * ndtri(np.clip(self.u[:, 1], _U_LO, _U_HI))
+
+    @cached_property
+    def cos_phase(self) -> np.ndarray:
+        return np.cos(2.0 * np.pi * (self.u[:, 2] - 0.5))
+
+    @cached_property
+    def verify_noise(self) -> np.ndarray:
+        return _QUAD_SD * ndtri(np.clip(self.u[:, 3], _U_LO, _U_HI))
+
+
+def _trials(cfg: McConfig, draws: _Draws):
+    """One configuration's trials on one block's draws as arrays
     (truth, tap_outcome, accepted, verify_x): the single implementation of the
     randomness contract, shared by the counts and the trial records."""
-    start = block * BLOCK_SIZE
-    u = _block_uniforms(cfg.seed, block, min(BLOCK_SIZE, stop - start))
-
+    u = draws.u
     mix = cfg.mixture
     truth = u[:, 0] < mix.p
     sqrt_r = math.sqrt(mix.tap_reflectivity)
@@ -206,15 +237,14 @@ def _block_trials(cfg: McConfig, block: int, stop: int):
         beta_tap = np.where(truth, sqrt_r * alpha, sqrt_r * cfg.prep_error)
         a = effective_displacement(det, 1.0) * beta_tap
         if isinstance(det, HomodyneRandomized):
-            theta = 2.0 * np.pi * (u[:, 2] - 0.5)
-            a = a * np.cos(theta)
-        tap_outcome = a + _QUAD_SD * ndtri(np.clip(u[:, 1], _U_LO, _U_HI))
+            a = a * draws.cos_phase
+        tap_outcome = a + draws.tap_noise
         accepted = np.abs(tap_outcome) > det.threshold
     else:
         raise TypeError(f"unknown detector {det!r}")
 
     sig_amp = np.where(truth, sqrt_t * alpha, sqrt_t * cfg.prep_error)
-    verify_x = sig_amp + _QUAD_SD * ndtri(np.clip(u[:, 3], _U_LO, _U_HI))
+    verify_x = sig_amp + draws.verify_noise
     return truth, tap_outcome, accepted, verify_x
 
 
@@ -230,8 +260,9 @@ def _bin_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     return k
 
 
-def _block_counts(cfg: McConfig, block: int, edges: np.ndarray):
-    truth, _, accepted, verify_x = _block_trials(cfg, block, cfg.trials)
+def _block_counts(cfg: McConfig, draws: _Draws, edges: np.ndarray):
+    truth, tap_outcome, accepted, verify_x = _trials(cfg, draws)
+    del tap_outcome  # not counted; freed before the binning allocates
     nbins = len(edges) + 1
     # one pass: rejected trials fill bins [0, nbins), accepted ones [nbins, 2 nbins)
     split = np.bincount(_bin_index(edges, verify_x) + nbins * accepted, minlength=2 * nbins)
@@ -245,42 +276,68 @@ def _block_counts(cfg: McConfig, block: int, edges: np.ndarray):
     )
 
 
-def run_trials(cfg: McConfig) -> McResult:
-    """Run the full simulation and return count-based estimates.
+def run_sweep(cfgs) -> list[McResult]:
+    """Run several configurations on the same trials and return one McResult
+    per configuration, in order.
 
-    Deterministic for fixed (seed, trials): blocks are generated from
-    per-block Philox keys and reduced in block order, so the worker count
-    cannot change any output bit.
+    The configurations must share seed, trials and workers.  Each block is
+    drawn once and every configuration is evaluated on it; blocks are
+    generated from per-block Philox keys, split among the workers and reduced
+    in block order, so each result is bit-identical to a run of its
+    configuration alone, for any worker count.
     """
-    edges = _hist_edges(cfg)
-    n_blocks = (cfg.trials + BLOCK_SIZE - 1) // BLOCK_SIZE
+    cfgs = list(cfgs)
+    if not cfgs:
+        return []
+    first = cfgs[0]
+    shared = (first.seed, first.trials, first.workers)
+    for cfg in cfgs[1:]:
+        if (cfg.seed, cfg.trials, cfg.workers) != shared:
+            raise ValueError("a sweep's configurations must share seed, trials and workers, "
+                             f"got {shared} and {(cfg.seed, cfg.trials, cfg.workers)}")
+    edges = [_hist_edges(cfg) for cfg in cfgs]
+    n_blocks = (first.trials + BLOCK_SIZE - 1) // BLOCK_SIZE
+    workers = min(first.workers, n_blocks)
 
-    if cfg.workers == 1 or n_blocks == 1:
-        results = [_block_counts(cfg, b, edges) for b in range(n_blocks)]
+    def worker_counts(w):
+        # Worker w takes blocks w, w + workers, ... and refills one buffer
+        # with their uniforms: a fresh array per block, freed with the block's
+        # other arrays, let the allocator return the heap top to the system
+        # and page-fault it back in on every block.
+        buffer = np.empty((min(BLOCK_SIZE, first.trials), 4))
+        counts = []
+        for b in range(w, n_blocks, workers):
+            draws = _Draws(first.seed, b, first.trials, buffer)
+            counts.append([_block_counts(cfg, draws, e) for cfg, e in zip(cfgs, edges)])
+        return counts
+
+    if workers == 1:
+        per_block = worker_counts(0)
     else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(lambda b: _block_counts(cfg, b, edges),
-                                    range(n_blocks)))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_worker = list(pool.map(worker_counts, range(workers)))
+        per_block = [per_worker[b % workers][b // workers] for b in range(n_blocks)]
 
-    n_c = n_ac = n_v = n_av = 0
-    h_all = np.zeros(len(edges) + 1, dtype=np.int64)
-    h_acc = np.zeros(len(edges) + 1, dtype=np.int64)
-    for nc, nac, nv, nav, ha, hc in results:  # fixed block order
-        n_c += nc
-        n_ac += nac
-        n_v += nv
-        n_av += nav
-        h_all += ha
-        h_acc += hc
-    return McResult(cfg, n_c, n_ac, n_v, n_av,
-                    Histogram(edges, h_all), Histogram(edges, h_acc))
+    results = []
+    for cfg, e, blocks in zip(cfgs, edges, zip(*per_block)):
+        n_c, n_ac, n_v, n_av, h_all, h_acc = (sum(col) for col in zip(*blocks))  # integer sums
+        results.append(McResult(cfg, n_c, n_ac, n_v, n_av,
+                                Histogram(e, h_all), Histogram(e, h_acc)))
+    return results
+
+
+def run_trials(cfg: McConfig) -> McResult:
+    """Run the full simulation of one configuration and return count-based
+    estimates (a sweep of one)."""
+    return run_sweep([cfg])[0]
 
 
 def sample_trials(cfg: McConfig, n: int) -> list:
     """Materialize the first n trial records (same randomness as run_trials),
     for inspection and record-level tests."""
     n = max(0, min(n, cfg.trials))
-    blocks = [_block_trials(cfg, b, n) for b in range(n // BLOCK_SIZE + 1)]
+    buffer = np.empty((min(BLOCK_SIZE, n), 4))
+    blocks = [_trials(cfg, _Draws(cfg.seed, b, n, buffer)) for b in range(n // BLOCK_SIZE + 1)]
     truth, tap_outcome, accepted, verify_x = (np.concatenate(col) for col in zip(*blocks))
     labels = np.where(truth, "coherent", "vacuum")
     return list(map(TrialRecord, labels.tolist(), tap_outcome.tolist(),

@@ -33,6 +33,7 @@ JSON_SCHEMA = {
 
 
 SRC = Path(vacfilter.__file__).resolve().parent.parent
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, argv):
@@ -298,6 +299,27 @@ class TestFigures:
             _, rows = parse_csv(text)
             assert len(rows) > 10
 
+    def test_fig4_bytes_pinned(self, capsys, tmp_path):
+        # recorded before the 33 Monte-Carlo points shared one sweep
+        path = tmp_path / "fig4.csv"
+        code, _, err = run_cli(capsys, ["figures", "fig4", "--out", str(path),
+                                        "--trials", "20000", "--seed", "7"])
+        assert code == 0, err
+        kept = [ln for ln in path.read_text().splitlines(keepends=True)
+                if not ln.startswith("#") or ln.startswith("# mc_points:")]
+        assert "".join(kept) == (DATA / "fig4_seed7_trials20000.csv").read_text()
+
+    def test_fig4_bit_identical_across_worker_counts(self, capsys, tmp_path):
+        texts = []
+        for workers in ("1", "2"):  # the default 200,000 trials span four blocks
+            path = tmp_path / f"fig4-w{workers}.csv"
+            code, _, err = run_cli(capsys, ["figures", "fig4", "--out", str(path),
+                                            "--seed", "11", "--workers", workers])
+            assert code == 0, err
+            texts.append([ln for ln in path.read_text().splitlines()
+                          if not ln.startswith("# command:")])
+        assert texts[0] == texts[1]
+
     def test_fig3(self, capsys, tmp_path):
         path = tmp_path / "fig3.csv"
         code, _, err = run_cli(capsys, ["figures", "fig3", "--out", str(path),
@@ -356,23 +378,74 @@ class TestQkdPrefactor:
         assert rows["p_ps"]["multiplier"] == pytest.approx(0.5 * rows["ps"]["multiplier"], rel=1e-12)
 
 
+UNREAD_FLAGS = [
+    ["acceptance", "--detector", "ideal", "--grid", "0:1:0.5", "--workers", "2"],
+    ["acceptance", "--detector", "ideal", "--grid", "0:1:0.5", "--trials", "3"],
+    ["qkd", "pmin", "--no-filter", "--V", "2"],
+    ["qkd", "pmin", "--no-filter", "--p", "0.5"],
+    ["qkd", "pmin", "--no-filter", "--prefactor", "ps"],
+    ["qkd", "pmin", "--eta", "0.63", "--pd", "5e-3", "--tap", "0.3"],
+    ["oracle", "coherent", "--V", "3"],
+    ["oracle", "beamsplitter", "--eta", "0.2"],
+    ["oracle", "noclick", "--alpha", "2"],
+]
+
+# One command line per subcommand that has a handler.
+LEAF_ARGV = {
+    "acceptance": ["acceptance", "--matched-error", "0.01", "--grid", "0:1:0.5"],
+    "error": ["error", "--detector", "hds", "--eta", "0.8", "--threshold", "1"],
+    "sensitivity": ["sensitivity", "--detector", "apd", "--eta", "0.6", "--tap", "0.3"],
+    "gain": ["gain", "--detector", "hdr", "--eta", "0.8", "--match-error", "0.01", "--p", "0.1",
+             "--format", "json"],
+    "simulate": ["simulate", "--detector", "apd", "--eta", "0.6", "--p", "0.5", "--alpha-sq", "2",
+                 "--error-target", "0.02", "--trials", "1000", "--workers", "2"],
+    "marginal": ["marginal", "--p", "0.2", "--alpha-sq", "2", "--x=-1:2:0.25"],
+    "figures": ["figures", "fig4", "--trials", "5000", "--seed", "3", "--out", "f.csv"],
+    "qkd keyrate": ["qkd", "keyrate", "--optimize", "--eta", "0.63", "--pd", "5e-4",
+                    "--prefactor", "p_ps"],
+    "qkd pmin": ["qkd", "pmin", "--no-filter", "--precision", "1e-4"],
+    "oracle coherent": ["oracle", "coherent", "--alpha", "0.5"],
+    "oracle beamsplitter": ["oracle", "beamsplitter", "--tap", "0.3", "--nmax", "12"],
+    "oracle noclick": ["oracle", "noclick", "--V", "1.5", "--eta", "0.9"],
+}
+
+
 class TestCommandSurface:
-    @pytest.mark.parametrize("argv", [
-        ["acceptance", "--detector", "ideal", "--grid", "0:1:0.5", "--workers", "2"],
-        ["acceptance", "--detector", "ideal", "--grid", "0:1:0.5", "--trials", "3"],
-        ["qkd", "pmin", "--no-filter", "--V", "2"],
-        ["qkd", "pmin", "--no-filter", "--p", "0.5"],
-        ["qkd", "pmin", "--no-filter", "--prefactor", "ps"],
-        ["qkd", "pmin", "--eta", "0.63", "--pd", "5e-3", "--tap", "0.3"],
-        ["oracle", "coherent", "--V", "3"],
-        ["oracle", "beamsplitter", "--eta", "0.2"],
-        ["oracle", "noclick", "--alpha", "2"],
-    ])
+    @pytest.mark.parametrize("argv", UNREAD_FLAGS)
     def test_flags_the_handler_does_not_read_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_every_subcommand_has_a_representative_command_line(self):
+        assert set(LEAF_ARGV) == {name for name, (func, _, _) in cli.COMMANDS.items() if func}
+
+    @pytest.mark.parametrize("name", sorted(LEAF_ARGV))
+    @pytest.mark.parametrize("typed_only", [False, True])
+    def test_pruned_parser_parses_as_the_full_tree(self, name, typed_only):
+        argv = LEAF_ARGV[name]
+        pruned = cli.build_parser(typed_only=typed_only, invoked=name)
+        full = cli.build_parser(typed_only=typed_only)
+        assert vars(pruned.parse_args(argv)) == vars(full.parse_args(argv))
+        other = ["oracle", "coherent"] if name == "error" else ["error"]  # parse in a full tree
+        with pytest.raises(SystemExit):  # only the invoked subcommand is declared
+            pruned.parse_args(other)
+
+    @pytest.mark.parametrize("argv", [
+        *UNREAD_FLAGS,
+        ["qkd", "keyrate", "--bogus"],
+        ["simulate", "--detector", "laser"],
+        ["--help"], ["--version"], ["qkd"], ["qkd", "bogus"], ["bogus"], [],
+    ])
+    def test_errors_and_help_match_the_full_tree(self, capsys, argv):
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            out = capsys.readouterr()
+            return exc.value.code, out.out, out.err
+
+        assert outcome(main) == outcome(cli.build_parser().parse_args)
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--detector", "ideal", "--p", "0.5", "--alpha-sq", "1", "--trials", "1000",

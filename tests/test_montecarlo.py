@@ -26,6 +26,7 @@ from vacfilter.montecarlo import (
     _hist_edges,
     calibrate_prep_error,
     chi2_gof,
+    run_sweep,
     run_trials,
     sample_trials,
     verification_chi2,
@@ -176,6 +177,72 @@ def test_run_trials_golden(key, workers):
             res.n_accepted_vacuum] == want["counts"]
     assert res.hist_all.counts.tolist() == want["hist_all"]
     assert res.hist_accepted.counts.tolist() == want["hist_accepted"]
+
+
+_SWEEP_DETECTORS = (
+    IdealOnOff(),
+    Apd(eta=0.63, dark_prob=1.4e-4),
+    HomodyneStabilized(eta=0.84, threshold=threshold_for_error(E_MATCH)),
+    HomodyneRandomized(eta=0.84, threshold=threshold_for_error(E_MATCH)),
+)
+
+
+@st.composite
+def sweeps(draw, workers):
+    """Mixed-detector configurations sharing a seed, three blocks of trials
+    (the last one partial) and a worker count."""
+    seed = draw(st.integers(0, 2**64 - 1))
+    unit = st.floats(0.0, 1.0)
+    return [make_cfg(draw(st.sampled_from(_SWEEP_DETECTORS)), p=draw(unit),
+                     alpha_sq=draw(st.floats(0.0, 6.0)), tap=draw(unit),
+                     prep_error=draw(st.floats(0.0, 1.5)), trials=2 * BLOCK_SIZE + 123,
+                     seed=seed, workers=workers)
+            for _ in range(draw(st.integers(1, 5)))]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_sweep_equals_one_configuration_runs(self, workers, data):
+        cfgs = data.draw(sweeps(workers))
+        for swept, alone in zip(run_sweep(cfgs), [run_trials(c) for c in cfgs], strict=True):
+            assert swept.config is alone.config
+            assert (swept.n_coherent, swept.n_accepted_coherent, swept.n_vacuum,
+                    swept.n_accepted_vacuum) == (alone.n_coherent, alone.n_accepted_coherent,
+                                                 alone.n_vacuum, alone.n_accepted_vacuum)
+            np.testing.assert_array_equal(swept.hist_all.edges, alone.hist_all.edges)
+            np.testing.assert_array_equal(swept.hist_all.counts, alone.hist_all.counts)
+            np.testing.assert_array_equal(swept.hist_accepted.counts, alone.hist_accepted.counts)
+
+    @pytest.mark.parametrize("field, value", [("seed", 322), ("trials", 1000), ("workers", 2)])
+    def test_configurations_must_share_seed_trials_and_workers(self, field, value):
+        base = make_cfg(IdealOnOff(), trials=2000)
+        other = make_cfg(Apd(eta=0.63, dark_prob=1.4e-4), **{"trials": 2000, field: value})
+        with pytest.raises(ValueError, match="must share seed, trials and workers"):
+            run_sweep([base, other])
+
+    @pytest.mark.parametrize("detectors, normals_per_block", [
+        (_SWEEP_DETECTORS[:2], 1),  # on/off filters read no tap noise
+        (_SWEEP_DETECTORS[2:3], 2),
+        (_SWEEP_DETECTORS * 8, 2),
+    ], ids=["on-off", "one-homodyne", "mixed"])
+    def test_each_block_is_drawn_once(self, monkeypatch, detectors, normals_per_block):
+        from vacfilter import montecarlo
+
+        calls = {"uniforms": 0, "ndtri": 0}
+
+        def counting(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+            return wrapper
+
+        monkeypatch.setattr(montecarlo, "_block_uniforms",
+                            counting("uniforms", montecarlo._block_uniforms))
+        monkeypatch.setattr(montecarlo, "ndtri", counting("ndtri", montecarlo.ndtri))
+        run_sweep([make_cfg(d, trials=2 * BLOCK_SIZE + 123) for d in detectors])
+        assert calls == {"uniforms": 3, "ndtri": 3 * normals_per_block}
 
 
 @settings(max_examples=200, deadline=None)
