@@ -21,8 +21,8 @@ _EXPORTS = {
                  "apply_beamsplitter", "condition_on_noclick", "gaussian_entropy",
                  "symplectic_eigenvalues"),
     "metrics": ("gain", "gain_columns", "sensitivity", "success_probability"),
-    "montecarlo": ("McConfig", "McResult", "TrialRecord", "calibrate_prep_error",
-                   "run_sweep", "run_trials", "verification_chi2"),
+    "montecarlo": ("McConfig", "McResult", "TrialRecords", "calibrate_prep_error",
+                   "run_sweep", "run_trials", "sample_trials", "verification_chi2"),
     "qkd": ("KeyRateResult", "QkdScenario", "TapFilter", "filtered_covariance", "joint_state",
             "key_rate", "optimize_key_rate", "p_min_search", "scenario_key_rate",
             "weak_squeezing_keyrate"),

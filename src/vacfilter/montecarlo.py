@@ -20,7 +20,18 @@ variates, computed only when a configuration reads them) and runs every
 configuration on those draws, which live for that one block; each worker
 writes its blocks' uniforms into one buffer.  Each result equals a run of
 its configuration alone; across the sweep they are common-random-number
-estimates, not independent ones.
+estimates, not independent ones.  A block's variates, trial columns and bin
+indices are computed in place wherever the arithmetic allows (the same
+operations in the same order, so the same bits): a block then frees less
+than glibc's heap-trim threshold, and the next block finds its pages still
+mapped instead of faulting them back in.
+
+``sample_trials`` returns the first n trials of the same stream as
+``TrialRecords``: four numpy columns (truth, tap outcome, decision,
+verification quadrature), filled block by block from the kernel that the
+counts use.  Iterating or indexing it shows one trial as a ``TrialRecord``;
+code that reads the columns builds no per-trial object.  A pull of n < 0 or
+of more than ``cfg.trials`` trials raises ``ValueError``.
 
 Imperfect vacuum preparation is modeled by an optional residual coherent
 amplitude ``prep_error`` leaking into nominal vacuum slots; it lets the
@@ -31,6 +42,7 @@ the dark-count level.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -78,10 +90,46 @@ class McConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial, as ``TrialRecords`` shows it by iteration or indexing."""
+
     truth: str  # "coherent" | "vacuum"
     tap_outcome: object  # bool click flag (on/off) or quadrature value (homodyne)
     accepted: bool
     verify_x: float
+
+
+@dataclass(frozen=True, eq=False)
+class TrialRecords:
+    """The first n trials of a configuration as columns, one entry per trial:
+    ``truth`` (bool, True for a coherent preparation), ``tap_outcome`` (bool
+    click flag for on/off filters, float quadrature for homodyne ones),
+    ``accepted`` (bool) and ``verify_x`` (float).  ``len``, iteration and
+    integer indexing show the same trials as ``TrialRecord`` values."""
+
+    truth: np.ndarray
+    tap_outcome: np.ndarray
+    accepted: np.ndarray
+    verify_x: np.ndarray
+
+    def __post_init__(self):
+        lengths = {len(self.truth), len(self.tap_outcome), len(self.accepted),
+                   len(self.verify_x)}
+        if len(lengths) != 1:
+            raise ValueError(f"columns must have one length, got {sorted(lengths)}")
+
+    def __len__(self) -> int:
+        return len(self.truth)
+
+    def __iter__(self):
+        labels = np.where(self.truth, "coherent", "vacuum")
+        return map(TrialRecord, labels.tolist(), self.tap_outcome.tolist(),
+                   self.accepted.tolist(), self.verify_x.tolist())
+
+    def __getitem__(self, i) -> TrialRecord:
+        i = operator.index(i)
+        return TrialRecord("coherent" if self.truth[i] else "vacuum",
+                           self.tap_outcome[i].item(), self.accepted[i].item(),
+                           self.verify_x[i].item())
 
 
 @dataclass
@@ -193,6 +241,14 @@ def _block_uniforms(seed: int, block: int, out: np.ndarray) -> np.ndarray:
     return rng.random(out=out)
 
 
+def _normals(u: np.ndarray) -> np.ndarray:
+    """``_QUAD_SD * ndtri(clip(u))``, computed in one new array."""
+    x = np.clip(u, _U_LO, _U_HI)
+    ndtri(x, x)
+    x *= _QUAD_SD
+    return x
+
+
 class _Draws:
     """Trials [block * BLOCK_SIZE, stop) of one block: the uniforms, written
     into ``buffer``, and the variates that depend on no configuration, each
@@ -205,15 +261,17 @@ class _Draws:
 
     @cached_property
     def tap_noise(self) -> np.ndarray:
-        return _QUAD_SD * ndtri(np.clip(self.u[:, 1], _U_LO, _U_HI))
+        return _normals(self.u[:, 1])
 
     @cached_property
     def cos_phase(self) -> np.ndarray:
-        return np.cos(2.0 * np.pi * (self.u[:, 2] - 0.5))
+        phase = self.u[:, 2] - 0.5
+        phase *= 2.0 * np.pi
+        return np.cos(phase, out=phase)
 
     @cached_property
     def verify_noise(self) -> np.ndarray:
-        return _QUAD_SD * ndtri(np.clip(self.u[:, 3], _U_LO, _U_HI))
+        return _normals(self.u[:, 3])
 
 
 def _trials(cfg: McConfig, draws: _Draws):
@@ -234,17 +292,17 @@ def _trials(cfg: McConfig, draws: _Draws):
         accepted = u[:, 1] < np.where(truth, p_sig, p_vac)
         tap_outcome = accepted
     elif isinstance(det, Homodyne):
-        beta_tap = np.where(truth, sqrt_r * alpha, sqrt_r * cfg.prep_error)
-        a = effective_displacement(det, 1.0) * beta_tap
+        tap_outcome = np.where(truth, sqrt_r * alpha, sqrt_r * cfg.prep_error)
+        tap_outcome *= effective_displacement(det, 1.0)
         if isinstance(det, HomodyneRandomized):
-            a = a * draws.cos_phase
-        tap_outcome = a + draws.tap_noise
+            tap_outcome *= draws.cos_phase
+        tap_outcome += draws.tap_noise
         accepted = np.abs(tap_outcome) > det.threshold
     else:
         raise TypeError(f"unknown detector {det!r}")
 
-    sig_amp = np.where(truth, sqrt_t * alpha, sqrt_t * cfg.prep_error)
-    verify_x = sig_amp + draws.verify_noise
+    verify_x = np.where(truth, sqrt_t * alpha, sqrt_t * cfg.prep_error)
+    verify_x += draws.verify_noise
     return truth, tap_outcome, accepted, verify_x
 
 
@@ -252,11 +310,15 @@ def _bin_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``np.searchsorted(edges, x, side="right")`` for evenly spaced edges:
     an arithmetic guess, then an exact +-1 fix-up against the edges."""
     n = len(edges)
-    guess = np.floor((x - edges[0]) / ((edges[-1] - edges[0]) / (n - 1)))
-    k = np.clip(guess, -1, n - 1).astype(np.intp) + 1
+    guess = x - edges[0]
+    guess /= (edges[-1] - edges[0]) / (n - 1)
+    np.floor(guess, out=guess)
+    k = np.clip(guess, -1, n - 1, out=guess).astype(np.intp)
+    del guess
+    k += 1
     padded = np.concatenate(([-np.inf], edges, [np.inf]))  # padded[k] = edges[k - 1]
     k -= x < padded[k]
-    k += x >= padded[k + 1]
+    k += x >= padded[1:][k]  # padded[k + 1]
     return k
 
 
@@ -265,7 +327,9 @@ def _block_counts(cfg: McConfig, draws: _Draws, edges: np.ndarray):
     del tap_outcome  # not counted; freed before the binning allocates
     nbins = len(edges) + 1
     # one pass: rejected trials fill bins [0, nbins), accepted ones [nbins, 2 nbins)
-    split = np.bincount(_bin_index(edges, verify_x) + nbins * accepted, minlength=2 * nbins)
+    index = _bin_index(edges, verify_x)
+    index += nbins * accepted
+    split = np.bincount(index, minlength=2 * nbins)
     return (
         int(truth.sum()),
         int((truth & accepted).sum()),
@@ -332,16 +396,21 @@ def run_trials(cfg: McConfig) -> McResult:
     return run_sweep([cfg])[0]
 
 
-def sample_trials(cfg: McConfig, n: int) -> list:
-    """Materialize the first n trial records (same randomness as run_trials),
-    for inspection and record-level tests."""
-    n = max(0, min(n, cfg.trials))
+def sample_trials(cfg: McConfig, n: int) -> TrialRecords:
+    """The first n trials of ``cfg`` as columns (the randomness of run_trials),
+    for inspection and record-level tests; iterate the result for
+    ``TrialRecord`` values.  Raises ValueError unless 0 <= n <= cfg.trials."""
+    if not 0 <= n <= cfg.trials:
+        raise ValueError(f"n must be in [0, cfg.trials] = [0, {cfg.trials}], got n = {n}")
     buffer = np.empty((min(BLOCK_SIZE, n), 4))
-    blocks = [_trials(cfg, _Draws(cfg.seed, b, n, buffer)) for b in range(n // BLOCK_SIZE + 1)]
-    truth, tap_outcome, accepted, verify_x = (np.concatenate(col) for col in zip(*blocks))
-    labels = np.where(truth, "coherent", "vacuum")
-    return list(map(TrialRecord, labels.tolist(), tap_outcome.tolist(),
-                    accepted.tolist(), verify_x.tolist()))
+    columns = None
+    for start in range(0, n, BLOCK_SIZE) or [0]:  # n = 0: one empty block sets the dtypes
+        block = _trials(cfg, _Draws(cfg.seed, start // BLOCK_SIZE, n, buffer))
+        if columns is None:
+            columns = [np.empty(n, col.dtype) for col in block]
+        for out, col in zip(columns, block):
+            out[start:start + len(col)] = col
+    return TrialRecords(*columns)
 
 
 # ---------------------------------------------------------------------------

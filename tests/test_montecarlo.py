@@ -1,8 +1,11 @@
 """Stochastic simulation: determinism across workers, convergence to the
 closed forms, record consistency and verification histograms."""
 
+import gc
+import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,8 @@ from vacfilter.detectors import (
 from vacfilter.montecarlo import (
     BLOCK_SIZE,
     McConfig,
+    TrialRecord,
+    TrialRecords,
     _bin_index,
     _hist_edges,
     calibrate_prep_error,
@@ -39,6 +44,13 @@ E_MATCH = 5.3e-3
 def make_cfg(detector, p=0.5, alpha_sq=3.3, tap=0.5, trials=200_000, seed=321, **kw):
     mix = ErasureMixture(CoherentAmplitude(math.sqrt(alpha_sq)), p, tap)
     return McConfig(seed=seed, trials=trials, detector=detector, mixture=mix, **kw)
+
+
+DETECTORS = {
+    "apd": Apd(eta=0.63, dark_prob=1.4e-4),
+    "hds": HomodyneStabilized(eta=0.84, threshold=threshold_for_error(E_MATCH)),
+    "hdr": HomodyneRandomized(eta=0.84, threshold=threshold_for_error(E_MATCH)),
+}
 
 
 class TestDeterminism:
@@ -109,37 +121,43 @@ class TestClosedFormAgreement:
         assert res.stderr("g") is not None
 
 
+_COLUMNS = ("truth", "tap_outcome", "accepted", "verify_x")
+# Column digests of the config below, recorded from the per-trial record
+# lists that sample_trials returned before it returned columns.
+_RECORDS_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "sample_trials_golden.json").read_text())
+
+
+# the pull crosses a block boundary; leaked vacuum amplitude makes both truth
+# branches reach the detector with a nonzero displacement
+_GOLDEN_PULL = BLOCK_SIZE + 1500
+
+
+def _golden_pull(kind):
+    return sample_trials(make_cfg(DETECTORS[kind], trials=3 * BLOCK_SIZE, prep_error=0.3),
+                         _GOLDEN_PULL)
+
+
 class TestTrialRecords:
     def test_records_consistent_with_detector_rule(self):
         det = HomodyneStabilized(eta=0.84, threshold=1.2)
         records = sample_trials(make_cfg(det, trials=5000), 500)
         assert len(records) == 500
-        for rec in records:
-            assert rec.truth in ("coherent", "vacuum")
-            assert rec.accepted == (abs(rec.tap_outcome) > 1.2)
+        np.testing.assert_array_equal(records.accepted, np.abs(records.tap_outcome) > 1.2)
 
     def test_on_off_records(self):
         det = Apd(eta=0.63, dark_prob=1.4e-4)
         records = sample_trials(make_cfg(det, trials=2000), 200)
-        for rec in records:
-            assert rec.accepted == rec.tap_outcome
-            assert isinstance(rec.verify_x, float)
+        np.testing.assert_array_equal(records.accepted, records.tap_outcome)
+        assert [c.dtype for c in (records.truth, records.tap_outcome, records.accepted,
+                                  records.verify_x)] == [bool, bool, bool, np.float64]
 
-    @pytest.mark.parametrize("detector", [
-        Apd(eta=0.63, dark_prob=1.4e-4),
-        HomodyneStabilized(eta=0.84, threshold=threshold_for_error(E_MATCH)),
-        HomodyneRandomized(eta=0.84, threshold=threshold_for_error(E_MATCH)),
-    ], ids=["apd", "hds", "hdr"])
-    def test_records_reproduce_counts_and_histograms(self, detector):
-        # the pull crosses a block boundary; leaked vacuum amplitude makes
-        # both truth branches reach the detector with a nonzero displacement
-        n = BLOCK_SIZE + 1500
-        records = sample_trials(make_cfg(detector, trials=3 * BLOCK_SIZE, prep_error=0.3), n)
-        res = run_trials(make_cfg(detector, trials=n, prep_error=0.3))
-        assert len(records) == n
-        coherent = np.array([r.truth == "coherent" for r in records])
-        accepted = np.array([r.accepted for r in records])
-        verify = np.array([r.verify_x for r in records])
+    @pytest.mark.parametrize("kind", sorted(DETECTORS))
+    def test_records_reproduce_counts_and_histograms(self, kind):
+        records = _golden_pull(kind)
+        res = run_trials(make_cfg(DETECTORS[kind], trials=_GOLDEN_PULL, prep_error=0.3))
+        assert len(records) == res.trials
+        coherent, accepted = records.truth, records.accepted
         assert (int(coherent.sum()), int((coherent & accepted).sum()),
                 int((~coherent & accepted).sum())) == (
             res.n_coherent, res.n_accepted_coherent, res.n_accepted_vacuum)
@@ -149,29 +167,85 @@ class TestTrialRecords:
             return np.bincount(np.searchsorted(edges, x, side="right"),
                                minlength=len(edges) + 1)
 
-        np.testing.assert_array_equal(hist(verify), res.hist_all.counts)
-        np.testing.assert_array_equal(hist(verify[accepted]), res.hist_accepted.counts)
+        np.testing.assert_array_equal(hist(records.verify_x), res.hist_all.counts)
+        np.testing.assert_array_equal(hist(records.verify_x[accepted]),
+                                      res.hist_accepted.counts)
+
+    @pytest.mark.parametrize("kind", sorted(DETECTORS))
+    def test_columns_match_the_recorded_records(self, kind):
+        records = _golden_pull(kind)
+        want = _RECORDS_GOLDEN[kind]
+        for name in _COLUMNS:
+            column = getattr(records, name)
+            assert str(column.dtype) == want[name]["dtype"], name
+            assert hashlib.sha256(column.tobytes()).hexdigest() == want[name]["sha256"], name
+        # the per-record view prints exactly as the old list of records did
+        assert (hashlib.sha256(repr(list(records)).encode()).hexdigest()
+                == want["records_repr_sha256"])
+
+    @pytest.mark.parametrize("kind", ["apd", "hdr"])
+    def test_per_record_view_matches_the_columns(self, kind):
+        records = sample_trials(make_cfg(DETECTORS[kind], trials=3000,
+                                         prep_error=0.3), 2000)
+        tap_type = bool if kind == "apd" else float
+        viewed = list(records)
+        assert len(viewed) == len(records) == 2000
+        for i, rec in enumerate(viewed):
+            assert type(rec) is TrialRecord
+            assert records[i] == records[i - 2000] == rec
+            assert rec.truth == ("coherent" if records.truth[i] else "vacuum")
+            assert type(rec.tap_outcome) is tap_type
+            assert rec.tap_outcome == records.tap_outcome[i]
+            assert type(rec.accepted) is bool and rec.accepted == records.accepted[i]
+            assert type(rec.verify_x) is float and rec.verify_x == records.verify_x[i]
+        with pytest.raises(IndexError):
+            records[2000]
+        with pytest.raises(TypeError):
+            records[1.0]
+
+    @pytest.mark.parametrize("n", [0, 1, 1500, BLOCK_SIZE, BLOCK_SIZE + 1])
+    def test_a_pull_is_a_prefix_of_a_longer_one(self, n):
+        cfg = make_cfg(DETECTORS["hdr"], trials=2 * BLOCK_SIZE + 7, prep_error=0.3)
+        short, long = sample_trials(cfg, n), sample_trials(cfg, cfg.trials)
+        assert len(short) == n
+        for name in _COLUMNS:
+            assert getattr(short, name).dtype == getattr(long, name).dtype
+            np.testing.assert_array_equal(getattr(short, name), getattr(long, name)[:n])
+
+    @pytest.mark.parametrize("n", [-1, 2001])
+    def test_n_outside_the_trials_rejected(self, n):
+        cfg = make_cfg(DETECTORS["apd"], trials=2000)
+        with pytest.raises(ValueError, match=rf"cfg.trials.*2000.*n = {n}"):
+            sample_trials(cfg, n)
+
+    def test_columns_differ_in_length_rejected(self):
+        with pytest.raises(ValueError, match="one length"):
+            TrialRecords(np.zeros(3, bool), np.zeros(3, bool), np.zeros(2, bool), np.zeros(3))
+
+    def test_a_held_pull_adds_no_object_per_trial(self):
+        cfg = make_cfg(DETECTORS["hds"], trials=20_000)
+        gc.collect()
+        before = len(gc.get_objects())
+        records = sample_trials(cfg, 20_000)
+        added = len(gc.get_objects()) - before
+        assert len(records) == 20_000
+        assert added < 100
 
 
 # Counts and histograms recorded at the commit before the histogram reduction
 # switched from searchsorted to arithmetic bin indices (d61c1b3); any change to
 # the randomness contract or the binning shows up here bit for bit.
 _GOLDEN = json.loads((Path(__file__).parent / "data" / "run_trials_golden.json").read_text())
-_GOLDEN_DETECTORS = {
-    "apd": (Apd(eta=0.63, dark_prob=1.4e-4), 0.3),
-    "hds": (HomodyneStabilized(eta=0.84, threshold=threshold_for_error(E_MATCH)), 0.0),
-    "hdr": (HomodyneRandomized(eta=0.84, threshold=threshold_for_error(E_MATCH)), 0.0),
-}
+_GOLDEN_PREP_ERROR = {"apd": 0.3, "hds": 0.0, "hdr": 0.0}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("key", sorted(_GOLDEN))
 def test_run_trials_golden(key, workers):
     kind, seed = key.split("-")
-    detector, prep_error = _GOLDEN_DETECTORS[kind]
     # three full blocks and a partial one
-    res = run_trials(make_cfg(detector, trials=3 * BLOCK_SIZE + 1500, seed=int(seed),
-                              workers=workers, prep_error=prep_error))
+    res = run_trials(make_cfg(DETECTORS[kind], trials=3 * BLOCK_SIZE + 1500, seed=int(seed),
+                              workers=workers, prep_error=_GOLDEN_PREP_ERROR[kind]))
     want = _GOLDEN[key]
     assert [res.n_coherent, res.n_accepted_coherent, res.n_vacuum,
             res.n_accepted_vacuum] == want["counts"]
@@ -179,12 +253,7 @@ def test_run_trials_golden(key, workers):
     assert res.hist_accepted.counts.tolist() == want["hist_accepted"]
 
 
-_SWEEP_DETECTORS = (
-    IdealOnOff(),
-    Apd(eta=0.63, dark_prob=1.4e-4),
-    HomodyneStabilized(eta=0.84, threshold=threshold_for_error(E_MATCH)),
-    HomodyneRandomized(eta=0.84, threshold=threshold_for_error(E_MATCH)),
-)
+_SWEEP_DETECTORS = (IdealOnOff(), *DETECTORS.values())
 
 
 @st.composite
@@ -243,6 +312,25 @@ class TestSweep:
         monkeypatch.setattr(montecarlo, "ndtri", counting("ndtri", montecarlo.ndtri))
         run_sweep([make_cfg(d, trials=2 * BLOCK_SIZE + 123) for d in detectors])
         assert calls == {"uniforms": 3, "ndtri": 3 * normals_per_block}
+
+    @pytest.mark.parametrize("kind", sorted(DETECTORS))
+    def test_a_block_holds_few_block_sized_arrays(self, kind):
+        # The uniforms buffer is 4 block-sized float arrays.  The rest of a
+        # block's peak is the three normal/phase variates, the verification
+        # quadratures, two bool columns and the bin index with its float
+        # guess (about 6.5 arrays); more, and the memory a block frees
+        # crosses glibc's heap-trim threshold, so every block page-faults
+        # its working set back in.
+        cfg = make_cfg(DETECTORS[kind], trials=2 * BLOCK_SIZE, prep_error=0.3)
+        run_trials(cfg)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_trials(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < (4 + 7) * 8 * BLOCK_SIZE
 
 
 @settings(max_examples=200, deadline=None)
