@@ -41,6 +41,7 @@ CONVENTIONS = {
     "quadrature_ordering": "x1,p1,...,xn,pn",
 }
 SCHEMA_VERSION = 1
+MAX_GRID_POINTS = 10 ** 6  # --grid / --x specs asking for more are rejected
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +89,19 @@ def _emit(args, columns: list, rows: list, extra: dict | None = None):
             writer.writerow(row)
         text = buf.getvalue()
     if out_path:
-        with open(out_path, "w") as fh:
+        with _open(out_path, "w", "--out") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _open(path: str, mode: str, source: str):
+    """open(), with a failure reported as a ValueError naming ``source``, the
+    flag or variable that gave the path."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValueError(f"cannot open {source} {path!r}: {exc.strerror}") from exc
 
 
 def _jsonable(x):
@@ -108,15 +118,17 @@ def _rows(*columns) -> list:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """start:stop:step -> inclusive grid."""
+    """start:stop:step -> inclusive grid of at most MAX_GRID_POINTS points."""
     try:
         start, stop, step = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
         raise ValueError(f"bad grid {spec!r}, expected start:stop:step") from exc
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ValueError(f"bad grid {spec!r}")
-    n = int(round((stop - start) / step))
-    return np.linspace(start, stop, n + 1)
+    steps = (stop - start) / step  # may overflow to inf
+    if steps >= MAX_GRID_POINTS - 0.5:  # round(steps) + 1 > MAX_GRID_POINTS
+        raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    return np.linspace(start, stop, int(round(steps)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +609,7 @@ def _config_keys(arguments) -> dict:
 
 def _read_config(path: str) -> dict:
     entries = {}
-    with open(path) as fh:
+    with _open(path, "r", "VACFILTER_CONFIG") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):

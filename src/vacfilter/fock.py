@@ -18,11 +18,10 @@ their bounds in the homodyne convention (vacuum variance 1/4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 TRUNCATION_GUARD = 1e-10
 QUAD_POINTS = 400  # Gauss-Legendre nodes of a QuadratureInterval POVM
@@ -61,11 +60,16 @@ class FockState:
         return float(np.einsum(self.rho, list(range(m)) * 2).real)
 
 
+def _log_factorials(n_max: int) -> np.ndarray:
+    """log k! for k = 0..n_max."""
+    return np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
+
+
 def _poisson_tail(mean: float, n_max: int) -> float:
     n = np.arange(n_max + 1)
     if mean == 0.0:
         return 0.0
-    log_terms = n * np.log(mean) - mean - gammaln(n + 1)
+    log_terms = n * np.log(mean) - mean - _log_factorials(n_max)
     return float(max(0.0, 1.0 - np.exp(log_terms).sum()))
 
 
@@ -99,7 +103,7 @@ def coherent_state(alpha: complex, n_max: int) -> FockState:
             f"cutoff {n_max} too small for |alpha|^2 = {mean:.3f} (tail {tail:.2e})"
         )
     n = np.arange(n_max + 1)
-    log_mag = 0.5 * (n * np.log(mean) if mean > 0 else np.zeros(n_max + 1)) - 0.5 * gammaln(n + 1)
+    log_mag = 0.5 * ((n * np.log(mean) if mean > 0 else 0.0) - _log_factorials(n_max))
     amps = np.exp(log_mag - 0.5 * mean) * np.exp(1j * np.angle(alpha) * n)
     if mean == 0.0:
         amps = np.zeros(n_max + 1, dtype=complex)
@@ -175,12 +179,13 @@ def apply_mode_operator(state: FockState, op: np.ndarray, mode: int) -> FockStat
 
 
 def displace(state: FockState, mode: int, alpha: complex) -> FockState:
-    """Displacement via the exponential of the truncated generator
-    alpha a† - alpha* a (exactly unitary on the truncated grid)."""
+    """Displacement exp(G) of the truncated generator G = alpha a† - alpha* a
+    (exactly unitary on the truncated grid), as V diag(e^{-iw}) V† by eigh of iG."""
     if not np.isfinite(alpha):
         raise ValueError(f"displacement must be finite, got {alpha}")
     a = lowering_matrix(state.n_max)
-    d = expm(alpha * a.conj().T - np.conj(alpha) * a)
+    w, v = np.linalg.eigh(1j * (alpha * a.conj().T - np.conj(alpha) * a))
+    d = (v * np.exp(-1j * w)) @ v.conj().T
     return apply_mode_operator(state, d, mode)
 
 

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import chdtrc, ndtri
 
 from .detectors import (
@@ -486,8 +485,8 @@ def chi2_gof(counts: np.ndarray, probs: np.ndarray):
 
 def calibrate_prep_error(det, tap_reflectivity: float, error_target: float) -> float:
     """Residual vacuum-slot amplitude that makes the measured error
-    probability hit ``error_target`` for this detector and tap, found by a
-    bracketed root search.  Requires the detector's intrinsic error
+    probability hit ``error_target`` for this detector and tap, found by
+    bisection on [0, 1024] to 1e-12.  Requires the detector's intrinsic error
     probability <= error_target < 1 and, above the intrinsic error, a tap
     that sends light to the filter."""
     if not math.isfinite(error_target):
@@ -510,10 +509,11 @@ def calibrate_prep_error(det, tap_reflectivity: float, error_target: float) -> f
     def f(amp):
         return acceptance_probability(det, sqrt_r * amp) - error_target
 
-    hi = 1.0
-    while f(hi) < 0.0 and hi < 1e3:
-        hi *= 2.0
+    lo, hi = 0.0, 1024.0
     if f(hi) < 0.0:
         raise ValueError(f"target error {error_target} not reached by this detector "
                          f"at prep_error up to {hi}")
-    return float(brentq(f, 0.0, hi, xtol=1e-12))
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)

@@ -80,6 +80,30 @@ class TestExitCodes:
         assert message in err
 
     @pytest.mark.parametrize("argv", [
+        ["acceptance", "--detector", "ideal", "--grid", "0:1:1e-9"],
+        ["marginal", "--p", "0.3", "--alpha-sq", "2", "--x", "0:1:1e-9"],
+        ["acceptance", "--detector", "ideal", "--grid=-1e308:1e308:1e-300"],
+    ])
+    def test_grid_with_too_many_points_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"has more than {cli.MAX_GRID_POINTS} points" in err
+
+    def test_grid_point_limit_is_inclusive(self):
+        assert len(cli._parse_grid("0:0.999999:1e-6")) == cli.MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="more than"):
+            cli._parse_grid("0:1:1e-6")
+
+    def test_unwritable_out_path_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, ["acceptance", "--detector", "ideal",
+                                          "--grid", "0:1:0.5", "--out", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot open --out {str(path)!r}: No such file or directory\n"
+
+    @pytest.mark.parametrize("argv", [
         ["simulate", "--detector", "ideal", "--p", "0.5", "--alpha-sq", "1", "--trials", "0"],
         ["figures", "fig4", "--trials", "0"],
     ])
@@ -612,6 +636,15 @@ class TestConfigFile:
         _, out, _ = run_cli(capsys, ["acceptance", "--detector", "ideal",
                                      "--seed", "456"])
         assert "# seed: 456" in out
+
+    def test_missing_config_file_exits_2(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "missing.conf"
+        monkeypatch.setenv("VACFILTER_CONFIG", str(path))
+        code, out, err = run_cli(capsys, ["acceptance", "--detector", "ideal"])
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: cannot open VACFILTER_CONFIG {str(path)!r}: "
+                       "No such file or directory\n")
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "vacfilter.conf"

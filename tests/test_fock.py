@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
 from scipy.linalg import expm
-from scipy.special import erf
+from scipy.special import erf, gammaln
 
 from vacfilter import fock, gaussian
 
@@ -21,6 +21,10 @@ class TestConstructors:
         st = fock.coherent_state(1.0, 30)
         assert fock.mean_photon(st, 0) == pytest.approx(1.0, abs=1e-10)
         assert st.deficit < 1e-10
+
+    def test_log_factorials_match_gammaln(self):
+        np.testing.assert_allclose(fock._log_factorials(100), gammaln(np.arange(101.0) + 1.0),
+                                   rtol=1e-13, atol=0)
 
     def test_coherent_cutoff_guard(self):
         with pytest.raises(fock.TruncationError):
@@ -211,6 +215,32 @@ class TestDisplacementAndRotation:
         st = fock.displace(fock.vacuum_state(30), 0, 0.7 - 0.3j)
         target = fock.coherent_state(0.7 - 0.3j, 30)
         assert fock.fidelity(st, target) > 1.0 - 1e-10
+
+    @pytest.mark.parametrize("n_max", [5, 20, 40])
+    @settings(max_examples=20, deadline=None)
+    @given(re=strategies.floats(-2.0, 2.0), im=strategies.floats(-2.0, 2.0))
+    @example(re=0.0, im=0.0)
+    def test_displace_matches_expm_and_stays_unitary(self, n_max, re, im):
+        alpha = complex(re, im)
+        a = fock.lowering_matrix(n_max)
+        ref = expm(alpha * a.conj().T - np.conj(alpha) * a)
+        rng = np.random.default_rng(n_max)
+        vec = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
+        vec /= np.linalg.norm(vec)
+        mixed = 0.5 * np.outer(vec, vec.conj()) + 0.5 * np.diag(rng.dirichlet(np.ones(n_max + 1)))
+        np.testing.assert_allclose(fock.displace(fock.FockState(n_max, vec=vec), 0, alpha).vec,
+                                   ref @ vec, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(fock.displace(fock.FockState(n_max, rho=mixed), 0, alpha).rho,
+                                   ref @ mixed @ ref.conj().T, rtol=0, atol=1e-13)
+        eye = np.eye(n_max + 1)
+        d = np.column_stack([fock.displace(fock.FockState(n_max, vec=col.astype(complex)), 0,
+                                           alpha).vec for col in eye])
+        np.testing.assert_allclose(d, ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(d.conj().T @ d, eye, rtol=0, atol=1e-13)
+
+    def test_displace_by_zero_is_the_identity(self):
+        vec = np.arange(1.0, 12.0) * (1.0 - 0.5j)
+        np.testing.assert_array_equal(fock.displace(fock.FockState(10, vec=vec), 0, 0.0).vec, vec)
 
     def test_displace_rejects_non_finite_amplitude(self):
         with pytest.raises(ValueError, match="must be finite"):

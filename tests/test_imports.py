@@ -37,6 +37,10 @@ def loaded_after(statement: str) -> set:
     return set(json.loads(probe(statement)[-1]))
 
 
+def scipy_loaded(statement: str) -> set:
+    return {m for m in loaded_after(statement) if m.split(".")[0] == "scipy"}
+
+
 def cli_run(*argv: str) -> str:
     return f"from vacfilter.cli import main\nif main({list(argv)!r}): sys.exit('command failed')"
 
@@ -48,7 +52,7 @@ def cli_run(*argv: str) -> str:
     cli_run("qkd", "keyrate", "--eta", "0.63", "--pd", "5e-4"),
 ], ids=["import-qkd", "qkd-pmin", "qkd-keyrate-optimize", "qkd-keyrate"])
 def test_security_path_loads_no_scipy(statement):
-    assert {m for m in loaded_after(statement) if m.split(".")[0] == "scipy"} == set()
+    assert scipy_loaded(statement) == set()
 
 
 @pytest.mark.parametrize("statement", [
@@ -58,6 +62,29 @@ def test_security_path_loads_no_scipy(statement):
 ], ids=["acceptance", "gain"])
 def test_closed_form_tables_load_only_scipy_special(statement):
     loaded = loaded_after(statement)
+    assert "scipy.special" in loaded
+    assert loaded & HEAVY_SCIPY == set()
+
+
+@pytest.mark.parametrize("statement", [
+    "import vacfilter.fock",
+    cli_run("oracle", "noclick"),
+    cli_run("oracle", "coherent"),
+], ids=["import-fock", "oracle-noclick", "oracle-coherent"])
+def test_fock_path_loads_no_scipy(statement):
+    assert scipy_loaded(statement) == set()
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["simulate", "--detector", "apd", "--eta", "0.8", "--pd", "1e-3", "--p", "0.5",
+     "--alpha-sq", "2", "--trials", "1000", "--error-target", "0.01"],
+    ["figures", "fig3", "--trials", "2000", "--out", "{tmp}"],
+], ids=["import-montecarlo", "simulate-error-target", "figures-fig3"])
+def test_montecarlo_path_loads_only_scipy_special(argv, tmp_path):
+    statement = ("import vacfilter.montecarlo" if argv is None else
+                 cli_run(*(a.format(tmp=tmp_path / "fig3.csv") for a in argv)))
+    loaded = scipy_loaded(statement)
     assert "scipy.special" in loaded
     assert loaded & HEAVY_SCIPY == set()
 

@@ -459,8 +459,27 @@ class TestPrepErrorCalibration:
 
     def test_target_beyond_a_weak_detector_rejected(self):
         det = HomodyneStabilized(eta=1e-6, threshold=1.0)
-        with pytest.raises(ValueError, match="not reached by this detector"):
+        with pytest.raises(ValueError) as info:
             calibrate_prep_error(det, 0.5, 0.9)
+        assert str(info.value) == ("target error 0.9 not reached by this detector "
+                                   "at prep_error up to 1024.0")
+
+    @pytest.mark.parametrize("det", [
+        IdealOnOff(),
+        Apd(eta=0.63, dark_prob=1.4e-4),
+        HomodyneStabilized(eta=0.63, threshold=threshold_for_error(E_MATCH)),
+        HomodyneRandomized(eta=0.63, threshold=threshold_for_error(E_MATCH)),
+    ], ids=["ideal", "apd", "hds", "hdr"])
+    @settings(max_examples=15, deadline=None)
+    @given(tap=st.floats(0.05, 1.0), excess=st.floats(1e-4, 0.9))
+    def test_bisection_matches_brentq(self, det, tap, excess):
+        from scipy.optimize import brentq
+
+        base = error_probability(det)
+        target = base + excess * (1.0 - base)
+        ref = brentq(lambda amp: acceptance_probability(det, math.sqrt(tap) * amp) - target,
+                     0.0, 1024.0, xtol=1e-15)
+        assert abs(calibrate_prep_error(det, tap, target) - ref) <= 1e-12
 
 
 class TestConfigValidation:
