@@ -680,6 +680,11 @@ def main(argv=None) -> int:
         typed = (set(vars(build_parser(typed_only=True, invoked=invoked).parse_args(argv)))
                  if config else None)
         _check_conflicts(args, typed)
+        if getattr(args, "out", None):  # an unopenable --out fails before the work
+            existed = os.path.lexists(args.out)
+            _open(args.out, "a", "--out").close()  # "a" leaves an existing file's bytes
+            if not existed:
+                os.remove(args.out)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,9 +3,10 @@
 Everything here is deliberately direct and dense: states live on a photon
 number grid 0..n_max per mode, beam splitters act exactly within each
 total-photon sector, and detector POVMs are applied as explicit matrices.
-The beam splitter is an SU(2) rotation in every sector; its real orthogonal
-blocks are built one photon at a time from the transformed creation
-operators, with no matrix exponential.  Pure-state quadrature moments come
+The beam splitter is an SU(2) rotation in every sector; its real blocks are
+built one photon at a time from the transformed creation operators, with no
+matrix exponential, and above n_max only in the columns of inputs on the grid,
+a window the recursion keeps closed.  Pure-state quadrature moments come
 from one real Gram matrix of the state and its 2m quadrature images.  This
 module is the numerical authority the Gaussian calculus is validated against;
 it is sized for at most three modes (pure states) or two modes (density
@@ -199,27 +200,32 @@ def phase_rotate(state: FockState, mode: int, phi: float) -> FockState:
 # beam splitter, block-exact in total photon number
 # ---------------------------------------------------------------------------
 
-def _bs_blocks(theta: float, n_total_max: int) -> list:
-    """Real orthogonal blocks of U = exp(theta (a†b - a b†)) within each sector
-    of total photon number n, built one photon at a time: with c, s = cos
-    theta, sin theta, U a† U† = c a† - s b† and U b† U† = s a† + c b†, so
+def _bs_blocks(theta: float, n_max: int) -> list:
+    """Real blocks of U = exp(theta (a†b - a b†)) in the sectors of total photon
+    number n = 0..2 n_max, built one photon at a time: with c, s = cos theta,
+    sin theta, U a† U† = c a† - s b† and U b† U† = s a† + c b†, so
 
         U|k,m> = [sqrt(k) (c a† - s b†) U|k-1,m> + sqrt(m) (s a† + c b†) U|k,m-1>] / (k+m).
 
-    Column k of block n is U|k, n-k> on the basis |j, n-j>, j = 0..n.  Both
-    paths are weighted in; either alone drifts from orthogonality."""
-    root = np.sqrt(np.outer(np.arange(n_total_max + 1.0), np.arange(n_total_max + 1.0)))
+    Column k of block n is U|k, n-k> on |j, n-j>, j = 0..n; both paths are weighted in,
+    as either alone drifts from orthogonality.  Above n_max only the columns k in
+    [n - n_max, n_max] are built; column k reads columns k-1, k of block n-1's window."""
+    root = np.sqrt(np.outer(np.arange(2 * n_max + 1.0), np.arange(2 * n_max + 1.0)))
     c_root, s_root = np.cos(theta) * root, np.sin(theta) * root  # c sqrt(jk), s sqrt(jk)
     blocks = [np.ones((1, 1))]
-    for n in range(1, n_total_max + 1):
-        prev = blocks[-1]
-        # sqrt(j) for row or column j = 1..n, sqrt(n - j) for j = 0..n-1
+    for n in range(1, 2 * n_max + 1):
+        prev, lo, hi = blocks[-1], max(0, n - n_max), min(n, n_max)
+        a, w = int(n <= n_max), hi - lo + 1
+        # a whole block (a = 1) has no k-1 term in column 0 and no k term in column n;
+        # sqrt(j), sqrt(n - j) for rows j, and ka, kb for the columns fed by pa (k-1), pb (k)
         up, down = slice(1, n + 1), slice(n, 0, -1)
-        block = np.zeros((n + 1, n + 1))
-        block[1:, 1:] = c_root[up, up] * prev      # sqrt(k) c a† U|k-1,m>
-        block[:n, 1:] -= s_root[down, up] * prev   # sqrt(k) s b† U|k-1,m>
-        block[1:, :n] += s_root[up, down] * prev   # sqrt(m) s a† U|k,m-1>
-        block[:n, :n] += c_root[down, down] * prev  # sqrt(m) c b† U|k,m-1>
+        ka, kb = slice(lo + a, hi + 1), slice(n - lo, n - hi + a - 1, -1)
+        block, pa, pb = np.zeros((n + 1, w)), prev[:, :w - a], prev[:, 1 - a:]
+        t2, t3, t4 = block[:n, a:], block[1:, :w - a], block[:n, :w - a]
+        np.multiply(c_root[up, ka], pa, out=block[1:, a:])  # sqrt(k) c a† U|k-1,m>
+        t2 -= s_root[down, ka] * pa   # sqrt(k) s b† U|k-1,m>
+        t3 += s_root[up, kb] * pb     # sqrt(m) s a† U|k,m-1>
+        t4 += c_root[down, kb] * pb   # sqrt(m) c b† U|k,m-1>
         block /= n
         blocks.append(block)
     return blocks
@@ -239,8 +245,7 @@ def fock_beamsplitter(state: FockState, mode_i: int, mode_j: int,
         raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
     if mode_i == mode_j:
         raise ValueError("beam splitter needs two distinct modes")
-    theta = np.arccos(np.clip(np.sqrt(transmissivity), 0.0, 1.0))
-    blocks = _bs_blocks(theta, 2 * state.n_max)
+    blocks = _bs_blocks(np.arccos(np.clip(np.sqrt(transmissivity), 0.0, 1.0)), state.n_max)
     if state.is_pure:
         vec, lost = _bs_apply(state.vec, mode_i, mode_j, blocks, state.n_max)
         return FockState(state.n_max, vec=vec, deficit=state.deficit + lost)
@@ -255,21 +260,20 @@ def fock_beamsplitter(state: FockState, mode_i: int, mode_j: int,
 def _bs_apply(tensor_: np.ndarray, ax_i: int, ax_j: int, blocks: list, n_max: int):
     work = np.moveaxis(tensor_, (ax_i, ax_j), (0, 1))
     shape = work.shape
-    work = work.reshape(shape[0], shape[1], -1).astype(complex)
+    work = work.reshape(shape[0], shape[1], -1).astype(complex)  # returned in this layout
+    flat = np.ascontiguousarray(work).reshape(-1, work.shape[2])  # sector n: rows n + n_max k
     lost = 0.0
-    for n in range(2 * n_max + 1):
+    for n, block in enumerate(blocks):
         k0, k1 = max(0, n - n_max), min(n, n_max)
-        ks = np.arange(k0, k1 + 1)
-        sub = work[ks, n - ks, :]
-        # only the columns of amplitudes on the grid; the real block acts on
-        # the real and imaginary parts at once through the float view
-        rotated = (blocks[n][:, k0:k1 + 1] @ sub.view(float)).view(complex)
+        sub = flat[n + n_max * k0:n + n_max * k1 + 1:n_max or 1]  # one row at n_max 0
+        rotated = (block @ sub.view(float)).view(complex)  # real and imaginary parts at once
         if n > n_max:
             outside = np.concatenate([rotated[:k0], rotated[k1 + 1:]])
-            lost += float(np.sum(np.abs(outside) ** 2))
-        work[ks, n - ks, :] = rotated[k0:k1 + 1]
-    work = work.reshape(shape)
-    return np.moveaxis(work, (0, 1), (ax_i, ax_j)), lost
+            lost += float((np.abs(outside) ** 2).sum())
+        sub[...] = rotated[k0:k1 + 1]
+    if not np.may_share_memory(flat, work):
+        work[...] = flat.reshape(work.shape)
+    return np.moveaxis(work.reshape(shape), (0, 1), (ax_i, ax_j)), lost
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,32 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: cannot open --out {str(path)!r}: No such file or directory\n"
 
+    def test_unwritable_out_path_fails_before_the_handler(self, capsys, monkeypatch):
+        calls = []
+        _, help_text, arguments = cli.COMMANDS["oracle noclick"]
+        monkeypatch.setitem(cli.COMMANDS, "oracle noclick",
+                            (calls.append, help_text, arguments))
+        path = "/nonexistent/dir/x.csv"
+        code, out, err = run_cli(capsys, ["oracle", "noclick", "--out", path])
+        assert (code, out, calls) == (2, "", [])
+        assert err == f"error: cannot open --out {path!r}: No such file or directory\n"
+
+    def test_failed_run_leaves_an_existing_out_file_alone(self, capsys, tmp_path):
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier output\n")
+        code, _, err = run_cli(capsys, ["simulate", "--detector", "ideal", "--p", "0.5",
+                                        "--alpha-sq", "1", "--trials", "0", "--out", str(kept)])
+        assert code == 2 and "need at least one trial" in err
+        assert kept.read_text() == "earlier output\n"
+
+    def test_out_file_replaced_whole(self, capsys, tmp_path):
+        fresh, stale = tmp_path / "fresh.csv", tmp_path / "stale.csv"
+        stale.write_text("x" * 100_000)
+        for path in (fresh, stale):
+            assert run_cli(capsys, ["acceptance", "--detector", "ideal", "--grid", "0:1:0.5",
+                                    "--out", str(path)])[0] == 0
+        assert stale.read_bytes() == fresh.read_bytes()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--detector", "ideal", "--p", "0.5", "--alpha-sq", "1", "--trials", "0"],
         ["figures", "fig4", "--trials", "0"],

@@ -1,6 +1,8 @@
 """Detector closed forms: acceptance probabilities, error probabilities,
 threshold inversion, and the orderings behind the detector comparison."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -79,6 +81,25 @@ class TestAcceptanceProbability:
         thetas = np.linspace(-np.pi, np.pi, 200001)
         riemann = np.trapezoid(erfc(np.sqrt(2) * (1.0 - a * np.cos(thetas))), thetas) / (2 * np.pi)
         assert acceptance_probability(det, 1.2) == pytest.approx(riemann, abs=1e-9)
+
+    def test_hdr_grid_in_bounded_memory(self):
+        # 20,001 amplitudes up to a = 10 take 112 nodes: one (points x nodes)
+        # array of them would hold 17.9 MB
+        det = HomodyneRandomized(eta=1.0, threshold=1.0)
+        b = np.linspace(0.0, 10.0, 20001)
+        tracemalloc.start()
+        try:
+            p = acceptance_probability(det, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        n = 32 + 8 * 10
+        cos = np.cos((np.arange(n) + 0.5) * (np.pi / n))
+        whole = erfc(np.sqrt(2.0) * (1.0 - b[..., None] * cos)).mean(axis=-1)
+        np.testing.assert_array_equal(p, whole)
+        np.testing.assert_array_equal(acceptance_probability(det, b.reshape(3, -1)),
+                                      whole.reshape(3, -1))
 
     def test_apd_reduces_to_ideal(self):
         det = Apd(eta=1.0, dark_prob=0.0)

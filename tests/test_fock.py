@@ -1,6 +1,10 @@
 """Truncated-Fock reference implementation: state constructors, block-exact
 beam splitter, POVMs and moments."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
@@ -8,6 +12,35 @@ from scipy.linalg import expm
 from scipy.special import erf, gammaln
 
 from vacfilter import fock, gaussian
+
+# Digests of fock_beamsplitter outputs on the generic states of _golden_case,
+# recorded with one BLAS thread (conftest.py) before the beam splitter built
+# only the cutoff's sector window.
+_BS_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "fock_beamsplitter_golden.json").read_text())
+
+
+def _golden_case(case):
+    """The input state of a golden case and its beam-splitter output."""
+    rng = np.random.default_rng(case["seed"])
+    n_max, n_modes = case["n_max"], case["n_modes"]
+    shape = (n_max + 1,) * n_modes
+    if case["route"] == "pure":
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        st = fock.FockState(n_max, vec=psi / np.linalg.norm(psi))
+    else:
+        # a rank-3 mixture, so every sector and coherence is populated
+        amps = rng.normal(size=shape + (3,)) + 1j * rng.normal(size=shape + (3,))
+        rho = np.tensordot(amps, amps.conj(), axes=([n_modes], [n_modes]))
+        st = fock.FockState(n_max, rho=rho / np.einsum(rho, list(range(n_modes)) * 2).real)
+    return fock.fock_beamsplitter(st, *case["modes"], case["transmissivity"])
+
+
+def _golden_record(out):
+    tensor_ = out.vec if out.is_pure else out.rho
+    return {"sha256": hashlib.sha256(tensor_.tobytes()).hexdigest(),
+            "strides": [s // tensor_.itemsize for s in tensor_.strides],
+            "deficit": repr(out.deficit)}
 
 
 class TestConstructors:
@@ -101,15 +134,34 @@ class TestBeamSplitter:
         # reference: expm of the tridiagonal generator of theta (a†b - a b†) in
         # sector n, elements sqrt((k+1)(n-k)) on the basis |k, n-k>
         theta = np.arccos(np.sqrt(transmissivity))
-        blocks = fock._bs_blocks(theta, 80)
-        assert len(blocks) == 81
-        for n, block in enumerate(blocks):
+
+        def reference(n):
             k = np.arange(n)
             gen = np.zeros((n + 1, n + 1))
             gen[k + 1, k] = theta * np.sqrt((k + 1.0) * (n - k))
             gen[k, k + 1] = -gen[k + 1, k]
-            np.testing.assert_allclose(block, expm(gen), rtol=0, atol=1e-11)
+            return expm(gen)
+
+        full, windowed = fock._bs_blocks(theta, 80), fock._bs_blocks(theta, 40)
+        assert (len(full), len(windowed)) == (161, 81)
+        for n, (block, part) in enumerate(zip(full, windowed)):
+            ref = reference(n)
+            np.testing.assert_allclose(block, ref, rtol=0, atol=1e-11)
             np.testing.assert_allclose(block @ block.T, np.eye(n + 1), rtol=0, atol=1e-13)
+            # above n_max = 40 only the columns k in [n - 40, 40] are built, with
+            # the same arithmetic as the whole block's
+            k0, k1 = max(0, n - 40), min(n, 40)
+            assert part.shape == (n + 1, k1 - k0 + 1)
+            np.testing.assert_array_equal(part, block[:, k0:k1 + 1])
+            np.testing.assert_allclose(part, ref[:, k0:k1 + 1], rtol=0, atol=1e-11)
+            np.testing.assert_allclose(part.T @ part, np.eye(k1 - k0 + 1), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "case", _BS_GOLDEN["cases"],
+        ids=lambda c: "{route}{n_modes}-modes{modes[0]}{modes[1]}-T{transmissivity}".format(**c))
+    def test_output_matches_the_recorded_digests(self, case):
+        assert _golden_record(_golden_case(case)) == {
+            key: case[key] for key in ("sha256", "strides", "deficit")}
 
     def test_density_route_matches_pure_route(self):
         # same physical state via vec and via rho
