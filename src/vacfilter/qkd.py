@@ -273,31 +273,34 @@ def _key_rate_grid(V, T, p, flt, protocol, erased_mode_variance):
     Closed form of the reference evaluator: every branch is zero-mean with
     2x2 blocks that are multiples of I or Z, so each CM is three scalars
     (Alice variance A, Bob variance B, correlation C).  Behind the tap each
-    branch loses the no-click part w_off * (A', B', C'), s being the tap
-    variance plus the detector's 2/eta - 1; the symplectic spectrum of the
-    resulting (a, b, c) is the two-mode closed form.  Raises NumericsError on
-    a degenerate P_S or a non-finite K (argmax would pick a NaN).
+    branch keeps its click part: with s the tap variance plus the detector's
+    2/eta - 1 and kappa = (1 - p_d) 2/eta, the no-click weight is kappa / s,
+    and 1 - kappa / s = (r (B - 1) + 2 p_d / eta) / s.  Written so, P_S and
+    the click-weighted (a, b, c) are sums of nonnegative terms, free of the
+    cancellation that 1 - P0 suffers when P_S is small; the symplectic
+    spectrum of the resulting (a, b, c) is the two-mode closed form.  Raises
+    NumericsError on a degenerate P_S or a non-finite K (argmax would pick a
+    NaN).
     """
     w = V if erased_mode_variance == "marginal" else (V + 1.0 / V) / 2.0
     C = np.sqrt(V * V - 1.0)
-    a = p * V + (1.0 - p) * w
-    b = p * V + 1.0 - p
-    c = p * C
     if flt is None:
+        a = p * V + (1.0 - p) * w
+        b = p * V + 1.0 - p
+        c = p * C
         p_s = np.ones_like(a)
     else:
         r = 1.0 - T
-        b = T * b + r
-        c = np.sqrt(T) * c
-        p0 = 0.0
+        kappa = (1.0 - flt.dark_prob) * (2.0 / flt.eta)
+        a = b = c = p_s = 0.0
         for weight, A, B, Ck in ((p, V, V, C), (1.0 - p, w, 1.0, 0.0)):
             s = r * B + T + (2.0 / flt.eta - 1.0)
-            w_off = weight * (1.0 - flt.dark_prob) * (2.0 / flt.eta) / s
-            p0 = p0 + w_off
-            a = a - w_off * (A - r * Ck * Ck / s)
-            b = b - w_off * (T * B + r - T * r * (1.0 - B) ** 2 / s)
-            c = c - w_off * np.sqrt(T) * Ck * (1.0 + r * (1.0 - B) / s)
-        p_s = 1.0 - p0
+            q = (r * (B - 1.0) + 2.0 * flt.dark_prob / flt.eta) / s  # 1 - kappa / s
+            loss = kappa * r / (s * s)
+            p_s = p_s + weight * q
+            a = a + weight * (A * q + loss * Ck * Ck)
+            b = b + weight * ((T * B + r) * q + loss * T * (B - 1.0) ** 2)
+            c = c + weight * np.sqrt(T) * Ck * (q + loss * (B - 1.0))
         if np.any(p_s <= MIN_SUCCESS_PROB):
             raise NumericsError(
                 f"filter success probability degenerate (P_S = {np.min(p_s):.3e})"
