@@ -5,13 +5,16 @@ All outputs carry a provenance header (command line, seed, version and the
 conventions in force).  Exit codes: 0 success, 2 validation error, 3
 numerical failure.  A flat key=value config file pointed to by the
 VACFILTER_CONFIG environment variable supplies defaults; typed flags win,
-also over a config value of a flag they conflict with.
+also over a config value of a flag they conflict with.  The file is read on
+every call; each subcommand's parser is built once per process, and the
+handler is looked up in COMMANDS when the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -97,7 +100,7 @@ def _emit(args, columns: list, rows: list, extra: dict | None = None):
 
 def _open(path: str, mode: str, source: str):
     """open(), with a failure reported as a ValueError naming ``source``, the
-    flag or variable that gave the path."""
+    flag, variable or default that gave the path."""
     try:
         return open(path, mode)
     except OSError as exc:
@@ -355,7 +358,6 @@ EXP_PD_APD = 1.4e-4
 
 def cmd_figures(args):
     which = args.which
-    args.out = args.out or f"{which}.{args.format}"
     ns = np.linspace(0.0, FIG_TAP_PHOTONS, 34)
     if which == "fig3":
         return _figure3(args)
@@ -570,7 +572,8 @@ def build_parser(config: dict | None = None, typed_only: bool = False,
     only the options on the command line.  Given the ``invoked`` subcommand,
     only its arguments are declared: parsing never reads the others'.  When
     it has a handler, only it and its group are declared at all; help, a bare
-    group and unknown commands get the full tree."""
+    group and unknown commands get the full tree.  The parser holds no
+    handler: ``main`` takes it from COMMANDS, so a parser can be reused."""
     config = config or {}
     parser = argparse.ArgumentParser(
         prog="vacfilter",
@@ -589,7 +592,6 @@ def build_parser(config: dict | None = None, typed_only: bool = False,
         if func is None:
             groups[name] = sub.add_subparsers(dest=f"{name}_command", required=True)
             continue
-        sub.set_defaults(func=func)
         if invoked is not None and name != invoked:
             continue
         for flag, kwargs in arguments:
@@ -654,10 +656,9 @@ def _config_defaults(invoked: str) -> dict:
     return defaults
 
 
-def _check_conflicts(args, typed: set | None):
-    """Apply CONFLICTS to the parsed ``args``; ``typed`` names the options on
-    the command line, None when every value set came from it."""
-    name = " ".join(filter(None, (args.command, getattr(args, f"{args.command}_command", None))))
+def _check_conflicts(args, name: str, typed: set | None):
+    """Apply CONFLICTS to the ``args`` parsed for subcommand ``name``; ``typed``
+    names the options on the command line, None when every value set came from it."""
     for flags, overridden, message in CONFLICTS.get(name, ()):
         sides = [{dest for dest in side  # `is`, not `in`: 0.0 == False
                   if getattr(args, dest) is not None and getattr(args, dest) is not False}
@@ -671,21 +672,34 @@ def _check_conflicts(args, typed: set | None):
             setattr(args, dest, None)
 
 
+@functools.cache
+def _parser(invoked: str, typed_only: bool = False) -> argparse.ArgumentParser:
+    """build_parser(typed_only=..., invoked=...), built once per process: it
+    depends only on the static command table and holds no handler."""
+    return build_parser(typed_only=typed_only, invoked=invoked)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         invoked = " ".join(argv[:2 if " ".join(argv[:2]) in COMMANDS else 1])  # e.g. "qkd keyrate"
-        config = _config_defaults(invoked)
-        args = build_parser(config, invoked=invoked).parse_args(argv)
-        typed = (set(vars(build_parser(typed_only=True, invoked=invoked).parse_args(argv)))
-                 if config else None)
-        _check_conflicts(args, typed)
-        if getattr(args, "out", None):  # an unopenable --out fails before the work
+        config = _config_defaults(invoked)  # read on every call: the file may change
+        reuse = invoked in COMMANDS and not config  # a bounded cache of config-free parsers
+        parser = _parser(invoked) if reuse else build_parser(config, invoked=invoked)
+        args = parser.parse_args(argv)
+        typed = set(vars(_parser(invoked, True).parse_args(argv))) if config else None
+        leaf = getattr(args, f"{args.command}_command", None)
+        name = " ".join(filter(None, (args.command, leaf)))
+        _check_conflicts(args, name, typed)
+        source = "--out"
+        if name == "figures" and not args.out:  # the default file is checked like a typed one
+            args.out, source = f"{args.which}.{args.format}", "default output file"
+        if getattr(args, "out", None):  # an unopenable output file fails before the work
             existed = os.path.lexists(args.out)
-            _open(args.out, "a", "--out").close()  # "a" leaves an existing file's bytes
+            _open(args.out, "a", source).close()  # "a" leaves an existing file's bytes
             if not existed:
                 os.remove(args.out)
-        return args.func(args)
+        return COMMANDS[name][0](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -113,6 +113,20 @@ class TestExitCodes:
         assert (code, out, calls) == (2, "", [])
         assert err == f"error: cannot open --out {path!r}: No such file or directory\n"
 
+    def test_unwritable_default_figure_file_fails_before_the_handler(self, capsys, tmp_path,
+                                                                     monkeypatch):
+        calls = []
+        _, help_text, arguments = cli.COMMANDS["figures"]
+        monkeypatch.setitem(cli.COMMANDS, "figures", (calls.append, help_text, arguments))
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        monkeypatch.chdir(gone)
+        gone.rmdir()  # fig3.csv cannot be created in a removed working directory
+        code, out, err = run_cli(capsys, ["figures", "fig3", "--trials", "2000000"])
+        assert (code, out, calls) == (2, "", [])
+        assert err == ("error: cannot open default output file 'fig3.csv': "
+                       "No such file or directory\n")
+
     def test_failed_run_leaves_an_existing_out_file_alone(self, capsys, tmp_path):
         kept = tmp_path / "kept.csv"
         kept.write_text("earlier output\n")
@@ -495,7 +509,9 @@ class TestCommandSurface:
             out = capsys.readouterr()
             return exc.value.code, out.out, out.err
 
-        assert outcome(main) == outcome(cli.build_parser().parse_args)
+        expected = outcome(cli.build_parser().parse_args)
+        assert outcome(main) == expected
+        assert outcome(main) == expected  # again, through the parsers the first call built
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--detector", "ideal", "--p", "0.5", "--alpha-sq", "1", "--trials", "1000",
@@ -525,6 +541,79 @@ class TestCommandSurface:
         code, out, err = run_cli(capsys, [*argv, "--error-target", "0.02"])
         assert code == 0, err
         assert json.loads(out)["prep_error"] > 0.0
+
+
+def counting_build_parser(monkeypatch) -> list:
+    """Empty the parser cache and record the ``invoked`` of every later build."""
+    built, real = [], cli.build_parser
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("invoked"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    return built
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize("name", sorted(LEAF_ARGV))
+    def test_second_call_reuses_the_parser_and_writes_the_same_bytes(self, capsys, tmp_path,
+                                                                     monkeypatch, name):
+        monkeypatch.chdir(tmp_path)  # the figures command line writes f.csv
+        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
+        built = counting_build_parser(monkeypatch)
+        outputs = []
+        for _ in range(2):
+            code, out, err = run_cli(capsys, LEAF_ARGV[name])
+            assert code == 0, err
+            files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+            outputs.append((out, err, files))
+        assert outputs[0] == outputs[1]
+        assert built == [name]
+
+    def test_handler_swapped_in_after_the_parser_was_built_runs(self, capsys, monkeypatch):
+        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
+        argv = LEAF_ARGV["error"]
+        built = counting_build_parser(monkeypatch)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, built) == (0, ["error"]), err
+        assert "error_probability" in out
+        seen = []
+        _, help_text, arguments = cli.COMMANDS["error"]
+        monkeypatch.setitem(cli.COMMANDS, "error",
+                            (lambda args: seen.append(args) or 7, help_text, arguments))
+        assert run_cli(capsys, argv) == (7, "", "")
+        assert [(a.detector, a.threshold) for a in seen] == [("hds", 1.0)]
+        assert built == ["error"]  # the second call parsed with the first call's parser
+
+    def test_config_file_is_read_on_every_call(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
+        typed = ["acceptance", "--detector", "apd", "--eta", "0.6"]
+        code, plain, err = run_cli(capsys, typed)
+        assert code == 0, err
+        assert "# seed: 2024" in plain
+        assert parse_csv(plain)[0] == ["R_alpha_sq", "P_accept"]
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("seed = 123\ngrid = 0:1:0.5\nmatched_error = 0.01\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, typed)  # typed detector flags win over matched_error
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        assert "# seed: 123" in out
+        assert header == ["R_alpha_sq", "P_accept"]
+        assert [row[0] for row in rows] == ["0.0", "0.5", "1.0"]
+        code, out, err = run_cli(capsys, ["acceptance"])  # the configured matched_error acts
+        assert code == 0, err
+        assert parse_csv(out)[0] == ["R_alpha_sq", "P_apd", "P_hds", "P_hdr"]
+        code, out, err = run_cli(capsys, [*typed, "--matched-error", "0.01"])
+        assert (code, out) == (2, "")
+        assert "--matched-error sets its own detectors" in err
+        monkeypatch.delenv("VACFILTER_CONFIG")
+        code, out, err = run_cli(capsys, typed)
+        assert (code, out) == (0, plain), err
+        code, out, err = run_cli(capsys, ["acceptance"])
+        assert (code, out) == (2, "")
 
 
 SIMULATE_APD = ["simulate", "--detector", "apd", "--eta", "0.8", "--pd", "1e-3", "--p", "0.5",
