@@ -7,7 +7,9 @@ numerical failure.  A flat key=value config file pointed to by the
 VACFILTER_CONFIG environment variable supplies defaults; typed flags win,
 also over a config value of a flag they conflict with.  The file is read on
 every call; each subcommand's parser is built once per process, and the
-handler is looked up in COMMANDS when the command runs.
+handler is looked up in COMMANDS when the command runs.  A handler returns
+its table as ``(columns, rows)`` or ``(columns, rows, extras)``; ``main``
+writes it and picks the exit code.
 """
 
 from __future__ import annotations
@@ -56,16 +58,14 @@ def _provenance(args) -> dict:
         "tool": "vacfilter",
         "version": __version__,
         "command": " ".join(shlex.quote(a) for a in sys.argv),
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "conventions": CONVENTIONS,
     }
 
 
 def _emit(args, columns: list, rows: list, extra: dict | None = None):
-    """Write a table as CSV (with provenance comments) or JSON."""
-    fmt = getattr(args, "format", "csv")
-    out_path = getattr(args, "out", None)
-    if fmt == "json":
+    """Write a handler's table as CSV (with provenance comments) or JSON."""
+    if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "provenance": _provenance(args),
@@ -91,8 +91,8 @@ def _emit(args, columns: list, rows: list, extra: dict | None = None):
         for row in rows:
             writer.writerow(row)
         text = buf.getvalue()
-    if out_path:
-        with _open(out_path, "w", "--out") as fh:
+    if args.out:
+        with _open(args.out, "w", "--out") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -191,31 +191,27 @@ def cmd_acceptance(args):
     else:
         dets = (_build_detector(args),)
         cols = ["R_alpha_sq", "P_accept"]
-    _emit(args, cols, _rows(grid, *(acceptance_probability(d, np.sqrt(grid)) for d in dets)))
-    return 0
+    return cols, _rows(grid, *(acceptance_probability(d, np.sqrt(grid)) for d in dets))
 
 
 def cmd_error(args):
     det = _build_detector(args)
-    _emit(args, ["detector", "error_probability"], [[args.detector, error_probability(det)]])
-    return 0
+    return ["detector", "error_probability"], [[args.detector, error_probability(det)]]
 
 
 def cmd_sensitivity(args):
     det = _build_detector(args)
     s = metrics.sensitivity(det, args.tap)
     s_analytic = metrics.sensitivity(det, args.tap, analytic=True)
-    _emit(args, ["detector", "tap_reflectivity", "S", "S_over_R", "S_analytic"],
-          [[args.detector, args.tap, s, s / args.tap, s_analytic]])
-    return 0
+    return (["detector", "tap_reflectivity", "S", "S_over_R", "S_analytic"],
+            [[args.detector, args.tap, s, s / args.tap, s_analytic]])
 
 
 def cmd_gain(args):
     det = _build_detector(args)
     grid = _parse_grid(args.grid)
-    _emit(args, ["R_alpha_sq", "P_accept", "P_S", "G"],
-          _rows(grid, *metrics.gain_columns(det, args.p, grid)))
-    return 0
+    return (["R_alpha_sq", "P_accept", "P_S", "G"],
+            _rows(grid, *metrics.gain_columns(det, args.p, grid)))
 
 
 def cmd_simulate(args):
@@ -249,9 +245,7 @@ def cmd_simulate(args):
         extra["gain_undefined"] = (
             "no accepted trials" if res.n_accepted == 0 else "no coherent trials"
         )
-    _emit(args, ["detector", "R_alpha_sq", "P_accept", "stderr", "E", "P_S", "G"],
-          rows, extra=extra)
-    return 0
+    return ["detector", "R_alpha_sq", "P_accept", "stderr", "E", "P_S", "G"], rows, extra
 
 
 def cmd_marginal(args):
@@ -265,9 +259,7 @@ def cmd_marginal(args):
         post = posterior_mixture(mix, p_acc, error_probability(det))
         dens.append(marginal_density(post, xs))
         cols.append("density_filtered")
-    rows = [list(vals) for vals in zip(*dens)]
-    _emit(args, cols, rows)
-    return 0
+    return cols, [list(vals) for vals in zip(*dens)]
 
 
 def _tap_filter(args, tap: float):
@@ -296,20 +288,16 @@ def cmd_keyrate(args):
                                    erased_mode_variance=args.erased_variance,
                                    prefactor=prefactor)
         res = qkd.scenario_key_rate(scenario)
-    _emit(args, ["K_lower", "I_ab", "chi_bE", "P_S", "multiplier", "V", "T"],
-          [[res.k_lower, res.i_ab, res.chi_be, res.p_s, res.multiplier, V, T]])
-    return 0
+    return (["K_lower", "I_ab", "chi_bE", "P_S", "multiplier", "V", "T"],
+            [[res.k_lower, res.i_ab, res.chi_be, res.p_s, res.multiplier, V, T]])
 
 
 def cmd_pmin(args):
     flt = _tap_filter(args, 0.5)  # placeholder: the search optimizes T
     res = qkd.p_min_search(flt, precision=args.precision, protocol=args.protocol,
                            erased_mode_variance=args.erased_variance)
-    rows = [[p, k] for p, k in res.trace]
-    _emit(args, ["p", "max_K_lower"], rows,
-          extra={"p_min": res.p_min, "precision": res.precision,
-                 "bounded_below": res.bounded_below})
-    return 0
+    return (["p", "max_K_lower"], [[p, k] for p, k in res.trace],
+            {"p_min": res.p_min, "precision": res.precision, "bounded_below": res.bounded_below})
 
 
 def cmd_oracle(args):
@@ -319,6 +307,8 @@ def cmd_oracle(args):
 
     n_max = args.nmax
     rows = []
+    if args.oracle_command != "coherent" and not 0.0 <= args.tap <= 1.0:
+        raise ValueError(f"--tap is a reflectivity, must lie in [0, 1], got {args.tap}")
     if args.oracle_command == "coherent":
         st = fock.coherent_state(args.alpha, n_max)
         rows.append(["mean_photons", fock.mean_photon(st, 0), args.alpha ** 2])
@@ -343,8 +333,7 @@ def cmd_oracle(args):
         cm_g = gcond.components[0].cm.mat
         rows.append(["noclick_prob_fock", prob, w])
         rows.append(["max_cm_deviation", float(np.max(np.abs(cm_f - cm_g))), 0.0])
-    _emit(args, ["quantity", "value", "reference"], rows)
-    return 0
+    return ["quantity", "value", "reference"], rows
 
 
 # -- figure data -------------------------------------------------------------
@@ -366,8 +355,7 @@ def cmd_figures(args):
         cols = ["R_alpha_sq", "P_apd", "P_hds", "P_hdr"]
         rows = _rows(ns, *(acceptance_probability(d, np.sqrt(ns)) for d in dets_unit))
         mc_cols, mc_rows = _mc_acceptance_points(args, dets_unit, ns[::3])
-        _emit(args, cols, rows, extra={"mc_points": {"columns": mc_cols, "rows": mc_rows}})
-        return 0
+        return cols, rows, {"mc_points": {"columns": mc_cols, "rows": mc_rows}}
     if which == "fig5a":
         es = np.logspace(-4, math.log10(0.2), 40)
         rows = []
@@ -375,14 +363,12 @@ def cmd_figures(args):
             dets = _matched_trio(e)
             svals = [metrics.sensitivity(d, 1.0, analytic=True) for d in dets]
             rows.append([e, *svals])
-        _emit(args, ["E", "S_over_R_apd", "S_over_R_hds", "S_over_R_hdr"], rows)
-        return 0
+        return ["E", "S_over_R_apd", "S_over_R_hds", "S_over_R_hdr"], rows
     columns = [ns]  # fig5b and fig5c share their data
     for d in _matched_trio(FIG_ERROR):
         columns += metrics.gain_columns(d, FIG_P, ns)[1:]
     cols = ["R_alpha_sq", "Ps_apd", "G_apd", "Ps_hds", "G_hds", "Ps_hdr", "G_hdr"]
-    _emit(args, cols, _rows(*columns))
-    return 0
+    return cols, _rows(*columns)
 
 
 def _mc_acceptance_points(args, dets, ns):
@@ -449,9 +435,7 @@ def _figure3(args):
             res.hist_accepted.counts[1:-1],
         )
     ]
-    _emit(args, cols, rows, extra={"prep_error": leak,
-                                   "accepted_trials": res.n_accepted})
-    return 0
+    return cols, rows, {"prep_error": leak, "accepted_trials": res.n_accepted}
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +533,17 @@ COMMANDS = {
 # message).  A value is set unless it is None or a switch left off.  Values set
 # on both sides are rejected unless only one side was typed, in which case the
 # typed side wins over the config defaults.
+_ONE_THRESHOLD = (("threshold",), ("match_error",),
+                  "--threshold and --match-error both set the homodyne threshold; "
+                  "pass only one of them")
 CONFLICTS = {
     "acceptance": ((("matched_error",), ("detector", "eta", "pd", "threshold", "match_error"),
-                    "--matched-error sets its own detectors; drop the detector flags"),),
+                    "--matched-error sets its own detectors; drop the detector flags"),
+                   _ONE_THRESHOLD),
+    **dict.fromkeys(("error", "sensitivity", "gain", "marginal"), (_ONE_THRESHOLD,)),
     "simulate": ((("error_target",), ("prep_error",),
-                  "--error-target calibrates --prep-error; pass only one of them"),),
+                  "--error-target calibrates --prep-error; pass only one of them"),
+                 _ONE_THRESHOLD),
     "qkd keyrate": (
         (("no_filter",), ("eta", "pd", "tap", "prefactor"),
          "--no-filter drops the filter; drop --eta, --pd, --tap and --prefactor"),
@@ -694,12 +684,13 @@ def main(argv=None) -> int:
         source = "--out"
         if name == "figures" and not args.out:  # the default file is checked like a typed one
             args.out, source = f"{args.which}.{args.format}", "default output file"
-        if getattr(args, "out", None):  # an unopenable output file fails before the work
+        if args.out:  # an unopenable output file fails before the work
             existed = os.path.lexists(args.out)
             _open(args.out, "a", source).close()  # "a" leaves an existing file's bytes
             if not existed:
                 os.remove(args.out)
-        return COMMANDS[name][0](args)
+        _emit(args, *COMMANDS[name][0](args))
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ WEIGHT_TOL = 1e-12
 
 class NumericsError(RuntimeError):
     """A computation became numerically degenerate (singular matrix, vanishing
-    success probability, lost physicality beyond repair)."""
+    success probability)."""
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -41,18 +41,14 @@ class CovMatrix:
     """A validated 2n x 2n quadrature covariance matrix (vacuum = identity).
 
     Validation enforces symmetry to 1e-12, positivity of Gamma + i*Omega to
-    -1e-9 and symplectic eigenvalues >= 1 - 1e-9.  With ``repair=True`` the
-    matrix is symmetrized and, if needed, lifted by a small multiple of the
-    identity before validation; repair is off by default so that genuinely
-    unphysical inputs fail loudly.
+    -1e-9 and symplectic eigenvalues >= 1 - 1e-9; the stored matrix is the
+    symmetric part of the input.
     """
 
-    def __init__(self, mat, *, repair: bool = False):
+    def __init__(self, mat):
         mat = np.array(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
             raise ValueError(f"covariance matrix must be 2n x 2n, got {mat.shape}")
-        if repair:
-            mat = 0.5 * (mat + mat.T)
         asym = np.max(np.abs(mat - mat.T)) if mat.size else 0.0
         if asym > SYMMETRY_TOL:
             raise ValueError(f"covariance matrix not symmetric (max deviation {asym:.3e})")
@@ -62,17 +58,14 @@ class CovMatrix:
         herm = mat + 1j * omega
         min_eig = float(np.linalg.eigvalsh(herm).min())
         if min_eig < -PHYSICALITY_TOL:
-            if not repair:
-                raise ValueError(
-                    f"unphysical covariance matrix: min eig of Gamma + i Omega = {min_eig:.3e}"
-                )
-            mat = mat + (-min_eig + PHYSICALITY_TOL) * np.eye(2 * n)
-        if not repair:
-            nu_min = _symplectic_eigenvalues_raw(mat).min()
-            if nu_min < 1.0 - PHYSICALITY_TOL:
-                raise ValueError(
-                    f"unphysical covariance matrix: min symplectic eigenvalue {nu_min:.12f}"
-                )
+            raise ValueError(
+                f"unphysical covariance matrix: min eig of Gamma + i Omega = {min_eig:.3e}"
+            )
+        nu_min = _symplectic_eigenvalues_raw(mat).min()
+        if nu_min < 1.0 - PHYSICALITY_TOL:
+            raise ValueError(
+                f"unphysical covariance matrix: min symplectic eigenvalue {nu_min:.12f}"
+            )
         mat.setflags(write=False)
         self._mat = mat
 
@@ -336,7 +329,7 @@ def condition_on_noclick(state: GaussianMixtureState, tap_mode: int,
     if weight_off <= 0.0:
         raise NumericsError("no-click probability vanished; conditioning undefined")
     comps = tuple(
-        GaussianComponent(w / weight_off, mean, CovMatrix(cm, repair=True))
+        GaussianComponent(w / weight_off, mean, CovMatrix(cm))
         for w, (mean, cm) in zip(weights, conditioned)
     )
     return weight_off, GaussianMixtureState(comps)

@@ -15,7 +15,8 @@ the second-moment identity
     CV_click = (CV_all - P0 * CV_noclick) / P_S,      P_S = 1 - P0,
 
 where CV_all is the tap-traced covariance after the beam splitter and
-CV_noclick the no-click-conditioned one.
+CV_noclick the no-click-conditioned one.  Both evaluators write it per branch
+as sums of nonnegative terms, which keep their precision when P_S is small.
 
 Every reported rate comes from one closed-form kernel, ``_key_rate_grid``.
 The Gaussian-mixture route (``joint_state`` -> ``filtered_covariance`` ->
@@ -47,7 +48,6 @@ from .gaussian import (
     GaussianMixtureState,
     NumericsError,
     entropy_g,
-    mixture_covariance,
     symplectic_eigenvalues,
 )
 
@@ -134,7 +134,11 @@ def filtered_covariance(scenario: QkdScenario):
 
     Returns (CovMatrix, P_S, P0).  Means vanish by symmetry (every mixture
     component is zero-mean and all operations preserve that); a nonzero mean
-    raises NumericsError.
+    raises NumericsError.  A component of weight w, blocks Gamma_T (tap), C
+    (cross) and Gamma_R (Alice/Bob) and no-click weight w_off = w (1 - p_d)
+    kappa, kappa = c / sqrt(det S), S = Gamma_T - I + c I, c = 2/eta, adds
+    q = w - w_off = w ((det S - c^2) / (sqrt(det S) (sqrt(det S) + c)) + p_d
+    kappa) to P_S and q Gamma_R + w_off C S^-1 C^T to P_S CV_click.
     """
     flt = scenario.filter
     if flt is None:
@@ -146,17 +150,26 @@ def filtered_covariance(scenario: QkdScenario):
     if any(np.max(np.abs(comp.mean)) >= 1e-12 for comp in state.components):
         raise NumericsError("filtered state must be zero-mean")
 
-    cv_all = mixture_covariance(gaussian.drop_mode(state, 2))
-    p0, noclick = gaussian.condition_on_noclick(state, 2, flt.eta, flt.dark_prob)
-    cv_noclick = mixture_covariance(noclick)
-    p_s = 1.0 - p0
+    c = 2.0 / flt.eta
+    p_s = p0 = 0.0
+    moment = np.zeros((4, 4))
+    for comp in state.components:
+        g = comp.cm.mat
+        excess = g[4:, 4:] - np.eye(2)  # S = excess + c I, a 2 x 2 block
+        rise = c * np.trace(excess) + np.linalg.det(excess)  # det S - c^2
+        root = math.sqrt(c * c + rise)
+        kappa = c / root
+        q = comp.weight * (rise / (root * (root + c)) + flt.dark_prob * kappa)
+        w_off = comp.weight * (1.0 - flt.dark_prob) * kappa
+        gain = g[:4, 4:] @ np.linalg.solve(excess + c * np.eye(2), g[4:, :4])
+        moment += q * g[:4, :4] + w_off * gain
+        p_s, p0 = p_s + q, p0 + w_off
     if p_s <= MIN_SUCCESS_PROB:
         raise NumericsError(
             f"filter success probability degenerate (P_S = {p_s:.3e}); "
             "no click-conditioned state to analyze"
         )
-    cv_click = (cv_all - p0 * cv_noclick) / p_s
-    return CovMatrix(cv_click, repair=True), p_s, p0
+    return CovMatrix(moment / p_s), p_s, p0
 
 
 def _symmetric_form(cm) -> tuple:

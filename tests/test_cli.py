@@ -250,6 +250,15 @@ class TestGridFlags:
         _, rows = parse_csv(out)
         assert [float(rows[0][0]), float(rows[-1][0]), len(rows)] == [-1.0, 2.0, 13]
 
+    def test_step_that_does_not_divide_the_span_is_rounded(self, capsys):
+        # linspace(start, stop, round((stop - start) / step) + 1): 1 / 0.3 rounds to 3 steps
+        code, out, err = run_cli(capsys, ["acceptance", "--detector", "ideal",
+                                          "--grid", "0:1:0.3"])
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert [float(row[0]) for row in rows] == pytest.approx([0.0, 1 / 3, 2 / 3, 1.0],
+                                                                abs=1e-15)
+
 
 class TestSimulateCommand:
     def test_frozen_columns(self, capsys):
@@ -337,7 +346,12 @@ class TestOracleCommand:
         (["oracle", "noclick", "--V", "nan"], "variance must be >= 1"),
         (["oracle", "noclick", "--V", "inf"], "variance must be >= 1 and finite, got inf"),
         (["oracle", "noclick", "--pd", "1.5"], "dark_prob must lie in [0, 1]"),
-    ], ids=["coherent", "beamsplitter", "noclick-V", "noclick-V-inf", "noclick-pd"])
+        (["oracle", "beamsplitter", "--tap", "1.5"], "--tap is a reflectivity, must lie in"),
+        (["oracle", "noclick", "--tap", "-0.5"], "--tap is a reflectivity, must lie in"),
+        (["oracle", "noclick", "--eta", "0"], "efficiency must lie in (0, 1]"),
+        (["oracle", "noclick", "--pd", "1"], "zero-probability POVM outcome"),
+    ], ids=["coherent", "beamsplitter", "noclick-V", "noclick-V-inf", "noclick-pd",
+            "beamsplitter-tap", "noclick-tap", "noclick-eta-0", "noclick-pd-1"])
     def test_bad_inputs_exit_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, argv)
         assert code == 2
@@ -486,6 +500,19 @@ class TestCommandSurface:
         assert set(LEAF_ARGV) == {name for name, (func, _, _) in cli.COMMANDS.items() if func}
 
     @pytest.mark.parametrize("name", sorted(LEAF_ARGV))
+    def test_handler_returns_its_table_and_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                                          name):
+        monkeypatch.chdir(tmp_path)  # the figures command line names f.csv
+        args = cli.build_parser(invoked=name).parse_args(LEAF_ARGV[name])
+        table = cli.COMMANDS[name][0](args)
+        assert isinstance(table, tuple) and len(table) in (2, 3)
+        columns, rows, *extras = table
+        assert rows and all(len(row) == len(columns) for row in rows)
+        assert all(isinstance(extra, dict) and extra for extra in extras)
+        assert capsys.readouterr() == ("", "")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(LEAF_ARGV))
     @pytest.mark.parametrize("typed_only", [False, True])
     def test_pruned_parser_parses_as_the_full_tree(self, name, typed_only):
         argv = LEAF_ARGV[name]
@@ -525,6 +552,11 @@ class TestCommandSurface:
         ["qkd", "keyrate", "--optimize", "--eta", "0.63", "--pd", "5e-4", "--tap", "0.3"],
         ["qkd", "keyrate", "--no-filter", "--tap", "0.3"],
         ["qkd", "keyrate", "--no-filter", "--prefactor", "p_ps"],
+        *([*cmd, "--detector", "hds", "--eta", "0.9", "--threshold", "0.5",
+           "--match-error", "0.01"]
+          for cmd in (["acceptance"], ["error"], ["sensitivity"], ["gain", "--p", "0.1"],
+                      ["simulate", "--p", "0.5", "--alpha-sq", "1", "--trials", "1000"],
+                      ["marginal", "--p", "0.5", "--alpha-sq", "1"])),
     ])
     def test_flags_another_flag_overrides_are_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, argv)
@@ -582,8 +614,11 @@ class TestParserReuse:
         seen = []
         _, help_text, arguments = cli.COMMANDS["error"]
         monkeypatch.setitem(cli.COMMANDS, "error",
-                            (lambda args: seen.append(args) or 7, help_text, arguments))
-        assert run_cli(capsys, argv) == (7, "", "")
+                            (lambda args: seen.append(args) or (["stub"], [[7]]), help_text,
+                             arguments))
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert parse_csv(out) == (["stub"], [["7"]])
         assert [(a.detector, a.threshold) for a in seen] == [("hds", 1.0)]
         assert built == ["error"]  # the second call parsed with the first call's parser
 
@@ -675,6 +710,19 @@ class TestConfigFile:
                                           "--prep-error", "0.2"])
         assert code == 0, err
         assert json.loads(out)["prep_error"] == 0.2
+
+    def test_config_threshold_yields_to_typed_match_error(self, capsys, tmp_path,
+                                                           monkeypatch):
+        argv = ["error", "--detector", "hds", "--eta", "0.9", "--match-error", "0.01"]
+        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
+        code, plain, err = run_cli(capsys, argv)
+        assert code == 0, err
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("threshold = 0.5\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        assert parse_csv(out) == parse_csv(plain)
 
     def test_conflicting_config_values_rejected(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "vacfilter.conf"

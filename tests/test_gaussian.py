@@ -37,11 +37,12 @@ class TestCovMatrixValidation:
         with pytest.raises(ValueError, match="unphysical"):
             CovMatrix(0.5 * np.eye(2))
 
-    def test_repair_lifts_marginal_violation(self):
+    def test_marginal_violation_is_rejected(self):
         m = (1.0 - 5e-8) * np.eye(2)
-        CovMatrix(m, repair=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unphysical"):
             CovMatrix(m)
+        with pytest.raises(TypeError):  # no keyword lifts it into the physical set
+            CovMatrix(m, repair=True)
 
     def test_mixture_weights_must_sum_to_one(self):
         comp = GaussianComponent(0.5, np.zeros(2), CovMatrix(np.eye(2)))

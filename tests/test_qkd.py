@@ -1,6 +1,7 @@
 """Security analysis: joint state construction, click-conditioned covariance,
 key-rate formulas, weak-squeezing behavior and threshold searches."""
 
+import itertools
 import math
 
 import mpmath
@@ -140,6 +141,32 @@ class TestFilteredCovariance:
     def test_requires_filter(self):
         with pytest.raises(ValueError, match="filter"):
             filtered_covariance(QkdScenario(V=1.2, p=0.5))
+
+    @pytest.mark.parametrize("p, T, eta, pd", [
+        (0.05, 0.25, 1.0, math.exp(-16.1171875)),
+        (0.7041724048309983, 0.4749403252543701, 0.14840452079743174, 1.1061454742371669e-07)])
+    def test_vacuum_stays_vacuum_when_only_dark_counts_click(self, p, T, eta, pd):
+        # V = 1 sends vacuum, so the clicks are dark counts and the kept state
+        # is vacuum; forming it as CV_all - P0 CV_noclick over P_S ~ p_d leaves
+        # rounding of order eps / p_d ~ 2e-9, below the physical set
+        cv, p_s, _ = filtered_covariance(QkdScenario(1.0, p, TapFilter(1.0 - T, eta, pd)))
+        np.testing.assert_allclose(cv.mat, np.eye(4), rtol=0.0, atol=1e-15)
+        assert p_s == pytest.approx(pd, rel=1e-8)
+
+    @pytest.mark.parametrize("erased", ["marginal", "alphabet"])
+    @pytest.mark.parametrize("V", [1e3, 1e4])
+    def test_corners_pass_the_covariance_checks(self, V, erased):
+        # rounding is largest at the largest variances and the extreme p, T,
+        # eta and p_d; every matrix must pass CovMatrix's checks as built (no
+        # ValueError), while a degenerate P_S may raise NumericsError
+        for p, T, eta, pd in itertools.product([0.0, 1e-6, 0.5, 1.0], [0.005, 0.995],
+                                               [0.05, 1.0], [1e-7, 3e-2]):
+            sc = QkdScenario(V, p, TapFilter(1.0 - T, eta, pd), erased_mode_variance=erased)
+            try:
+                _, p_s, p0 = filtered_covariance(sc)
+            except NumericsError:
+                continue
+            assert 0.0 < p_s <= 1.0 and p_s + p0 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestKeyRate:
@@ -311,9 +338,9 @@ class TestKeyRateKernel:
         res, ref = scenario_key_rate(sc), reference_rate(sc)
         assert abs(res.k_lower - ref.k_lower) <= 1e-10
         assert abs(res.p_s - ref.p_s) <= 1e-10
-        # both evaluators divide click-weighted moments of order one by P_S, so
-        # the conditioned (a, b, c) carry rounding of order eps / P_S, and the
-        # entropies the g of it (up to ~1.5e-8 at V = 1 with P_S ~ p_d ~ 1e-7)
+        # the reference evaluator reads each branch's tap excess Gamma_T - I off
+        # the beam-splitter output, so its click weights carry rounding of order
+        # eps / P_S, and the entropies the g of it (~1e-9 with P_S ~ 1e-6)
         tol = 1e-10 + entropy_g(4.0 * np.finfo(float).eps / res.p_s)
         assert abs(res.i_ab - ref.i_ab) <= tol
         assert abs(res.chi_be - ref.chi_be) <= tol

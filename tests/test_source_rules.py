@@ -1,8 +1,9 @@
 """Source rules for the package: no ``assert`` statements (they vanish under
 ``python -O``), no bare or ``Exception``/``BaseException`` handlers (they
-swallow failures that should surface), and no scipy module but
+swallow failures that should surface), no scipy module but
 ``scipy.special`` (none at all in ``fock.py``), whose imports cost more than
-the rest of the package."""
+the rest of the package, and one writer of command output: only ``cli.main``
+calls ``cli._emit``, and only ``_emit`` writes to ``sys.stdout``."""
 
 import ast
 from pathlib import Path
@@ -102,3 +103,63 @@ def test_scipy_rule_catches_each_pattern(tmp_path):
         "fock.py:3: imports scipy.optimize", "fock.py:5: imports scipy.special",
         "fock.py:5: imports scipy.stats", "fock.py:6: imports scipy.special",
         "fock.py:7: imports scipy.special"]
+
+
+def _scoped(node, scope=None):
+    """(innermost enclosing function name, node) for every node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _scoped(child, inner)
+
+
+def _writes_stdout(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "stdout" and isinstance(node.value, ast.Name)
+                and node.value.id == "sys")
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "sys" and any(alias.name == "stdout" for alias in node.names)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "print" and not any(kw.arg == "file" for kw in node.keywords))
+
+
+def output_violations(path: Path) -> list:
+    """References to ``_emit`` outside ``cli.main``, and stdout writes (``sys.stdout``,
+    ``from sys import stdout``, ``print`` without ``file=``) outside ``cli._emit``."""
+    in_cli = path.name == "cli.py"
+    found = []
+    for scope, node in _scoped(ast.parse(path.read_text(), filename=str(path))):
+        emit = (isinstance(node, ast.Name) and node.id == "_emit"
+                or isinstance(node, ast.Attribute) and node.attr == "_emit")
+        if emit and not (in_cli and scope == "main"):
+            found.append(f"{path.name}:{node.lineno}: refers to _emit")
+        elif _writes_stdout(node) and not (in_cli and scope == "_emit"):
+            found.append(f"{path.name}:{node.lineno}: writes to sys.stdout")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_main_emits_and_only_emit_writes_stdout(path):
+    assert output_violations(path) == []
+
+
+def test_output_rule_catches_each_pattern(tmp_path):
+    lines = ("import sys\n"
+             "from sys import stdout\n"
+             "def _emit(args):\n    sys.stdout.write('x')\n    print('y', file=sys.stderr)\n"
+             "def main():\n    _emit(None)\n    print('z')\n"
+             "def cmd_x(args):\n    _emit(args)\n    sys.stdout.write('w')\n"
+             "    return cli._emit\n")
+    cli = tmp_path / "cli.py"
+    cli.write_text(lines)
+    assert output_violations(cli) == [
+        "cli.py:2: writes to sys.stdout", "cli.py:8: writes to sys.stdout",
+        "cli.py:10: refers to _emit", "cli.py:11: writes to sys.stdout",
+        "cli.py:12: refers to _emit"]
+    other = tmp_path / "other.py"
+    other.write_text(lines)
+    assert output_violations(other) == [
+        "other.py:2: writes to sys.stdout", "other.py:4: writes to sys.stdout",
+        "other.py:7: refers to _emit", "other.py:8: writes to sys.stdout",
+        "other.py:10: refers to _emit", "other.py:11: writes to sys.stdout",
+        "other.py:12: refers to _emit"]
