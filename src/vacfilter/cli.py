@@ -47,6 +47,7 @@ CONVENTIONS = {
 }
 SCHEMA_VERSION = 1
 MAX_GRID_POINTS = 10 ** 6  # --grid / --x specs asking for more are rejected
+MAX_NMAX = 100  # oracle --nmax above this is rejected before any state is built
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,7 @@ def _build_detector(args) -> object:
         else:
             raise ValueError("homodyne detector needs --threshold or --match-error")
         cls = HomodyneStabilized if kind == "hds" else HomodyneRandomized
-        return cls(eta=args.eta, threshold=b, efficiency_model=args.efficiency_model)
+        return cls(eta=args.eta, threshold=b, efficiency_model=args.efficiency_model or "linear")
     raise ValueError(f"unknown detector {kind!r}")
 
 
@@ -306,6 +307,8 @@ def cmd_oracle(args):
     from . import fock
 
     n_max = args.nmax
+    if not 0 <= n_max <= MAX_NMAX:
+        raise ValueError(f"--nmax must lie in [0, {MAX_NMAX}], got {n_max}")
     rows = []
     if args.oracle_command != "coherent" and not 0.0 <= args.tap <= 1.0:
         raise ValueError(f"--tap is a reflectivity, must lie in [0, 1], got {args.tap}")
@@ -450,8 +453,9 @@ _DETECTOR = (
     ("--threshold", {"type": float, "help": "homodyne threshold B"}),
     ("--match-error", {"type": float,
                        "help": "set the homodyne threshold from a target error probability"}),
-    ("--efficiency-model", {"choices": ["linear", "sqrt"], "default": "linear"}),
+    ("--efficiency-model", {"choices": ["linear", "sqrt"], "help": "default linear"}),
 )
+_DETECTOR_KEYS = tuple(flag[2:].replace("-", "_") for flag, _ in _DETECTOR)
 _SEED = ("--seed", {"type": int, "default": 2024})
 _FORMAT_OUT = (
     ("--format", {"choices": ["csv", "json"], "default": "csv"}),
@@ -537,7 +541,7 @@ _ONE_THRESHOLD = (("threshold",), ("match_error",),
                   "--threshold and --match-error both set the homodyne threshold; "
                   "pass only one of them")
 CONFLICTS = {
-    "acceptance": ((("matched_error",), ("detector", "eta", "pd", "threshold", "match_error"),
+    "acceptance": ((("matched_error",), _DETECTOR_KEYS,
                     "--matched-error sets its own detectors; drop the detector flags"),
                    _ONE_THRESHOLD),
     **dict.fromkeys(("error", "sensitivity", "gain", "marginal"), (_ONE_THRESHOLD,)),
@@ -551,6 +555,13 @@ CONFLICTS = {
     "qkd pmin": ((("no_filter",), ("eta", "pd"),
                   "--no-filter drops the filter; drop --eta and --pd"),),
 }
+
+# The detector flags each --detector kind reads; None is no detector (marginal
+# without a filter).  A typed flag the kind does not read is rejected, and a
+# config value of one is dropped.
+_HOMODYNE_READS = ("eta", "threshold", "match_error", "efficiency_model")
+DETECTOR_READS = {None: (), "ideal": (), "apd": ("eta", "pd"),
+                  "hds": _HOMODYNE_READS, "hdr": _HOMODYNE_READS}
 
 
 def build_parser(config: dict | None = None, typed_only: bool = False,
@@ -662,6 +673,23 @@ def _check_conflicts(args, name: str, typed: set | None):
             setattr(args, dest, None)
 
 
+def _check_detector_flags(args, typed: set | None):
+    """Apply DETECTOR_READS to ``args`` of a subcommand with the detector
+    flags; ``typed`` as in _check_conflicts."""
+    if not hasattr(args, "detector"):
+        return
+    kind = args.detector
+    for dest in _DETECTOR_KEYS[1:]:  # the flags after --detector itself
+        if getattr(args, dest) is None or dest in DETECTOR_READS[kind]:
+            continue
+        if typed is not None and dest not in typed:  # a config default is dropped
+            setattr(args, dest, None)
+            continue
+        flag = "--" + dest.replace("_", "-")
+        raise ValueError(f"--detector {kind} does not read {flag}; drop it" if kind
+                         else f"{flag} is read only with --detector")
+
+
 @functools.cache
 def _parser(invoked: str, typed_only: bool = False) -> argparse.ArgumentParser:
     """build_parser(typed_only=..., invoked=...), built once per process: it
@@ -681,6 +709,7 @@ def main(argv=None) -> int:
         leaf = getattr(args, f"{args.command}_command", None)
         name = " ".join(filter(None, (args.command, leaf)))
         _check_conflicts(args, name, typed)
+        _check_detector_flags(args, typed)
         source = "--out"
         if name == "figures" and not args.out:  # the default file is checked like a typed one
             args.out, source = f"{args.which}.{args.format}", "default output file"

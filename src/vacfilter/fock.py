@@ -6,11 +6,15 @@ total-photon sector, and detector POVMs are applied as explicit matrices.
 The beam splitter is an SU(2) rotation in every sector; its real blocks are
 built one photon at a time from the transformed creation operators, with no
 matrix exponential, and above n_max only in the columns of inputs on the grid,
-a window the recursion keeps closed.  Pure-state quadrature moments come
-from one real Gram matrix of the state and its 2m quadrature images.  This
+a window the recursion keeps closed.  Quadrature moments come from one
+real Gram matrix of the state and its 2m quadrature images.  This
 module is the numerical authority the Gaussian calculus is validated against;
-it is sized for at most three modes (pure states) or two modes (density
-operators) at the usual cutoffs.
+it is sized for at most three modes at the usual cutoffs.
+
+Every state is pure.  A mixed input is the reduced state of a pure one on more
+modes: a thermal mode of mean photon number n is either mode of the two-mode
+squeezed vacuum ``tmsv_state(2 n + 1, n_max)``, and ``reduced_density`` and
+``von_neumann_entropy`` read one mode's reduced state.
 
 Quadrature moments are reported in the covariance-matrix convention of
 :mod:`vacfilter.gaussian` (vacuum variance 1); quadrature-interval POVMs take
@@ -34,31 +38,20 @@ class TruncationError(ValueError):
 
 @dataclass
 class FockState:
-    """State on a truncated Fock grid: either a pure amplitude tensor ``vec``
-    of shape (n_max+1,)^m or a density tensor ``rho`` of shape
-    (n_max+1,)^(2m) with ket axes first.  ``deficit`` accumulates probability
-    lost to the cutoff by construction or beam-splitter truncation."""
+    """Pure state on a truncated Fock grid: an amplitude tensor ``vec`` of
+    shape (n_max+1,)^m.  ``deficit`` accumulates probability lost to the
+    cutoff by construction or beam-splitter truncation."""
 
     n_max: int
-    vec: np.ndarray | None = None
-    rho: np.ndarray | None = None
+    vec: np.ndarray
     deficit: float = 0.0
 
     @property
     def n_modes(self) -> int:
-        if self.vec is not None:
-            return self.vec.ndim
-        return self.rho.ndim // 2
-
-    @property
-    def is_pure(self) -> bool:
-        return self.vec is not None
+        return self.vec.ndim
 
     def trace(self) -> float:
-        if self.vec is not None:
-            return float(np.vdot(self.vec, self.vec).real)
-        m = self.n_modes
-        return float(np.einsum(self.rho, list(range(m)) * 2).real)
+        return float(np.vdot(self.vec, self.vec).real)
 
 
 def _log_factorials(n_max: int) -> np.ndarray:
@@ -127,25 +120,8 @@ def tmsv_state(V: float, n_max: int) -> FockState:
     return FockState(n_max, vec=vec, deficit=tail)
 
 
-def thermal_state(n_bar: float, n_max: int) -> FockState:
-    """Thermal state of mean photon number n_bar (quadrature variance
-    2 n_bar + 1), stored as a diagonal density tensor."""
-    if not n_bar >= 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {n_bar}")
-    n = np.arange(n_max + 1)
-    probs = n_bar ** n / (n_bar + 1.0) ** (n + 1)
-    tail = float(max(0.0, 1.0 - probs.sum()))
-    if tail > TRUNCATION_GUARD:
-        raise TruncationError(f"cutoff {n_max} too small for n_bar = {n_bar}")
-    rho = np.diag(probs.astype(complex))
-    return FockState(n_max, rho=rho, deficit=tail)
-
-
 def tensor(a: FockState, b: FockState) -> FockState:
-    """Tensor product of two pure states (density products are handled by the
-    callers by decomposing into pure components)."""
-    if not (a.is_pure and b.is_pure):
-        raise ValueError("tensor products are implemented for pure states only")
+    """Tensor product of two states on the same cutoff."""
     if a.n_max != b.n_max:
         raise ValueError("cutoffs differ")
     vec = np.tensordot(a.vec, b.vec, axes=0)
@@ -166,17 +142,9 @@ def _apply_axis(op: np.ndarray, tensor_: np.ndarray, axis: int) -> np.ndarray:
 
 
 def apply_mode_operator(state: FockState, op: np.ndarray, mode: int) -> FockState:
-    """Left-apply a single-mode operator: |psi> -> op|psi>, rho -> op rho op†.
-
-    The operator is not assumed unitary; no renormalization is performed.
-    """
-    if state.is_pure:
-        return FockState(state.n_max, vec=_apply_axis(op, state.vec, mode),
-                         deficit=state.deficit)
-    m = state.n_modes
-    rho = _apply_axis(op, state.rho, mode)
-    rho = _apply_axis(op.conj(), rho, m + mode)
-    return FockState(state.n_max, rho=rho, deficit=state.deficit)
+    """|psi> -> op|psi> for a single-mode operator, which need not be unitary;
+    the result is not renormalized."""
+    return FockState(state.n_max, vec=_apply_axis(op, state.vec, mode), deficit=state.deficit)
 
 
 def displace(state: FockState, mode: int, alpha: complex) -> FockState:
@@ -246,15 +214,8 @@ def fock_beamsplitter(state: FockState, mode_i: int, mode_j: int,
     if mode_i == mode_j:
         raise ValueError("beam splitter needs two distinct modes")
     blocks = _bs_blocks(np.arccos(np.clip(np.sqrt(transmissivity), 0.0, 1.0)), state.n_max)
-    if state.is_pure:
-        vec, lost = _bs_apply(state.vec, mode_i, mode_j, blocks, state.n_max)
-        return FockState(state.n_max, vec=vec, deficit=state.deficit + lost)
-    m = state.n_modes
-    rho, _ = _bs_apply(state.rho, mode_i, mode_j, blocks, state.n_max)
-    rho, _ = _bs_apply(rho, m + mode_i, m + mode_j, blocks, state.n_max)  # real blocks
-    tr_after = float(np.einsum(rho, list(range(m)) * 2).real)
-    return FockState(state.n_max, rho=rho,
-                     deficit=state.deficit + max(0.0, 1.0 - state.deficit - tr_after))
+    vec, lost = _bs_apply(state.vec, mode_i, mode_j, blocks, state.n_max)
+    return FockState(state.n_max, vec=vec, deficit=state.deficit + lost)
 
 
 def _bs_apply(tensor_: np.ndarray, ax_i: int, ax_j: int, blocks: list, n_max: int):
@@ -352,40 +313,17 @@ def povm_expectation(state: FockState, mode: int, povm):
     prob = updated.trace()
     if prob <= 0.0:
         raise ValueError("zero-probability POVM outcome; conditioning undefined")
-    if updated.is_pure:
-        vec = updated.vec / np.sqrt(prob)
-        return float(prob), FockState(state.n_max, vec=vec, deficit=state.deficit)
-    return float(prob), FockState(state.n_max, rho=updated.rho / prob, deficit=state.deficit)
+    vec = updated.vec / np.sqrt(prob)
+    return float(prob), FockState(state.n_max, vec=vec, deficit=state.deficit)
 
 
 # ---------------------------------------------------------------------------
 # moments (reported in the vacuum-variance-1 convention)
 # ---------------------------------------------------------------------------
 
-def _expectation(state: FockState, ops_by_mode: dict) -> complex:
-    """<prod_k O_k> with one (already multiplied) matrix per involved mode."""
-    if state.is_pure:
-        work = state.vec
-        for mode, op in ops_by_mode.items():
-            work = _apply_axis(op, work, mode)
-        return complex(np.vdot(state.vec, work))
-    m = state.n_modes
-    work = state.rho
-    for mode, op in ops_by_mode.items():
-        work = _apply_axis(op, work, mode)
-    return complex(np.einsum(work, list(range(m)) * 2))
-
-
-def quadrature_matrices(n_max: int):
-    a = lowering_matrix(n_max)
-    x = a + a.conj().T
-    p = 1j * (a.conj().T - a)
-    return x, p
-
-
 def _quadrature_gram(state: FockState) -> np.ndarray:
-    """Real Gram matrix Re<u_i|u_j> of u = (psi, x1 psi, p1 psi, ..., pm psi)
-    for a pure state.  The quadratures are hermitian on the truncated grid, so
+    """Real Gram matrix Re<u_i|u_j> of u = (psi, x1 psi, p1 psi, ..., pm psi).
+    The quadratures are hermitian on the truncated grid, so
     row 0 holds the norm and the means, and Re<O_i psi|O_j psi> is the
     symmetrized second moment <(O_i O_j + O_j O_i)/2>."""
     root = np.sqrt(np.arange(1.0, state.n_max + 1))
@@ -404,69 +342,34 @@ def _quadrature_gram(state: FockState) -> np.ndarray:
 
 def mean_vector(state: FockState) -> np.ndarray:
     """Quadrature means (x1, p1, ...) with x = a + a† (vacuum variance 1)."""
-    if state.is_pure:
-        return _quadrature_gram(state)[0, 1:]
-    x, p = quadrature_matrices(state.n_max)
-    out = np.zeros(2 * state.n_modes)
-    for mode in range(state.n_modes):
-        out[2 * mode] = _expectation(state, {mode: x}).real
-        out[2 * mode + 1] = _expectation(state, {mode: p}).real
-    return out
+    return _quadrature_gram(state)[0, 1:]
 
 
 def covariance_matrix(state: FockState) -> np.ndarray:
     """Symmetrized quadrature covariance matrix in vacuum-variance-1 units."""
-    if state.is_pure:
-        gram = _quadrature_gram(state)
-        return gram[1:, 1:] - np.outer(gram[0, 1:], gram[0, 1:])
-    x, p = quadrature_matrices(state.n_max)
-    quads = [(k // 2, x if k % 2 == 0 else p) for k in range(2 * state.n_modes)]
-    mean = mean_vector(state)
-    dim = 2 * state.n_modes
-    cm = np.zeros((dim, dim))
-    for i in range(dim):
-        mode_i, op_i = quads[i]
-        for j in range(i, dim):
-            mode_j, op_j = quads[j]
-            if mode_i == mode_j:
-                sym = 0.5 * (op_i @ op_j + op_j @ op_i)
-                val = _expectation(state, {mode_i: sym}).real
-            else:
-                val = _expectation(state, {mode_i: op_i, mode_j: op_j}).real
-            cm[i, j] = cm[j, i] = val - mean[i] * mean[j]
-    return cm
+    gram = _quadrature_gram(state)
+    return gram[1:, 1:] - np.outer(gram[0, 1:], gram[0, 1:])
 
 
 def mean_photon(state: FockState, mode: int) -> float:
     a = lowering_matrix(state.n_max)
-    return _expectation(state, {mode: a.conj().T @ a}).real
+    return complex(np.vdot(state.vec, _apply_axis(a.conj().T @ a, state.vec, mode))).real
 
 
 def reduced_density(state: FockState, keep_mode: int) -> np.ndarray:
-    """Single-mode reduced density matrix (for pure multimode states)."""
-    if not state.is_pure:
-        if state.n_modes == 1:
-            return state.rho
-        raise ValueError("reduced_density of mixed states supports one mode only")
+    """Reduced density matrix of one mode."""
     work = np.moveaxis(state.vec, keep_mode, 0)
     flat = work.reshape(work.shape[0], -1)
     return flat @ flat.conj().T
 
 
-def von_neumann_entropy(state: FockState) -> float:
-    """Entropy in bits; zero for pure states by construction."""
-    if state.is_pure:
-        return 0.0
-    m = state.n_modes
-    dim = (state.n_max + 1) ** m
-    rho = state.rho.reshape(dim, dim)
-    evals = np.linalg.eigvalsh(rho).real
+def von_neumann_entropy(state: FockState, mode: int) -> float:
+    """Entropy in bits of one mode's reduced density matrix."""
+    evals = np.linalg.eigvalsh(reduced_density(state, mode))
     evals = evals[evals > 1e-15]
     return float(-(evals * np.log2(evals)).sum())
 
 
 def fidelity(a: FockState, b: FockState) -> float:
-    """|<a|b>|^2 for pure states."""
-    if not (a.is_pure and b.is_pure):
-        raise ValueError("fidelity implemented for pure states only")
+    """|<a|b>|^2."""
     return float(abs(np.vdot(a.vec, b.vec)) ** 2)

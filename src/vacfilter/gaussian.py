@@ -248,18 +248,6 @@ def apply_beamsplitter(state: GaussianMixtureState, mode_i: int, mode_j: int,
     return apply_symplectic(state, S)
 
 
-def drop_mode(state: GaussianMixtureState, mode: int) -> GaussianMixtureState:
-    """Trace out one mode (delete its rows/columns from means and CMs)."""
-    if not 0 <= mode < state.n_modes:
-        raise ValueError(f"mode index {mode} out of range")
-    keep = [k for k in range(2 * state.n_modes) if k // 2 != mode]
-    comps = tuple(
-        GaussianComponent(c.weight, c.mean[keep], CovMatrix(c.cm.mat[np.ix_(keep, keep)]))
-        for c in state.components
-    )
-    return GaussianMixtureState(comps)
-
-
 # ---------------------------------------------------------------------------
 # on/off detector conditioning
 # ---------------------------------------------------------------------------

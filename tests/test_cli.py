@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import vacfilter
-from vacfilter import cli, montecarlo
+from vacfilter import cli, fock, montecarlo
 from vacfilter.cli import main
 
 # minimal schema for the JSON output envelope
@@ -34,6 +34,9 @@ JSON_SCHEMA = {
 
 SRC = Path(vacfilter.__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
+# Oracle command outputs without the provenance command line, recorded with one
+# BLAS thread (conftest.py) while fock.py still carried density operators.
+ORACLE_GOLDEN = json.loads((DATA / "oracle_golden.json").read_text())["cases"]
 
 
 def run_cli(capsys, argv):
@@ -350,13 +353,42 @@ class TestOracleCommand:
         (["oracle", "noclick", "--tap", "-0.5"], "--tap is a reflectivity, must lie in"),
         (["oracle", "noclick", "--eta", "0"], "efficiency must lie in (0, 1]"),
         (["oracle", "noclick", "--pd", "1"], "zero-probability POVM outcome"),
+        (["oracle", "coherent", "--nmax", "-1", "--alpha", "0"],
+         "--nmax must lie in [0, 100], got -1"),
+        (["oracle", "noclick", "--nmax", "100000"], "--nmax must lie in [0, 100], got 100000"),
+        (["oracle", "beamsplitter", "--nmax", "101"], "--nmax must lie in [0, 100], got 101"),
     ], ids=["coherent", "beamsplitter", "noclick-V", "noclick-V-inf", "noclick-pd",
-            "beamsplitter-tap", "noclick-tap", "noclick-eta-0", "noclick-pd-1"])
+            "beamsplitter-tap", "noclick-tap", "noclick-eta-0", "noclick-pd-1",
+            "coherent-nmax-negative", "noclick-nmax-huge", "beamsplitter-nmax-101"])
     def test_bad_inputs_exit_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, argv)
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_nmax_checked_before_any_state_is_built(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a Fock state was built")
+
+        for name in ("vacuum_state", "coherent_state", "tmsv_state"):
+            monkeypatch.setattr(fock, name, never)
+        for command in ("coherent", "beamsplitter", "noclick"):
+            code, _, err = run_cli(capsys, ["oracle", command, "--nmax", "100000"])
+            assert code == 2
+            assert "--nmax must lie in" in err
+
+    @pytest.mark.parametrize("n_max", [0, cli.MAX_NMAX])
+    def test_nmax_bounds_are_inclusive(self, capsys, n_max):
+        code, _, err = run_cli(capsys, ["oracle", "coherent", "--alpha", "0",
+                                        "--nmax", str(n_max)])
+        assert code == 0, err
+
+    @pytest.mark.parametrize("case", ORACLE_GOLDEN, ids=lambda c: " ".join(c["argv"][1:]))
+    def test_output_bytes_pinned(self, capsys, case):
+        code, out, err = run_cli(capsys, case["argv"])
+        assert code == 0, err
+        lines = out.splitlines(keepends=True)
+        assert "".join(ln for ln in lines if not ln.startswith("# command:")) == case["output"]
 
     def test_beamsplitter_check(self, capsys):
         code, out, _ = run_cli(capsys, ["oracle", "beamsplitter", "--alpha", "1.0",
@@ -564,6 +596,21 @@ class TestCommandSurface:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["error", "--detector", "ideal", "--eta", "0.5", "--pd", "0.3"], "--eta"),
+        (["error", "--detector", "apd", "--eta", "0.9", "--threshold", "0.5"], "--threshold"),
+        (["error", "--detector", "hds", "--eta", "0.9", "--threshold", "0.5", "--pd", "0.1"],
+         "--pd"),
+        (["error", "--detector", "apd", "--eta", "0.9", "--efficiency-model", "sqrt"],
+         "--efficiency-model"),
+        (["marginal", "--p", "0.5", "--alpha-sq", "1", "--eta", "0.5"], "--eta"),
+    ])
+    def test_detector_flags_the_kind_does_not_read_are_rejected(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+
     def test_prep_error_defaults_to_zero(self, capsys):
         argv = ["simulate", "--detector", "ideal", "--p", "0.5", "--alpha-sq", "1",
                 "--trials", "1000", "--format", "json"]
@@ -723,6 +770,27 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, argv)
         assert code == 0, err
         assert parse_csv(out) == parse_csv(plain)
+
+    def test_config_detector_flag_the_kind_does_not_read_is_dropped(self, capsys, tmp_path,
+                                                                     monkeypatch):
+        argv = ["sensitivity", "--detector", "hds", "--eta", "0.9", "--threshold", "0.5"]
+        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
+        outputs = {}
+        for model in ("linear", "sqrt"):
+            code, outputs[model], err = run_cli(capsys, [*argv, "--efficiency-model", model])
+            assert code == 0, err
+        assert parse_csv(outputs["linear"]) != parse_csv(outputs["sqrt"])
+        cfg = tmp_path / "vacfilter.conf"
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        cfg.write_text("pd = 0.1\nefficiency_model = sqrt\n")
+        code, out, err = run_cli(capsys, argv)  # hds reads the model, not pd
+        assert code == 0, err
+        assert parse_csv(out) == parse_csv(outputs["sqrt"])
+        code, out, err = run_cli(capsys, ["error", "--detector", "ideal"])
+        assert code == 0, err
+        code, out, err = run_cli(capsys, [*argv, "--pd", "0.1"])  # typed, it is rejected
+        assert code == 2
+        assert "--pd" in err
 
     def test_conflicting_config_values_rejected(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "vacfilter.conf"

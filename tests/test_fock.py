@@ -23,23 +23,16 @@ _BS_GOLDEN = json.loads(
 def _golden_case(case):
     """The input state of a golden case and its beam-splitter output."""
     rng = np.random.default_rng(case["seed"])
-    n_max, n_modes = case["n_max"], case["n_modes"]
-    shape = (n_max + 1,) * n_modes
-    if case["route"] == "pure":
-        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        st = fock.FockState(n_max, vec=psi / np.linalg.norm(psi))
-    else:
-        # a rank-3 mixture, so every sector and coherence is populated
-        amps = rng.normal(size=shape + (3,)) + 1j * rng.normal(size=shape + (3,))
-        rho = np.tensordot(amps, amps.conj(), axes=([n_modes], [n_modes]))
-        st = fock.FockState(n_max, rho=rho / np.einsum(rho, list(range(n_modes)) * 2).real)
+    n_max = case["n_max"]
+    shape = (n_max + 1,) * case["n_modes"]
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    st = fock.FockState(n_max, vec=psi / np.linalg.norm(psi))
     return fock.fock_beamsplitter(st, *case["modes"], case["transmissivity"])
 
 
 def _golden_record(out):
-    tensor_ = out.vec if out.is_pure else out.rho
-    return {"sha256": hashlib.sha256(tensor_.tobytes()).hexdigest(),
-            "strides": [s // tensor_.itemsize for s in tensor_.strides],
+    return {"sha256": hashlib.sha256(out.vec.tobytes()).hexdigest(),
+            "strides": [s // out.vec.itemsize for s in out.vec.strides],
             "deficit": repr(out.deficit)}
 
 
@@ -72,9 +65,9 @@ class TestConstructors:
         with pytest.raises(ValueError, match="must be >= 1"):
             fock.tmsv_state(np.nan, 10)
 
-    def test_thermal_rejects_nan_photon_number(self):
-        with pytest.raises(ValueError, match="must be >= 0"):
-            fock.thermal_state(np.nan, 10)
+    def test_states_are_amplitude_tensors_only(self):
+        with pytest.raises(TypeError):
+            fock.FockState(5, rho=np.eye(6))
 
     def test_tmsv_reduced_variance(self):
         st = fock.tmsv_state(1.2, 30)
@@ -90,9 +83,11 @@ class TestConstructors:
         )
 
     def test_thermal_moments(self):
-        st = fock.thermal_state(0.25, 60)
+        # a thermal mode of mean photon number 0.25 is either half of the
+        # two-mode squeezed vacuum of variance 2 * 0.25 + 1
+        st = fock.tmsv_state(1.5, 60)
         assert fock.mean_photon(st, 0) == pytest.approx(0.25, abs=1e-10)
-        cm = fock.covariance_matrix(st)
+        cm = fock.covariance_matrix(st)[:2, :2]
         np.testing.assert_allclose(cm, 1.5 * np.eye(2), atol=1e-10)
 
     def test_number_state_moments(self):
@@ -162,29 +157,6 @@ class TestBeamSplitter:
     def test_output_matches_the_recorded_digests(self, case):
         assert _golden_record(_golden_case(case)) == {
             key: case[key] for key in ("sha256", "strides", "deficit")}
-
-    def test_density_route_matches_pure_route(self):
-        # same physical state via vec and via rho
-        st = fock.tensor(fock.coherent_state(0.8, 15), fock.vacuum_state(15))
-        pure = fock.fock_beamsplitter(st, 0, 1, 0.6)
-        rho_in = np.tensordot(st.vec, st.vec.conj(), axes=0)  # ket x bra tensor
-        rho_state = fock.FockState(15, rho=rho_in)
-        mixed = fock.fock_beamsplitter(rho_state, 0, 1, 0.6)
-        np.testing.assert_allclose(
-            fock.covariance_matrix(mixed), fock.covariance_matrix(pure), atol=1e-10
-        )
-
-    def test_density_route_matches_pure_route_on_three_modes(self):
-        # a generic state: every cross-mode second moment is non-zero
-        rng = np.random.default_rng(9)
-        psi = rng.normal(size=(6, 6, 6)) + 1j * rng.normal(size=(6, 6, 6))
-        psi /= np.linalg.norm(psi)
-        pure = fock.FockState(5, vec=psi)
-        mixed = fock.FockState(5, rho=np.tensordot(psi, psi.conj(), axes=0))
-        np.testing.assert_allclose(fock.mean_vector(pure), fock.mean_vector(mixed),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(fock.covariance_matrix(pure), fock.covariance_matrix(mixed),
-                                   rtol=0, atol=1e-12)
 
 
 class TestPovms:
@@ -279,11 +251,8 @@ class TestDisplacementAndRotation:
         rng = np.random.default_rng(n_max)
         vec = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
         vec /= np.linalg.norm(vec)
-        mixed = 0.5 * np.outer(vec, vec.conj()) + 0.5 * np.diag(rng.dirichlet(np.ones(n_max + 1)))
         np.testing.assert_allclose(fock.displace(fock.FockState(n_max, vec=vec), 0, alpha).vec,
                                    ref @ vec, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(fock.displace(fock.FockState(n_max, rho=mixed), 0, alpha).rho,
-                                   ref @ mixed @ ref.conj().T, rtol=0, atol=1e-13)
         eye = np.eye(n_max + 1)
         d = np.column_stack([fock.displace(fock.FockState(n_max, vec=col.astype(complex)), 0,
                                            alpha).vec for col in eye])
@@ -317,4 +286,11 @@ class TestTruncationConvergence:
         np.testing.assert_allclose(vals[0][1], vals[1][1], atol=1e-8)
 
     def test_entropy_of_pure_state_is_zero(self):
-        assert fock.von_neumann_entropy(fock.tmsv_state(1.5, 20)) == 0.0
+        # a mode of a product of pure states is pure; both halves of an
+        # entangled pure pair carry the same entropy
+        product = fock.tensor(fock.coherent_state(0.7 - 0.2j, 20), fock.vacuum_state(20))
+        assert fock.von_neumann_entropy(product, 0) == pytest.approx(0.0, abs=1e-12)
+        assert fock.von_neumann_entropy(product, 1) == 0.0
+        tmsv = fock.tmsv_state(1.5, 20)
+        assert fock.von_neumann_entropy(tmsv, 0) == pytest.approx(
+            fock.von_neumann_entropy(tmsv, 1), abs=1e-12)

@@ -175,11 +175,12 @@ class TestSpectraAndEntropy:
         assert gaussian_entropy(3.0 * np.eye(2)) == pytest.approx(2.0, abs=1e-12)
 
     def test_thermal_entropy_matches_fock(self):
+        # the thermal mode of this variance is either half of the two-mode
+        # squeezed vacuum of the same variance
         variance = 1.5
-        n_bar = (variance - 1.0) / 2.0
-        st = fock.thermal_state(n_bar, 60)
+        st = fock.tmsv_state(variance, 60)
         assert gaussian_entropy(variance * np.eye(2)) == pytest.approx(
-            fock.von_neumann_entropy(st), abs=1e-6
+            fock.von_neumann_entropy(st, 0), abs=1e-6
         )
 
     def test_entropy_invariant_under_beamsplitter(self):
@@ -257,8 +258,3 @@ class TestMixtureMoments:
         # x-variance 1 (vacuum) + 4 (spread of means +-2)
         assert cm[0, 0] == pytest.approx(5.0)
         assert cm[1, 1] == pytest.approx(1.0)
-
-    def test_drop_mode(self):
-        state = gaussian.tensor(gaussian.thermal(1.8), gaussian.vacuum(1))
-        reduced = gaussian.drop_mode(state, 1)
-        np.testing.assert_allclose(reduced.components[0].cm.mat, 1.8 * np.eye(2))

@@ -55,11 +55,9 @@ class TestJointState:
 
         tmsv_cm = fock.covariance_matrix(fock.tmsv_state(V, n_max))
         # erased branch: Alice keeps her squeezed-pair marginal (thermal of
-        # variance V), Bob gets vacuum
-        n_bar = (V - 1.0) / 2.0
-        th = fock.thermal_state(n_bar, n_max)
+        # variance V, the reduced state of mode 0 of the pair), Bob gets vacuum
         erased_cm = np.eye(4)
-        erased_cm[:2, :2] = fock.covariance_matrix(th)
+        erased_cm[:2, :2] = tmsv_cm[:2, :2]
         np.testing.assert_allclose(cm, p * tmsv_cm + (1 - p) * erased_cm, atol=1e-6)
 
     def test_alphabet_variance_variant(self):
