@@ -158,6 +158,8 @@ def _build_detector(args) -> object:
             raise ValueError("homodyne detector needs --threshold or --match-error")
         cls = HomodyneStabilized if kind == "hds" else HomodyneRandomized
         return cls(eta=args.eta, threshold=b, efficiency_model=args.efficiency_model or "linear")
+    if kind is None:
+        raise ValueError("--detector is required: one of " + ", ".join(_DETECTOR[0][1]["choices"]))
     raise ValueError(f"unknown detector {kind!r}")
 
 

@@ -11,8 +11,11 @@ from a Philox stream keyed by (seed, t // BLOCK_SIZE), so results are
 bit-identical for any worker count and any partitioning of the trial range.
 Normal variates are produced from uniforms by the inverse CDF, never by
 rejection sampling, to keep the per-trial consumption fixed.  Each block's
-verification quadratures are binned once, by an arithmetic bin index that
-equals ``searchsorted(edges, x, side="right")``, into both histograms.
+verification quadratures are binned once, by an arithmetic bin index (a
+truncated multiply, then one exact comparison each way against the edges)
+that equals ``searchsorted(edges, x, side="right")``; one ``bincount`` of that
+index with the trial's truth and acceptance bits appended gives the four
+counts and both histograms.
 
 ``run_sweep`` evaluates configurations that share seed, trials and workers
 on the same trials: it draws each block once (the uniforms and the normal
@@ -24,7 +27,9 @@ estimates, not independent ones.  A block's variates, trial columns and bin
 indices are computed in place wherever the arithmetic allows (the same
 operations in the same order, so the same bits): a block then frees less
 than glibc's heap-trim threshold, and the next block finds its pages still
-mapped instead of faulting them back in.
+mapped instead of faulting them back in.  Values chosen by a trial's truth
+are gathered from a two-entry table: ``np.where`` branches on each entry of
+a random mask.
 
 ``sample_trials`` returns the first n trials of the same stream as
 ``TrialRecords``: four numpy columns (truth, tap outcome, decision,
@@ -83,8 +88,8 @@ class McConfig:
             raise ValueError("need at least one trial")
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        if not self.prep_error >= 0.0:
-            raise ValueError("prep_error is an amplitude magnitude, must be >= 0")
+        if not 0.0 <= self.prep_error < math.inf:
+            raise ValueError("prep_error is an amplitude magnitude, must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -273,6 +278,11 @@ class _Draws:
         return _normals(self.u[:, 3])
 
 
+def _select(truth: np.ndarray, if_true: float, if_false: float) -> np.ndarray:
+    """``np.where(truth, if_true, if_false)`` for two scalars, bit for bit, as a gather."""
+    return np.array([if_false, if_true]).take(truth.view(np.uint8))
+
+
 def _trials(cfg: McConfig, draws: _Draws):
     """One configuration's trials on one block's draws as arrays
     (truth, tap_outcome, accepted, verify_x): the single implementation of the
@@ -288,10 +298,10 @@ def _trials(cfg: McConfig, draws: _Draws):
     if isinstance(det, (IdealOnOff, Apd)):
         p_sig = acceptance_probability(det, sqrt_r * alpha)
         p_vac = acceptance_probability(det, sqrt_r * cfg.prep_error)
-        accepted = u[:, 1] < np.where(truth, p_sig, p_vac)
+        accepted = u[:, 1] < _select(truth, p_sig, p_vac)
         tap_outcome = accepted
     elif isinstance(det, Homodyne):
-        tap_outcome = np.where(truth, sqrt_r * alpha, sqrt_r * cfg.prep_error)
+        tap_outcome = _select(truth, sqrt_r * alpha, sqrt_r * cfg.prep_error)
         tap_outcome *= effective_displacement(det, 1.0)
         if isinstance(det, HomodyneRandomized):
             tap_outcome *= draws.cos_phase
@@ -300,43 +310,40 @@ def _trials(cfg: McConfig, draws: _Draws):
     else:
         raise TypeError(f"unknown detector {det!r}")
 
-    verify_x = np.where(truth, sqrt_t * alpha, sqrt_t * cfg.prep_error)
+    verify_x = _select(truth, sqrt_t * alpha, sqrt_t * cfg.prep_error)
     verify_x += draws.verify_noise
     return truth, tap_outcome, accepted, verify_x
 
 
-def _bin_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(edges, x, side="right")`` for evenly spaced edges:
-    an arithmetic guess, then an exact +-1 fix-up against the edges."""
-    n = len(edges)
-    guess = x - edges[0]
-    guess /= (edges[-1] - edges[0]) / (n - 1)
-    np.floor(guess, out=guess)
-    k = np.clip(guess, -1, n - 1, out=guess).astype(np.intp)
+def _bin_index(padded: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(edges, x, side="right")`` for evenly spaced edges and
+    finite x, given ``padded = [-inf, *edges, inf]``: an arithmetic guess, then
+    an exact +-1 fix-up against the edges."""
+    n = len(padded) - 2
+    guess = x - padded[1]
+    guess *= (n - 1) / (padded[-2] - padded[1])
+    guess += 1.0
+    np.maximum(guess, 0.0, out=guess)
+    np.minimum(guess, n, out=guess)
+    k = guess.astype(np.intp)  # truncation: the floor of a value >= 0
     del guess
-    k += 1
-    padded = np.concatenate(([-np.inf], edges, [np.inf]))  # padded[k] = edges[k - 1]
-    k -= x < padded[k]
-    k += x >= padded[1:][k]  # padded[k + 1]
+    k -= x < padded.take(k)  # padded[k] = edges[k - 1]
+    k += x >= padded[1:].take(k)  # padded[k + 1]
     return k
 
 
-def _block_counts(cfg: McConfig, draws: _Draws, edges: np.ndarray):
+def _block_counts(cfg: McConfig, draws: _Draws, padded: np.ndarray):
     truth, tap_outcome, accepted, verify_x = _trials(cfg, draws)
     del tap_outcome  # not counted; freed before the binning allocates
-    nbins = len(edges) + 1
-    # one pass: rejected trials fill bins [0, nbins), accepted ones [nbins, 2 nbins)
-    index = _bin_index(edges, verify_x)
-    index += nbins * accepted
-    split = np.bincount(index, minlength=2 * nbins)
-    return (
-        int(truth.sum()),
-        int((truth & accepted).sum()),
-        int((~truth).sum()),
-        int((~truth & accepted).sum()),
-        split[:nbins] + split[nbins:],
-        split[nbins:],
-    )
+    # one bincount of 4 bin + 2 truth + accepted holds every count
+    index = _bin_index(padded, verify_x)
+    index <<= 1
+    index += truth
+    index <<= 1
+    index += accepted
+    split = np.bincount(index, minlength=4 * (len(padded) - 1)).reshape(-1, 2, 2)
+    (n_vr, n_va), (n_cr, n_ca) = split.sum(axis=0).tolist()  # [truth][accepted]
+    return n_cr + n_ca, n_ca, n_vr + n_va, n_va, split.sum(axis=(1, 2)), split[:, :, 1].sum(axis=1)
 
 
 def run_sweep(cfgs) -> list[McResult]:
@@ -358,7 +365,7 @@ def run_sweep(cfgs) -> list[McResult]:
         if (cfg.seed, cfg.trials, cfg.workers) != shared:
             raise ValueError("a sweep's configurations must share seed, trials and workers, "
                              f"got {shared} and {(cfg.seed, cfg.trials, cfg.workers)}")
-    edges = [_hist_edges(cfg) for cfg in cfgs]
+    padded = [np.concatenate(([-np.inf], _hist_edges(cfg), [np.inf])) for cfg in cfgs]
     n_blocks = (first.trials + BLOCK_SIZE - 1) // BLOCK_SIZE
     workers = min(first.workers, n_blocks)
 
@@ -371,7 +378,7 @@ def run_sweep(cfgs) -> list[McResult]:
         counts = []
         for b in range(w, n_blocks, workers):
             draws = _Draws(first.seed, b, first.trials, buffer)
-            counts.append([_block_counts(cfg, draws, e) for cfg, e in zip(cfgs, edges)])
+            counts.append([_block_counts(cfg, draws, e) for cfg, e in zip(cfgs, padded)])
         return counts
 
     if workers == 1:
@@ -382,10 +389,10 @@ def run_sweep(cfgs) -> list[McResult]:
         per_block = [per_worker[b % workers][b // workers] for b in range(n_blocks)]
 
     results = []
-    for cfg, e, blocks in zip(cfgs, edges, zip(*per_block)):
+    for cfg, e, blocks in zip(cfgs, padded, zip(*per_block)):
         n_c, n_ac, n_v, n_av, h_all, h_acc = (sum(col) for col in zip(*blocks))  # integer sums
         results.append(McResult(cfg, n_c, n_ac, n_v, n_av,
-                                Histogram(e, h_all), Histogram(e, h_acc)))
+                                Histogram(e[1:-1], h_all), Histogram(e[1:-1], h_acc)))
     return results
 
 

@@ -178,6 +178,15 @@ class TestExitCodes:
         assert out == ""
         assert "prep_error" in err
 
+    def test_infinite_prep_error_rejected(self, capsys):
+        # an infinite verification quadrature has no histogram bin
+        code, out, err = run_cli(capsys, ["simulate", "--detector", "ideal", "--p", "0.5",
+                                          "--alpha-sq", "1", "--trials", "1000",
+                                          "--prep-error", "inf"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: prep_error is an amplitude magnitude, must be finite and >= 0\n"
+
     def test_numerical_failure(self, capsys):
         # V = 1 with an ideal filter: the tap never clicks
         code, _, err = run_cli(capsys, ["qkd", "keyrate", "--V", "1.0", "--p", "1.0",
@@ -611,6 +620,20 @@ class TestCommandSurface:
         assert out == ""
         assert err.startswith("error:") and flag in err
 
+    @pytest.mark.parametrize("argv", [
+        ["error"],
+        ["simulate", "--p", "0.5", "--alpha-sq", "1", "--trials", "10"],
+        ["acceptance", "--grid", "0:1:0.5"],
+        ["sensitivity"],
+        ["gain", "--p", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_a_missing_detector_is_named(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --detector is required: one of ideal, apd, hds, hdr\n"
+
     def test_prep_error_defaults_to_zero(self, capsys):
         argv = ["simulate", "--detector", "ideal", "--p", "0.5", "--alpha-sq", "1",
                 "--trials", "1000", "--format", "json"]
@@ -770,6 +793,14 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, argv)
         assert code == 0, err
         assert parse_csv(out) == parse_csv(plain)
+
+    def test_config_detector_satisfies_the_missing_flag(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("detector = ideal\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, ["error"])
+        assert code == 0, err
+        assert parse_csv(out)[1][0][0] == "ideal"
 
     def test_config_detector_flag_the_kind_does_not_read_is_dropped(self, capsys, tmp_path,
                                                                      monkeypatch):

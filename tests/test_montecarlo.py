@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from vacfilter.detectors import (
     Apd,
@@ -19,16 +20,19 @@ from vacfilter.detectors import (
     HomodyneStabilized,
     IdealOnOff,
     acceptance_probability,
+    effective_displacement,
     error_probability,
     threshold_for_error,
 )
 from vacfilter.montecarlo import (
     BLOCK_SIZE,
+    HIST_BINS,
     McConfig,
     TrialRecord,
     TrialRecords,
     _bin_index,
     _hist_edges,
+    _select,
     calibrate_prep_error,
     chi2_gof,
     run_sweep,
@@ -333,21 +337,127 @@ class TestSweep:
         assert peak < (4 + 7) * 8 * BLOCK_SIZE
 
 
+def _padded(edges):
+    return np.concatenate(([-np.inf], edges, [np.inf]))
+
+
 @settings(max_examples=200, deadline=None)
-@given(amp=st.floats(0.0, 10.0), seed=st.integers(0, 2**32 - 1))
-def test_bin_index_matches_searchsorted(amp, seed):
-    # edges exactly as run_trials builds them (a lossless tap passes amp through)
+@given(amp=st.floats(0.0, 10.0), bins=st.sampled_from([1, 2, 7, HIST_BINS, 1000]),
+       seed=st.integers(0, 2**32 - 1))
+def test_bin_index_matches_searchsorted(amp, bins, seed):
+    # edges as run_trials builds them (a lossless tap passes amp through), at
+    # HIST_BINS and at other bin counts
     mix = ErasureMixture(CoherentAmplitude(amp), 0.5, 0.0)
     edges = _hist_edges(McConfig(seed=1, trials=1, detector=IdealOnOff(), mixture=mix))
+    if bins != HIST_BINS:
+        edges = np.linspace(edges[0], edges[-1], bins + 1)
+    # where the guess (x - e0) * scale + 1 crosses an integer, one ulp either side
+    scale = bins / (edges[-1] - edges[0])
+    crossings = edges[0] + np.arange(-2, bins + 3) / scale
     rng = np.random.default_rng(seed)
     x = np.concatenate([
-        edges,
-        np.nextafter(edges, -np.inf),
-        np.nextafter(edges, np.inf),
-        [-1e300, -1e6, edges[0] - 1.0, edges[-1] + 1.0, 1e6, 1e300],
+        edges, crossings,
+        *(np.nextafter(v, to) for v in (edges, crossings) for to in (-np.inf, np.inf)),
+        [-1e300, -1e6, edges[0] - 1.0, edges[-1] + 1.0, 1e6, 1e300, 0.0, -0.0],
         rng.normal(amp / 2.0, 2.0, 4096),
     ])
-    np.testing.assert_array_equal(_bin_index(edges, x), np.searchsorted(edges, x, side="right"))
+    np.testing.assert_array_equal(_bin_index(_padded(edges), x),
+                                  np.searchsorted(edges, x, side="right"))
+
+
+def test_bin_index_of_no_values():
+    edges = np.linspace(-2.5, 2.5, HIST_BINS + 1)
+    k = _bin_index(_padded(edges), np.empty(0))
+    assert k.dtype == np.intp and k.shape == (0,)
+
+
+_ODD_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 5e-324, -5e-324])
+
+
+@settings(max_examples=200, deadline=None)
+@given(if_true=_ODD_FLOATS, if_false=_ODD_FLOATS, ulp_apart=st.booleans(),
+       mask=st.lists(st.booleans(), max_size=300))
+def test_select_matches_where_bit_for_bit(if_true, if_false, ulp_apart, mask):
+    if ulp_apart:
+        if_false = float(np.nextafter(if_true, np.inf))
+    truth = np.array(mask, dtype=bool)
+    got, want = _select(truth, if_true, if_false), np.where(truth, if_true, if_false)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_select_keeps_the_sign_of_zero():
+    got = _select(np.array([True, False, True]), -0.0, 0.0)
+    assert np.signbit(got).tolist() == [True, False, True]
+
+
+def _reference_run(cfg):
+    """Counts and histograms of ``cfg`` written out plainly from the randomness
+    contract: Philox keyed by (seed, block), four uniforms per trial, np.where
+    selects, searchsorted binning and boolean sums."""
+    mix, det = cfg.mixture, cfg.detector
+    sqrt_r, sqrt_t = math.sqrt(mix.tap_reflectivity), math.sqrt(mix.transmissivity)
+    alpha = mix.alpha.magnitude
+    edges = _hist_edges(cfg)
+    counts = np.zeros(4, dtype=np.int64)
+    h_all = np.zeros(len(edges) + 1, dtype=np.int64)
+    h_acc = np.zeros(len(edges) + 1, dtype=np.int64)
+    for start in range(0, cfg.trials, BLOCK_SIZE):
+        key = np.array([cfg.seed, start // BLOCK_SIZE], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random(
+            (min(BLOCK_SIZE, cfg.trials - start), 4))
+        normal = 0.5 * ndtri(np.clip(u, 2.0**-53, 1.0 - 2.0**-53))
+        truth = u[:, 0] < mix.p
+        if isinstance(det, (IdealOnOff, Apd)):
+            accepted = u[:, 1] < np.where(truth, acceptance_probability(det, sqrt_r * alpha),
+                                          acceptance_probability(det, sqrt_r * cfg.prep_error))
+        else:
+            tap = np.where(truth, sqrt_r * alpha, sqrt_r * cfg.prep_error)
+            tap = tap * effective_displacement(det, 1.0)
+            if isinstance(det, HomodyneRandomized):
+                tap = tap * np.cos((u[:, 2] - 0.5) * (2.0 * np.pi))
+            accepted = np.abs(tap + normal[:, 1]) > det.threshold
+        verify_x = np.where(truth, sqrt_t * alpha, sqrt_t * cfg.prep_error) + normal[:, 3]
+        counts += [truth.sum(), (truth & accepted).sum(), (~truth).sum(),
+                   (~truth & accepted).sum()]
+        k = np.searchsorted(edges, verify_x, side="right")
+        h_all += np.bincount(k, minlength=len(edges) + 1)
+        h_acc += np.bincount(k[accepted], minlength=len(edges) + 1)
+    return counts.tolist(), h_all, h_acc
+
+
+@st.composite
+def _any_detector(draw):
+    kind = draw(st.sampled_from(["ideal", "apd", "hds", "hdr"]))
+    if kind == "ideal":
+        return IdealOnOff()
+    eta = draw(st.floats(0.05, 1.0))
+    if kind == "apd":
+        return Apd(eta=eta, dark_prob=draw(st.floats(0.0, 0.1)))
+    cls = HomodyneStabilized if kind == "hds" else HomodyneRandomized
+    return cls(eta=eta, threshold=draw(st.floats(0.0, 3.0)),
+               efficiency_model=draw(st.sampled_from(["linear", "sqrt"])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sweep_matches_a_plain_reference(data):
+    trials = data.draw(st.integers(1, 2 * BLOCK_SIZE + 999).filter(lambda t: t % BLOCK_SIZE))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    workers = data.draw(st.sampled_from([1, 2]))
+    unit = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    cfgs = [make_cfg(data.draw(_any_detector()), p=data.draw(unit),
+                     alpha_sq=data.draw(st.floats(0.0, 6.0)), tap=data.draw(unit),
+                     prep_error=data.draw(st.sampled_from([0.0, 1.5]) | st.floats(0.0, 1.5)),
+                     trials=trials, seed=seed, workers=workers)
+            for _ in range(data.draw(st.integers(1, 4)))]
+    for res, cfg in zip(run_sweep(cfgs), cfgs, strict=True):
+        counts, h_all, h_acc = _reference_run(cfg)
+        assert [res.n_coherent, res.n_accepted_coherent, res.n_vacuum,
+                res.n_accepted_vacuum] == counts
+        np.testing.assert_array_equal(res.hist_all.counts, h_all)
+        np.testing.assert_array_equal(res.hist_accepted.counts, h_acc)
 
 
 class TestVerificationHistograms:
@@ -491,6 +601,7 @@ class TestConfigValidation:
             McConfig(seed=1, trials=10, detector=IdealOnOff(), mixture=mix, workers=0)
         with pytest.raises(ValueError):
             McConfig(seed=1, trials=10, detector=IdealOnOff(), mixture=mix, prep_error=-1.0)
-        with pytest.raises(ValueError, match="prep_error"):
-            McConfig(seed=1, trials=10, detector=IdealOnOff(), mixture=mix,
-                     prep_error=float("nan"))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="prep_error"):
+                McConfig(seed=1, trials=10, detector=IdealOnOff(), mixture=mix,
+                         prep_error=bad)
