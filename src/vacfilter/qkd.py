@@ -15,12 +15,12 @@ the second-moment identity
     CV_click = (CV_all - P0 * CV_noclick) / P_S,      P_S = 1 - P0,
 
 where CV_all is the tap-traced covariance after the beam splitter and
-CV_noclick the no-click-conditioned one.  Both evaluators write it per branch
-as sums of nonnegative terms, which keep their precision when P_S is small.
+CV_noclick the no-click-conditioned one.
 
-Every reported rate comes from one closed-form kernel, ``_key_rate_grid``.
-The Gaussian-mixture route (``joint_state`` -> ``filtered_covariance`` ->
-``key_rate``) is the reference evaluator that the tests hold it to.
+Every reported rate comes from one closed-form kernel in two stages,
+``filtered_covariance`` (the click-conditioned moments and P_S) and
+``key_rate`` (the bound on them).  The tests hold it to a Gaussian-mixture
+reference evaluator, to the truncated-Fock oracle and to 50-digit arithmetic.
 
 Two modeling knobs are exposed because they change the numbers:
 
@@ -41,17 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gaussian
 from .detectors import Apd
-from .gaussian import (
-    CovMatrix,
-    GaussianMixtureState,
-    NumericsError,
-    entropy_g,
-    symplectic_eigenvalues,
-)
+from .gaussian import NumericsError, entropy_g
 
-SYMMETRIC_FORM_TOL = 1e-8
 MIN_SUCCESS_PROB = 1e-12
 MAX_VARIANCE = 1e4  # kernel rounding grows as V^2 near pure states, 2.2e-7 at 1e4
 
@@ -111,143 +103,78 @@ class KeyRateResult:
     optimizer: tuple | None = None  # (V, T) when produced by an optimizer
 
 
-def joint_state(V: float, p: float,
-                erased_mode_variance: str = "marginal") -> GaussianMixtureState:
-    """Two-mode Alice/Bob mixture after the erasure channel: with weight p the
-    two-mode squeezed vacuum, with weight 1-p Alice's thermal mode next to
-    vacuum at Bob.  Reference evaluator only."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"transmission probability must lie in [0, 1], got {p}")
-    w = V if erased_mode_variance == "marginal" else (V + 1.0 / V) / 2.0
-    kept = gaussian.two_mode_squeezed(V)
-    erased = gaussian.tensor(gaussian.thermal(w), gaussian.vacuum(1))
-    if p == 1.0:
-        return kept
-    if p == 0.0:
-        return erased
-    return gaussian.mix([(p, kept), (1.0 - p, erased)])
+def filtered_covariance(V, T, p, flt, erased_mode_variance):
+    """Click-conditioned moments (a, b, c, P_S) of the Alice/Bob covariance
+    matrix [[a I, c Z], [c Z, b I]] on scalars or broadcast arrays of V and T;
+    without a filter (``flt`` None) T is unused and P_S is 1.0.
 
-
-def filtered_covariance(scenario: QkdScenario):
-    """Click-conditioned covariance matrix of the Alice/Bob state behind the
-    tap filter, with the success probability (reference evaluator).
-
-    Returns (CovMatrix, P_S, P0).  Means vanish by symmetry (every mixture
-    component is zero-mean and all operations preserve that); a nonzero mean
-    raises NumericsError.  A component of weight w, blocks Gamma_T (tap), C
-    (cross) and Gamma_R (Alice/Bob) and no-click weight w_off = w (1 - p_d)
-    kappa, kappa = c / sqrt(det S), S = Gamma_T - I + c I, c = 2/eta, adds
-    q = w - w_off = w ((det S - c^2) / (sqrt(det S) (sqrt(det S) + c)) + p_d
-    kappa) to P_S and q Gamma_R + w_off C S^-1 C^T to P_S CV_click.
+    Each zero-mean branch is three scalars (Alice variance A, Bob variance B,
+    correlation C).  Behind the tap it keeps its click part: with s the tap
+    variance plus the detector's 2/eta - 1 and kappa = (1 - p_d) 2/eta, the
+    no-click weight is kappa / s and 1 - kappa / s = (r (B - 1) + 2 p_d / eta) / s,
+    so P_S and the click-weighted (a, b, c) are sums of nonnegative terms, free
+    of the cancellation 1 - P0 suffers when P_S is small.  Raises NumericsError
+    on a degenerate P_S.
     """
-    flt = scenario.filter
+    w = V if erased_mode_variance == "marginal" else (V + 1.0 / V) / 2.0
+    C = np.sqrt(V * V - 1.0)
     if flt is None:
-        raise ValueError("filtered_covariance needs a scenario with a filter")
-    state = joint_state(scenario.V, scenario.p, scenario.erased_mode_variance)
-    state = gaussian.tensor(state, gaussian.vacuum(1))  # tap mode, index 2
-    state = gaussian.apply_beamsplitter(state, 1, 2, flt.transmissivity)
-
-    if any(np.max(np.abs(comp.mean)) >= 1e-12 for comp in state.components):
-        raise NumericsError("filtered state must be zero-mean")
-
-    c = 2.0 / flt.eta
-    p_s = p0 = 0.0
-    moment = np.zeros((4, 4))
-    for comp in state.components:
-        g = comp.cm.mat
-        excess = g[4:, 4:] - np.eye(2)  # S = excess + c I, a 2 x 2 block
-        rise = c * np.trace(excess) + np.linalg.det(excess)  # det S - c^2
-        root = math.sqrt(c * c + rise)
-        kappa = c / root
-        q = comp.weight * (rise / (root * (root + c)) + flt.dark_prob * kappa)
-        w_off = comp.weight * (1.0 - flt.dark_prob) * kappa
-        gain = g[:4, 4:] @ np.linalg.solve(excess + c * np.eye(2), g[4:, :4])
-        moment += q * g[:4, :4] + w_off * gain
-        p_s, p0 = p_s + q, p0 + w_off
-    if p_s <= MIN_SUCCESS_PROB:
-        raise NumericsError(
-            f"filter success probability degenerate (P_S = {p_s:.3e}); "
-            "no click-conditioned state to analyze"
-        )
-    return CovMatrix(moment / p_s), p_s, p0
+        a = p * V + (1.0 - p) * w
+        return a, p * V + 1.0 - p, p * C, np.ones_like(a)
+    r = 1.0 - T
+    kappa = (1.0 - flt.dark_prob) * (2.0 / flt.eta)
+    a = b = c = p_s = 0.0
+    for weight, A, B, Ck in ((p, V, V, C), (1.0 - p, w, 1.0, 0.0)):
+        s = r * B + T + (2.0 / flt.eta - 1.0)
+        q = (r * (B - 1.0) + 2.0 * flt.dark_prob / flt.eta) / s  # 1 - kappa / s
+        loss = kappa * r / (s * s)
+        p_s = p_s + weight * q
+        a = a + weight * (A * q + loss * Ck * Ck)
+        b = b + weight * ((T * B + r) * q + loss * T * (B - 1.0) ** 2)
+        c = c + weight * np.sqrt(T) * Ck * (q + loss * (B - 1.0))
+    if np.any(p_s <= MIN_SUCCESS_PROB):
+        raise NumericsError(f"filter success probability degenerate (P_S = {np.min(p_s):.3e})")
+    return a / p_s, b / p_s, c / p_s, p_s
 
 
-def _symmetric_form(cm) -> tuple:
-    """Extract (a, b, c) from a CM of the form [[a I, c Z], [c Z, b I]],
-    averaging the x/p blocks; asymmetry beyond 1e-8 is an error because the
-    closed-form conditional eigenvalue below would be invalid."""
-    m = cm.mat if isinstance(cm, CovMatrix) else np.asarray(cm, dtype=float)
-    if m.shape != (4, 4):
-        raise ValueError(f"key-rate evaluation expects a two-mode CM, got {m.shape}")
-    a = 0.5 * (m[0, 0] + m[1, 1])
-    b = 0.5 * (m[2, 2] + m[3, 3])
-    c = 0.5 * (m[0, 2] - m[1, 3])
-    model = np.zeros((4, 4))
-    model[0, 0] = model[1, 1] = a
-    model[2, 2] = model[3, 3] = b
-    model[0, 2] = model[2, 0] = c
-    model[1, 3] = model[3, 1] = -c
-    dev = float(np.max(np.abs(m - model)))
-    if dev > SYMMETRIC_FORM_TOL:
-        raise ValueError(
-            f"covariance matrix departs from the symmetric (a, b, c) form by {dev:.3e}"
-        )
-    return a, b, c
-
-
-def key_rate(cm, multiplier: float = 1.0, protocol: str = "heterodyne",
-             p_s: float | None = None) -> KeyRateResult:
-    """Reverse-reconciliation Gaussian key-rate bound from a two-mode CM of
-    symmetric form [[a I, c Z], [c Z, b I]] (reference evaluator).
+def key_rate(a, b, c, p_s, protocol):
+    """Reverse-reconciliation Gaussian key-rate terms (K, I_ab, chi_bE, P_S),
+    K = P_S (I_ab - chi_bE), of the moments (a, b, c) on scalars or arrays; a
+    non-finite K raises NumericsError (argmax would pick a NaN).
 
     heterodyne (Bob measures both quadratures):
         I_ab  = log2[(a+1) / (a+1 - c^2/(b+1))]
-        chi   = g((nu1-1)/2) + g((nu2-1)/2) - g((nu3-1)/2),
+        chi   = g((nu+ - 1)/2) + g((nu- - 1)/2) - g((nu3 - 1)/2),
                 nu3 = a - c^2/(b+1)
     homodyne (Bob measures one quadrature):
         I_ab  = (1/2) log2[(a+1) / (a+1 - c^2/b)]
         nu3   = sqrt(a (a - c^2/b))
-
-    K = multiplier * (I_ab - chi); the multiplier is the filter success
-    probability for filtered scenarios (or p * P_S under the alternative
-    convention) and 1 otherwise.
     """
-    a, b, c = _symmetric_form(cm)
-    nus = symplectic_eigenvalues(cm)
+    # nu+- = sqrt((Delta +- sqrt(Delta^2 - 4 D^2)) / 2); the root is factored
+    # and nu- = D / nu+ so that nearly pure states keep full precision
+    D = a * b - c * c
+    nu_plus = np.sqrt((a * a + b * b - 2.0 * c * c
+                       + np.abs(a - b) * np.sqrt((a + b) ** 2 - 4.0 * c * c)) / 2.0)
     if protocol == "heterodyne":
-        denom = b + 1.0
-        cond = a - c * c / denom
-        i_ab = math.log2((a + 1.0) / (a + 1.0 - c * c / denom))
-        nu3 = cond
-    elif protocol == "homodyne":
-        if b <= 0.0:
-            raise ValueError("degenerate Bob variance")
-        cond = a - c * c / b
-        i_ab = 0.5 * math.log2((a + 1.0) / (a + 1.0 - c * c / b))
-        nu3 = math.sqrt(max(a * cond, 0.0))
+        i_ab = np.log2((a + 1.0) / (a + 1.0 - c * c / (b + 1.0)))
+        nu3 = a - c * c / (b + 1.0)
     else:
-        raise ValueError(f"protocol must be heterodyne/homodyne, got {protocol!r}")
-    chi = (
-        entropy_g(max(nus[0] - 1.0, 0.0) / 2.0)
-        + entropy_g(max(nus[1] - 1.0, 0.0) / 2.0)
-        - entropy_g(max(nu3 - 1.0, 0.0) / 2.0)
-    )
-    rate = i_ab - chi
-    return KeyRateResult(
-        k_lower=multiplier * rate,
-        i_ab=i_ab,
-        chi_be=chi,
-        p_s=p_s if p_s is not None else multiplier,
-        multiplier=multiplier,
-    )
+        i_ab = 0.5 * np.log2((a + 1.0) / (a + 1.0 - c * c / b))
+        nu3 = np.sqrt(np.maximum(a * (a - c * c / b), 0.0))
+    g_plus, g_minus = entropy_g((nu_plus - 1.0) / 2.0), entropy_g((D / nu_plus - 1.0) / 2.0)
+    g3 = entropy_g((nu3 - 1.0) / 2.0)
+    k = p_s * (i_ab - g_plus - g_minus + g3)
+    if not np.all(np.isfinite(k)):
+        raise NumericsError("key rate not finite on the (V, T) grid")
+    return k, i_ab, g_plus + g_minus - g3, p_s
 
 
 def scenario_key_rate(scenario: QkdScenario) -> KeyRateResult:
     """Key-rate bound of a full scenario (filtered or not), from the kernel."""
     flt = scenario.filter
-    terms = _key_rate_grid(scenario.V, 1.0 if flt is None else flt.transmissivity,
-                           scenario.p, flt, scenario.protocol, scenario.erased_mode_variance)
-    return _report(terms, scenario.p, flt, scenario.prefactor)
+    moments = filtered_covariance(scenario.V, 1.0 if flt is None else flt.transmissivity,
+                                  scenario.p, flt, scenario.erased_mode_variance)
+    return _report(key_rate(*moments, scenario.protocol), scenario.p, flt, scenario.prefactor)
 
 
 def _report(terms, p, flt, prefactor, optimizer=None) -> KeyRateResult:
@@ -279,74 +206,14 @@ P_FLOOR = 1e-3
 MAX_ITERATIONS = 60
 
 
-def _key_rate_grid(V, T, p, flt, protocol, erased_mode_variance):
-    """Key-rate terms (K, I_ab, chi_bE, P_S) at one p on scalars or broadcast
-    arrays of V and T, K under prefactor "ps" and P_S 1.0 without a filter.
-
-    Closed form of the reference evaluator: every branch is zero-mean with
-    2x2 blocks that are multiples of I or Z, so each CM is three scalars
-    (Alice variance A, Bob variance B, correlation C).  Behind the tap each
-    branch keeps its click part: with s the tap variance plus the detector's
-    2/eta - 1 and kappa = (1 - p_d) 2/eta, the no-click weight is kappa / s,
-    and 1 - kappa / s = (r (B - 1) + 2 p_d / eta) / s.  Written so, P_S and
-    the click-weighted (a, b, c) are sums of nonnegative terms, free of the
-    cancellation that 1 - P0 suffers when P_S is small; the symplectic
-    spectrum of the resulting (a, b, c) is the two-mode closed form.  Raises
-    NumericsError on a degenerate P_S or a non-finite K (argmax would pick a
-    NaN).
-    """
-    w = V if erased_mode_variance == "marginal" else (V + 1.0 / V) / 2.0
-    C = np.sqrt(V * V - 1.0)
-    if flt is None:
-        a = p * V + (1.0 - p) * w
-        b = p * V + 1.0 - p
-        c = p * C
-        p_s = np.ones_like(a)
-    else:
-        r = 1.0 - T
-        kappa = (1.0 - flt.dark_prob) * (2.0 / flt.eta)
-        a = b = c = p_s = 0.0
-        for weight, A, B, Ck in ((p, V, V, C), (1.0 - p, w, 1.0, 0.0)):
-            s = r * B + T + (2.0 / flt.eta - 1.0)
-            q = (r * (B - 1.0) + 2.0 * flt.dark_prob / flt.eta) / s  # 1 - kappa / s
-            loss = kappa * r / (s * s)
-            p_s = p_s + weight * q
-            a = a + weight * (A * q + loss * Ck * Ck)
-            b = b + weight * ((T * B + r) * q + loss * T * (B - 1.0) ** 2)
-            c = c + weight * np.sqrt(T) * Ck * (q + loss * (B - 1.0))
-        if np.any(p_s <= MIN_SUCCESS_PROB):
-            raise NumericsError(
-                f"filter success probability degenerate (P_S = {np.min(p_s):.3e})"
-            )
-        a, b, c = a / p_s, b / p_s, c / p_s
-
-    # nu+- = sqrt((Delta +- sqrt(Delta^2 - 4 D^2)) / 2); the root is factored
-    # and nu- = D / nu+ so that nearly pure states keep full precision
-    D = a * b - c * c
-    nu_plus = np.sqrt((a * a + b * b - 2.0 * c * c
-                       + np.abs(a - b) * np.sqrt((a + b) ** 2 - 4.0 * c * c)) / 2.0)
-    if protocol == "heterodyne":
-        i_ab = np.log2((a + 1.0) / (a + 1.0 - c * c / (b + 1.0)))
-        nu3 = a - c * c / (b + 1.0)
-    else:
-        i_ab = 0.5 * np.log2((a + 1.0) / (a + 1.0 - c * c / b))
-        nu3 = np.sqrt(np.maximum(a * (a - c * c / b), 0.0))
-    g_plus, g_minus = entropy_g((nu_plus - 1.0) / 2.0), entropy_g((D / nu_plus - 1.0) / 2.0)
-    g3 = entropy_g((nu3 - 1.0) / 2.0)
-    k = p_s * (i_ab - g_plus - g_minus + g3)
-    if not np.all(np.isfinite(k)):
-        raise NumericsError("key rate not finite on the (V, T) grid")
-    return k, i_ab, g_plus + g_minus - g3, p_s
-
-
 def _grid_optimum(p, flt, protocol, erased_mode_variance):
     """Kernel maximum of K (prefactor "ps") over V, and over the filter
     transmissivity T when a filter is present, by a deterministic coarse grid
     followed by local refinement.  Returns the kernel's terms there and
     (V, T), T being 1.0 without a filter; the arguments are assumed checked."""
     def grid_best(vs, ts):
-        terms = _key_rate_grid(vs[:, None], ts[None, :], p, flt, protocol,
-                               erased_mode_variance)
+        terms = key_rate(*filtered_covariance(vs[:, None], ts[None, :], p, flt,
+                                              erased_mode_variance), protocol)
         i, j = np.unravel_index(np.argmax(terms[0]), terms[0].shape)  # first maximum, V-major
         return [x[i, j] for x in terms], (vs[i], 1.0 if flt is None else ts[j])
 

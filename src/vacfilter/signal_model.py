@@ -26,6 +26,10 @@ class CoherentAmplitude:
     re: float
     im: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+            raise ValueError(f"coherent amplitude must be finite, got re={self.re}, im={self.im}")
+
     @property
     def value(self) -> complex:
         return complex(self.re, self.im)

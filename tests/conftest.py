@@ -17,17 +17,18 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 @pytest.fixture
 def no_reference_evaluator(monkeypatch):
-    """Make the Gaussian-mixture reference evaluator of ``qkd`` and every
-    function and class of ``gaussian`` raise, wherever ``qkd`` binds them;
-    the key-rate kernel keeps ``entropy_g`` and ``NumericsError``.
-    ``monkeypatch.undo()`` restores them."""
+    """Make the Gaussian-mixture reference evaluator (``qkd_reference``) and
+    every function and class of ``gaussian`` raise, the latter wherever
+    ``qkd`` binds them too; the key-rate kernel keeps ``entropy_g`` and
+    ``NumericsError``.  ``monkeypatch.undo()`` restores them."""
+    import qkd_reference
     from vacfilter import gaussian, qkd
 
     def never(*args, **kwargs):
         raise AssertionError("the reference evaluator ran")
 
     for name in ("joint_state", "filtered_covariance", "_symmetric_form", "key_rate"):
-        monkeypatch.setattr(qkd, name, never)
+        monkeypatch.setattr(qkd_reference, name, never)
     for name, obj in list(vars(gaussian).items()):
         if (callable(obj) and getattr(obj, "__module__", "") == gaussian.__name__
                 and name not in ("entropy_g", "NumericsError")):

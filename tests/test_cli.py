@@ -37,12 +37,21 @@ DATA = Path(__file__).parent / "data"
 # Oracle command outputs without the provenance command line, recorded with one
 # BLAS thread (conftest.py) while fock.py still carried density operators.
 ORACLE_GOLDEN = json.loads((DATA / "oracle_golden.json").read_text())["cases"]
+# qkd command outputs, CSV and JSON, without the provenance command line;
+# recorded while the key-rate kernel was still one function, _key_rate_grid.
+QKD_GOLDEN = json.loads((DATA / "qkd_golden.json").read_text())["cases"]
 
 
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def without_command_line(text):
+    """Command output without its provenance command line (CSV or JSON)."""
+    return "".join(ln for ln in text.splitlines(keepends=True)
+                   if not ln.lstrip().startswith(("# command:", '"command":')))
 
 
 def parse_csv(text):
@@ -339,6 +348,12 @@ class TestQkdCommands:
         assert code == 0, err
         assert out
 
+    @pytest.mark.parametrize("case", QKD_GOLDEN, ids=lambda c: " ".join(c["argv"][1:]))
+    def test_output_bytes_pinned(self, capsys, case):
+        code, out, err = run_cli(capsys, case["argv"])
+        assert code == 0, err
+        assert without_command_line(out) == case["output"]
+
 
 class TestOracleCommand:
     def test_noclick_check(self, capsys):
@@ -396,8 +411,7 @@ class TestOracleCommand:
     def test_output_bytes_pinned(self, capsys, case):
         code, out, err = run_cli(capsys, case["argv"])
         assert code == 0, err
-        lines = out.splitlines(keepends=True)
-        assert "".join(ln for ln in lines if not ln.startswith("# command:")) == case["output"]
+        assert without_command_line(out) == case["output"]
 
     def test_beamsplitter_check(self, capsys):
         code, out, _ = run_cli(capsys, ["oracle", "beamsplitter", "--alpha", "1.0",

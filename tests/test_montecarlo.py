@@ -380,7 +380,8 @@ _ODD_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
        mask=st.lists(st.booleans(), max_size=300))
 def test_select_matches_where_bit_for_bit(if_true, if_false, ulp_apart, mask):
     if ulp_apart:
-        if_false = float(np.nextafter(if_true, np.inf))
+        with np.errstate(over="ignore"):  # the largest float's partner is inf
+            if_false = float(np.nextafter(if_true, np.inf))
     truth = np.array(mask, dtype=bool)
     got, want = _select(truth, if_true, if_false), np.where(truth, if_true, if_false)
     assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
@@ -605,3 +606,10 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="prep_error"):
                 McConfig(seed=1, trials=10, detector=IdealOnOff(), mixture=mix,
                          prep_error=bad)
+
+    def test_infinite_amplitude_rejected(self):
+        # an infinite amplitude once reached run_trials and failed there with an
+        # IndexError from NaN histogram edges
+        with pytest.raises(ValueError, match="coherent amplitude"):
+            run_trials(McConfig(seed=1, trials=10, detector=IdealOnOff(),
+                                mixture=ErasureMixture(CoherentAmplitude(math.inf), 0.5, 0.5)))

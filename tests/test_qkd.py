@@ -1,5 +1,6 @@
-"""Security analysis: joint state construction, click-conditioned covariance,
-key-rate formulas, weak-squeezing behavior and threshold searches."""
+"""Security analysis: the Gaussian-mixture reference evaluator (joint state,
+click-conditioned covariance, key-rate formulas), the kernel against it, Fock
+and a 50-digit evaluation, weak-squeezing behavior and threshold searches."""
 
 import itertools
 import math
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from qkd_reference import filtered_covariance, joint_state, key_rate
 
-from vacfilter import fock, gaussian, qkd
+from vacfilter import fock, qkd
 from vacfilter.detectors import Apd
 from vacfilter.gaussian import (CovMatrix, NumericsError, entropy_g, mixture_covariance,
                                 symplectic_eigenvalues)
@@ -18,9 +20,6 @@ from vacfilter.qkd import (
     KeyRateResult,
     QkdScenario,
     TapFilter,
-    filtered_covariance,
-    joint_state,
-    key_rate,
     optimize_key_rate,
     p_min_search,
     scenario_key_rate,
@@ -311,13 +310,15 @@ def mp_kernel_terms(V, p, flt, protocol, erased):
     return p_s * (i_ab - chi), i_ab, chi, p_s
 
 
-_SCENARIO_DOMAIN = dict(
+_BRANCH_DOMAIN = dict(
     T=st.floats(0.005, 0.995),
     eta=st.floats(0.05, 1.0),
     pd=_log_uniform(1e-7, 3e-2),
-    filtered=st.booleans(),
-    protocol=st.sampled_from(["heterodyne", "homodyne"]),
     erased=st.sampled_from(["marginal", "alphabet"]))
+_SCENARIO_DOMAIN = dict(
+    _BRANCH_DOMAIN,
+    filtered=st.booleans(),
+    protocol=st.sampled_from(["heterodyne", "homodyne"]))
 
 
 class TestKeyRateKernel:
@@ -369,15 +370,57 @@ class TestKeyRateKernel:
     def test_degenerate_success_probability_raises(self):
         # V = 1 is vacuum everywhere: an ideal tap detector never clicks
         with pytest.raises(NumericsError, match="degenerate"):
-            qkd._key_rate_grid(np.array([1.0, 1.2]), np.array([0.5, 0.5]), 0.5,
-                               TapFilter(0.5, 1.0, 0.0), "heterodyne", "marginal")
+            qkd.filtered_covariance(np.array([1.0, 1.2]), np.array([0.5, 0.5]), 0.5,
+                                    TapFilter(0.5, 1.0, 0.0), "marginal")
 
     @pytest.mark.parametrize("flt", [None, TapFilter(0.5, 0.63, 5e-4)])
     def test_non_finite_rate_raises(self, flt):
         # np.argmax would return the index of the NaN as the optimum
         with pytest.raises(NumericsError, match="finite"):
-            qkd._key_rate_grid(np.array([1.2, np.nan]), np.array([0.5, 0.5]), 0.5,
-                               flt, "heterodyne", "marginal")
+            qkd.key_rate(*qkd.filtered_covariance(np.array([1.2, np.nan]),
+                                                  np.array([0.5, 0.5]), 0.5, flt, "marginal"),
+                         "heterodyne")
+
+
+class TestKernelAgainstFock:
+    """``qkd.filtered_covariance`` against the truncated-Fock oracle on the
+    squeezed branch (p = 1), against the closed values of the erased branch
+    (p = 0), and as the weight-mixed combination of the two at any p."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(V=st.floats(1.0, 3.5), T=st.floats(0.005, 0.995), eta=st.floats(0.05, 1.0),
+           pd=_log_uniform(1e-7, 3e-2))
+    def test_squeezed_branch_matches_fock(self, V, T, eta, pd):
+        # n_max 40 keeps the squeezed pair's truncated tail below 1e-10 up to V = 3.5
+        a, b, c, p_s = qkd.filtered_covariance(V, T, 1.0, TapFilter(1.0 - T, eta, pd),
+                                               "marginal")
+        state = fock.tensor(fock.tmsv_state(V, 40), fock.vacuum_state(40))
+        state = fock.fock_beamsplitter(state, 1, 2, T)
+        prob_click, cond = fock.povm_expectation(state, 2, fock.Click(eta, pd))
+        assert abs(p_s - prob_click) <= 1e-10
+        np.testing.assert_allclose(sym_cm(a, b, c), fock.covariance_matrix(cond)[:4, :4],
+                                   rtol=0.0, atol=1e-6)
+
+    @settings(max_examples=50, deadline=None)
+    @given(V=_log_uniform(1.0, 1e4), **_BRANCH_DOMAIN)
+    def test_erased_branch_closed_values(self, V, T, eta, pd, erased):
+        # vacuum at Bob: only dark counts click, and Alice keeps her variance w
+        a, b, c, p_s = qkd.filtered_covariance(V, T, 0.0, TapFilter(1.0 - T, eta, pd), erased)
+        w = V if erased == "marginal" else (V + 1.0 / V) / 2.0
+        assert p_s == pytest.approx(pd, rel=1e-14)
+        assert (a, b, c) == (pytest.approx(w, rel=1e-14), pytest.approx(1.0, rel=1e-14), 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(V=_log_uniform(1.001, 1e4), p=st.floats(0.0, 1.0), **_BRANCH_DOMAIN)
+    def test_any_p_mixes_the_two_branches(self, V, p, T, eta, pd, erased):
+        flt = TapFilter(1.0 - T, eta, pd)
+        a, b, c, p_s = qkd.filtered_covariance(V, T, p, flt, erased)
+        a1, b1, c1, q1 = qkd.filtered_covariance(V, T, 1.0, flt, erased)
+        a0, b0, c0, q0 = qkd.filtered_covariance(V, T, 0.0, flt, erased)
+        assert p_s == pytest.approx(p * q1 + (1.0 - p) * q0, rel=1e-12)
+        for x, x1, x0 in ((a, a1, a0), (b, b1, b0), (c, c1, c0)):
+            mixed = (p * q1 * x1 + (1.0 - p) * q0 * x0) / (p * q1 + (1.0 - p) * q0)
+            assert x == pytest.approx(mixed, rel=1e-12, abs=1e-300)
 
 
 def _brute_optimum(p, flt):
@@ -458,7 +501,8 @@ class TestOptimizationAndThresholds:
             raise AssertionError("a key rate was evaluated")
 
         monkeypatch.setattr(qkd, "optimize_key_rate", never)
-        monkeypatch.setattr(qkd, "_key_rate_grid", never)
+        monkeypatch.setattr(qkd, "filtered_covariance", never)
+        monkeypatch.setattr(qkd, "key_rate", never)
 
     @pytest.mark.parametrize("precision", [float("nan"), 0.0, -1.0, 1.0])
     def test_invalid_precision_rejected_before_any_optimization(self, precision, monkeypatch):

@@ -124,3 +124,14 @@ class TestValidation:
             ErasureMixture(CoherentAmplitude(1.0), p=0.5, tap_reflectivity=-0.1)
         with pytest.raises(ValueError):
             PostFilterMixture(1.4, CoherentAmplitude(1.0))
+
+    @pytest.mark.parametrize("re, im", [(math.nan, 0.0), (math.inf, 0.0), (1.0, -math.inf),
+                                        (0.0, math.nan)])
+    def test_non_finite_amplitude_rejected(self, re, im):
+        with pytest.raises(ValueError, match=r"coherent amplitude must be finite, got re=.*, im="):
+            CoherentAmplitude(re, im)
+
+    def test_nan_amplitude_gives_no_density(self):
+        # a NaN amplitude once came back from marginal_density as [nan nan]
+        with pytest.raises(ValueError, match="coherent amplitude"):
+            marginal_density(ErasureMixture(CoherentAmplitude(math.nan), 0.5, 0.5), [0.0, 1.0])
