@@ -26,8 +26,8 @@ _EXPORTS = {
     # kernel stages: filtered_covariance(V, T, p, flt, erased) -> key_rate(a, b, c, p_s, protocol)
     "qkd": ("KeyRateResult", "QkdScenario", "TapFilter", "filtered_covariance", "key_rate",
             "optimize_key_rate", "p_min_search", "scenario_key_rate", "weak_squeezing_keyrate"),
-    "signal_model": ("CoherentAmplitude", "ErasureMixture", "PostFilterMixture",
-                     "marginal_density", "posterior_mixture"),
+    "signal_model": ("CoherentAmplitude", "ErasureMixture", "marginal_density",
+                     "posterior_mixture"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -255,7 +255,7 @@ def cmd_marginal(args):
     xs = _parse_grid(args.x)
     mix = _mixture(args)
     cols = ["x", "density_perturbed", "density_vacuum"]
-    dens = [xs, marginal_density(mix, xs), marginal_density([(1.0, 0j)], xs)]
+    dens = [xs, marginal_density(mix, xs), marginal_density([(1.0, 0.0)], xs)]
     if args.detector:
         det = _build_detector(args)
         p_acc = acceptance_probability(det, math.sqrt(args.tap) * mix.alpha.magnitude)
@@ -416,7 +416,7 @@ def _figure3(args):
 
     model_all = marginal_density(theory_branches(cfg, "all"), mids)
     model_filtered = marginal_density(theory_branches(cfg, "accepted"), mids)
-    theory_vacuum = marginal_density([(1.0, 0j)], mids)
+    theory_vacuum = marginal_density([(1.0, 0.0)], mids)
 
     ideal_dets = _matched_trio(FIG_ERROR)
     theory_filtered = []

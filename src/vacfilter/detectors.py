@@ -110,10 +110,11 @@ def acceptance_probability(det: FilterDetector, beta):
         if isinstance(det, HomodyneStabilized):
             p = 0.5 * (erfc(np.sqrt(2.0) * (B + a)) + erfc(np.sqrt(2.0) * (B - a)))
         else:
-            n = 32 + 8 * math.ceil(np.max(a, initial=0.0))  # one node set for all 1024-point chunks
+            n = 32 + 8 * math.ceil(np.max(a, initial=0.0))  # one node set for all chunks
+            rows = max(1, min(1024, 2**20 // n))  # at most ~2**20 terms per temporary
             cos, flat = np.cos((np.arange(n) + 0.5) * (np.pi / n)), np.ravel(a)
-            p = np.concatenate([erfc(np.sqrt(2.0) * (B - flat[i:i + 1024, None] * cos)).mean(-1)
-                                for i in range(0, max(flat.size, 1), 1024)]).reshape(np.shape(a))
+            p = np.concatenate([erfc(np.sqrt(2.0) * (B - flat[i:i + rows, None] * cos)).mean(-1)
+                                for i in range(0, max(flat.size, 1), rows)]).reshape(np.shape(a))
     else:
         raise TypeError(f"unknown detector {det!r}")
     return float(p) if np.ndim(p) == 0 else p

@@ -433,7 +433,7 @@ def theory_branches(cfg: McConfig, condition: str) -> list:
     amp_leak = sqrt_t * cfg.prep_error
     p = mix.p
     if condition == "all":
-        return [(p, amp_sig + 0j), (1.0 - p, amp_leak + 0j)]
+        return [(p, amp_sig), (1.0 - p, amp_leak)]
     p_acc = acceptance_probability(cfg.detector, sqrt_r * mix.alpha.magnitude)
     e_eff = acceptance_probability(cfg.detector, sqrt_r * cfg.prep_error)
     if condition == "rejected":  # the same posterior for the other outcome
@@ -443,7 +443,7 @@ def theory_branches(cfg: McConfig, condition: str) -> list:
     p_s = p * p_acc + (1.0 - p) * e_eff
     if p_s <= 0.0:
         raise ValueError(f"empty {condition} subset in theory model")
-    return [(p * p_acc / p_s, amp_sig + 0j), ((1.0 - p) * e_eff / p_s, amp_leak + 0j)]
+    return [(p * p_acc / p_s, amp_sig), ((1.0 - p) * e_eff / p_s, amp_leak)]
 
 
 def verification_chi2(result: McResult, condition: str = "all"):

@@ -6,13 +6,17 @@ fraction of the signal for the filter detector; the transmitted amplitude is
 sqrt(T) alpha with T = 1 - R, and the presence/absence of the signal is
 perfectly correlated between the two arms.
 
-Quadrature marginals use the homodyne convention (vacuum variance 1/4).
+Every filter and the verification homodyne respond only to the size of the
+amplitude, so an amplitude is one real number >= 0 and a mixture's posterior
+is a plain list of (weight, amplitude) branches.  Quadrature marginals use
+the homodyne convention (vacuum variance 1/4).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -21,29 +25,22 @@ VACUUM_QUAD_VARIANCE = 0.25
 
 @dataclass(frozen=True)
 class CoherentAmplitude:
-    """Complex field amplitude; |alpha|^2 is the mean photon number."""
+    """Real amplitude |alpha| >= 0 of a coherent state; its square is the
+    mean photon number.  The phase is not modelled."""
 
-    re: float
-    im: float = 0.0
+    magnitude: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError(f"coherent amplitude must be finite, got re={self.re}, im={self.im}")
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
+        m = self.magnitude
+        if not (isinstance(m, Real) and math.isfinite(m) and m >= 0.0):
+            raise ValueError(f"coherent amplitude must be a finite real number >= 0, got {m}")
 
     @property
     def mean_photons(self) -> float:
-        return self.re * self.re + self.im * self.im
-
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(self.re, self.im)
+        return self.magnitude * self.magnitude
 
     def scaled(self, factor: float) -> "CoherentAmplitude":
-        return CoherentAmplitude(factor * self.re, factor * self.im)
+        return CoherentAmplitude(factor * self.magnitude)
 
 
 @dataclass(frozen=True)
@@ -75,62 +72,43 @@ class ErasureMixture:
         return self.alpha.scaled(math.sqrt(self.transmissivity))
 
 
-@dataclass(frozen=True)
-class PostFilterMixture:
-    """The signal-arm mixture after accepting a filter outcome: the coherent
-    branch now has posterior probability p' and amplitude sqrt(T) alpha."""
-
-    p_prime: float
-    transmitted_alpha: CoherentAmplitude
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_prime <= 1.0 + 1e-12:
-            raise ValueError(f"posterior probability {self.p_prime} outside [0, 1]")
-
-
-def posterior_mixture(mix: ErasureMixture, p_accept: float,
-                      error_prob: float) -> PostFilterMixture:
-    """Posterior coherent-state probability after the filter accepted.
+def posterior_mixture(mix: ErasureMixture, p_accept: float, error_prob: float) -> list:
+    """Signal-arm branches [(p', sqrt(T) |alpha|), (1 - p', 0.0)] after the
+    filter accepted, with the posterior coherent-state probability
 
     p' = p P / (p P + (1-p) E).  Requires P >= E (the filter must accept the
     signal at least as often as vacuum) and a nonvanishing overall success
     probability.
     """
     if not 0.0 <= error_prob <= p_accept <= 1.0:
-        raise ValueError(
-            f"need 0 <= E <= P <= 1, got P={p_accept}, E={error_prob}"
-        )
+        raise ValueError(f"need 0 <= E <= P <= 1, got P={p_accept}, E={error_prob}")
     p_s = mix.p * p_accept + (1.0 - mix.p) * error_prob
     if p_s <= 0.0:
         raise ValueError("filter never accepts; posterior undefined")
-    return PostFilterMixture(mix.p * p_accept / p_s, mix.transmitted_amplitude)
+    p_prime = mix.p * p_accept / p_s
+    return [(p_prime, mix.transmitted_amplitude.magnitude), (1.0 - p_prime, 0.0)]
 
 
 def _branches(mixture) -> list:
-    """Weighted coherent branches (weight, complex amplitude) of a mixture."""
+    """(weight, amplitude) branches of an ErasureMixture or of a branch list."""
     if isinstance(mixture, ErasureMixture):
-        return [(mixture.p, mixture.transmitted_amplitude.value), (1.0 - mixture.p, 0j)]
-    if isinstance(mixture, PostFilterMixture):
-        return [
-            (mixture.p_prime, mixture.transmitted_alpha.value),
-            (1.0 - mixture.p_prime, 0j),
-        ]
-    return [(float(w), complex(amp)) for w, amp in mixture]
+        return [(mixture.p, mixture.transmitted_amplitude.magnitude), (1.0 - mixture.p, 0.0)]
+    return [(float(w), CoherentAmplitude(amp).magnitude) for w, amp in mixture]
 
 
 def marginal_density(mixture, x):
     """Quadrature probability density of a coherent/vacuum mixture.
 
-    ``mixture`` may be an ErasureMixture, a PostFilterMixture, or an explicit
-    list of (weight, complex amplitude) branches.  Each branch contributes a
-    normal component with mean Re(amp) and variance 1/4.
+    ``mixture`` may be an ErasureMixture or a list of (weight, amplitude)
+    branches, such as :func:`posterior_mixture` returns, each amplitude a real
+    number >= 0.  Each branch contributes a normal component with mean amp and
+    variance 1/4.
     """
     x = np.asarray(x, dtype=float)
     dens = np.zeros_like(x, dtype=float)
     norm = 1.0 / np.sqrt(2.0 * np.pi * VACUUM_QUAD_VARIANCE)
     for w, amp in _branches(mixture):
-        mean = amp.real
-        dens += w * norm * np.exp(-((x - mean) ** 2) / (2.0 * VACUUM_QUAD_VARIANCE))
+        dens += w * norm * np.exp(-((x - amp) ** 2) / (2.0 * VACUUM_QUAD_VARIANCE))
     return dens if dens.ndim else float(dens)
 
 
@@ -143,5 +121,5 @@ def marginal_cdf(mixture, x):
     sd = np.sqrt(VACUUM_QUAD_VARIANCE)
     out = np.zeros_like(x, dtype=float)
     for w, amp in _branches(mixture):
-        out += w * ndtr((x - amp.real) / sd)
+        out += w * ndtr((x - amp) / sd)
     return out if out.ndim else float(out)

@@ -40,6 +40,10 @@ ORACLE_GOLDEN = json.loads((DATA / "oracle_golden.json").read_text())["cases"]
 # qkd command outputs, CSV and JSON, without the provenance command line;
 # recorded while the key-rate kernel was still one function, _key_rate_grid.
 QKD_GOLDEN = json.loads((DATA / "qkd_golden.json").read_text())["cases"]
+# marginal (without and with each detector kind) and figures fig3 outputs, CSV
+# and JSON, without the provenance command line; recorded while amplitudes
+# were still complex and the posterior was a PostFilterMixture.
+SIGNAL_GOLDEN = json.loads((DATA / "signal_golden.json").read_text())["cases"]
 
 
 def run_cli(capsys, argv):
@@ -101,6 +105,26 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert f"has more than {cli.MAX_GRID_POINTS} points" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["error", "--detector", "apd"], "error: APD needs --eta\n"),
+        (["error", "--detector", "hds"], "error: homodyne detector needs --eta\n"),
+        (["error", "--detector", "hds", "--eta", "0.9"],
+         "error: homodyne detector needs --threshold or --match-error\n"),
+        (["qkd", "keyrate", "--p", "0.5", "--tap", "0.3"],
+         "error: filtered scenario needs --eta (or pass --no-filter)\n"),
+    ], ids=["apd-eta", "hds-eta", "hds-threshold", "keyrate-eta"])
+    def test_missing_detector_parameter_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == message
+
+    def test_exhausted_bisection_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, ["qkd", "pmin", "--no-filter", "--precision", "1e-300"])
+        assert code == 3
+        assert out == ""
+        assert err == "numerical failure: bisection budget exhausted before reaching precision\n"
 
     def test_grid_point_limit_is_inclusive(self):
         assert len(cli._parse_grid("0:0.999999:1e-6")) == cli.MAX_GRID_POINTS
@@ -314,6 +338,15 @@ class TestQkdCommands:
         k = payload["rows"][0][0]
         assert k > 0.0
 
+    def test_pmin_bounded_below_by_the_floor(self, capsys):
+        # a lossless filter without dark counts keeps the bound positive at the floor
+        code, out, err = run_cli(capsys, ["qkd", "pmin", "--eta", "1", "--pd", "0",
+                                          "--format", "json"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert (payload["p_min"], payload["bounded_below"]) == (0.001, True)
+        assert [row[0] for row in payload["rows"]] == [0.001]
+
     def test_pmin_no_filter(self, capsys):
         code, out, _ = run_cli(capsys, ["qkd", "pmin", "--no-filter",
                                         "--precision", "5e-3", "--format", "json"])
@@ -483,6 +516,18 @@ class TestFigures:
                              "--trials", "10000", "--seed", "21"])
         strip = lambda t: [ln for ln in t.splitlines() if not ln.startswith("#")]
         assert strip(p1.read_text()) == strip(p2.read_text())
+
+
+class TestSignalOutputs:
+    @pytest.mark.parametrize("case", SIGNAL_GOLDEN, ids=lambda c: " ".join(c["argv"]))
+    def test_output_bytes_pinned(self, capsys, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)  # figures writes its default file here
+        code, out, err = run_cli(capsys, case["argv"])
+        assert code == 0, err
+        if case["argv"][0] == "figures":
+            assert out == ""
+            out = (tmp_path / f"{case['argv'][1]}.{case['argv'][-1]}").read_text()
+        assert without_command_line(out) == case["output"]
 
 
 class TestQkdPrefactor:
@@ -921,6 +966,23 @@ class TestConfigFile:
         assert out == ""
         assert err == (f"error: cannot open VACFILTER_CONFIG {str(path)!r}: "
                        "No such file or directory\n")
+
+    def test_comment_and_blank_config_lines_are_skipped(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("# a comment = not a key\n\n  # indented comment\nseed = 77\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, ["error", "--detector", "ideal"])
+        assert code == 0, err
+        assert "# seed: 77" in out
+
+    def test_config_line_without_equals_exits_2(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("seed = 77\nseed 78\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, ["error", "--detector", "ideal"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad config line 'seed 78', expected key=value\n"
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "vacfilter.conf"

@@ -101,6 +101,31 @@ class TestAcceptanceProbability:
         np.testing.assert_array_equal(acceptance_probability(det, b.reshape(3, -1)),
                                       whole.reshape(3, -1))
 
+    def test_hdr_memory_does_not_grow_with_the_largest_amplitude(self):
+        # R|alpha|^2 up to 1e8 takes 80,032 nodes; 1,024-row chunks of them
+        # once peaked at 124 MiB
+        det = HomodyneRandomized(eta=1.0, threshold=threshold_for_error(0.01))
+        b = np.sqrt(np.linspace(0.0, 1e8, 101))
+        tracemalloc.start()
+        try:
+            p = acceptance_probability(det, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert p[0] == pytest.approx(0.01, rel=1e-12)
+        assert np.all(np.diff(p) > 0.0) and p[-1] < 1.0
+
+    def test_hdr_values_do_not_depend_on_the_chunking(self):
+        # a = 300 takes 2,432 nodes and 431-row chunks; with the largest
+        # amplitude first, each value also comes from a two-row call
+        det = HomodyneRandomized(eta=1.0, threshold=0.7)
+        b = np.random.default_rng(3).uniform(0.0, 300.0, 1000)
+        b[0] = 300.0
+        vals = acceptance_probability(det, b)
+        pairs = [acceptance_probability(det, np.array([b[0], x]))[1] for x in b[1:]]
+        np.testing.assert_array_equal(vals[1:], pairs)
+
     def test_apd_reduces_to_ideal(self):
         det = Apd(eta=1.0, dark_prob=0.0)
         for b in (0.0, 0.4, 1.0, 1.7):

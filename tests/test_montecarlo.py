@@ -288,6 +288,9 @@ class TestSweep:
             np.testing.assert_array_equal(swept.hist_all.counts, alone.hist_all.counts)
             np.testing.assert_array_equal(swept.hist_accepted.counts, alone.hist_accepted.counts)
 
+    def test_empty_sweep_runs_nothing(self):
+        assert run_sweep([]) == []
+
     @pytest.mark.parametrize("field, value", [("seed", 322), ("trials", 1000), ("workers", 2)])
     def test_configurations_must_share_seed_trials_and_workers(self, field, value):
         base = make_cfg(IdealOnOff(), trials=2000)

@@ -12,7 +12,7 @@ from vacfilter.detectors import Apd, acceptance_probability, error_probability
 from vacfilter.signal_model import (
     CoherentAmplitude,
     ErasureMixture,
-    PostFilterMixture,
+    marginal_cdf,
     marginal_density,
     posterior_mixture,
 )
@@ -25,7 +25,7 @@ class TestTapSplit:
         assert mix.tap_amplitude.mean_photons == pytest.approx(1.65)
 
     def test_amplitude_bookkeeping(self):
-        mix = ErasureMixture(CoherentAmplitude(0.6, 0.8), p=0.5, tap_reflectivity=0.25)
+        mix = ErasureMixture(CoherentAmplitude(1.0), p=0.5, tap_reflectivity=0.25)
         assert mix.transmissivity == pytest.approx(0.75)
         assert mix.transmitted_amplitude.mean_photons == pytest.approx(0.75)
         assert mix.tap_amplitude.mean_photons == pytest.approx(0.25)
@@ -35,12 +35,20 @@ class TestPosteriorMixture:
     def test_unambiguous_filter(self):
         mix = ErasureMixture(CoherentAmplitude(1.0), p=0.3, tap_reflectivity=0.5)
         post = posterior_mixture(mix, p_accept=0.6, error_prob=0.0)
-        assert post.p_prime == pytest.approx(1.0)
+        assert post[0][0] == pytest.approx(1.0)
 
     def test_uninformative_filter(self):
         mix = ErasureMixture(CoherentAmplitude(1.0), p=0.3, tap_reflectivity=0.5)
         post = posterior_mixture(mix, p_accept=0.2, error_prob=0.2)
-        assert post.p_prime == pytest.approx(0.3)
+        assert post[0][0] == pytest.approx(0.3)
+
+    def test_branches_are_the_transmitted_signal_and_vacuum(self):
+        mix = ErasureMixture(CoherentAmplitude(2.0), p=0.3, tap_reflectivity=0.36)
+        (w_sig, amp_sig), (w_vac, amp_vac) = posterior_mixture(mix, p_accept=0.6, error_prob=0.2)
+        p_prime = 0.3 * 0.6 / (0.3 * 0.6 + 0.7 * 0.2)
+        assert w_sig == pytest.approx(p_prime, rel=1e-15)
+        assert amp_sig == pytest.approx(1.6, rel=1e-15)
+        assert (w_vac, amp_vac) == (1.0 - w_sig, 0.0)
 
     def test_posterior_matches_monte_carlo_frequency(self):
         # reference working point: acceptance 0.808 (the ideal on/off value at
@@ -56,8 +64,9 @@ class TestPosteriorMixture:
         accept = rng.random(n) < np.where(truth, p_acc, e)
         p_prime_hat = truth[accept].mean()
         n_acc = accept.sum()
-        se = math.sqrt(post.p_prime * (1 - post.p_prime) / n_acc)
-        assert abs(p_prime_hat - post.p_prime) < 3 * se
+        p_prime = post[0][0]
+        se = math.sqrt(p_prime * (1 - p_prime) / n_acc)
+        assert abs(p_prime_hat - p_prime) < 3 * se
 
     def test_rejects_inconsistent_probabilities(self):
         mix = ErasureMixture(CoherentAmplitude(1.0), p=0.5, tap_reflectivity=0.5)
@@ -80,8 +89,8 @@ class TestPosteriorMixture:
         # increasing P at fixed E never decreases the posterior
         mix = ErasureMixture(CoherentAmplitude(1.0), p=p, tap_reflectivity=0.5)
         lo, hi = e + d1, min(e + d1 + d2, 1.0)
-        p_lo = posterior_mixture(mix, lo, e).p_prime
-        p_hi = posterior_mixture(mix, hi, e).p_prime
+        p_lo = posterior_mixture(mix, lo, e)[0][0]
+        p_hi = posterior_mixture(mix, hi, e)[0][0]
         assert p_hi >= p_lo - 1e-12
 
 
@@ -96,7 +105,7 @@ class TestMarginalDensity:
         mix = ErasureMixture(CoherentAmplitude(math.sqrt(3.3)), p=0.02, tap_reflectivity=0.5)
         total, _ = quad(lambda x: marginal_density(mix, x), -10, 10, limit=200)
         assert total == pytest.approx(1.0, abs=1e-9)
-        post = PostFilterMixture(0.76, mix.transmitted_amplitude)
+        post = [(0.76, mix.transmitted_amplitude.magnitude), (1.0 - 0.76, 0.0)]
         total, _ = quad(lambda x: marginal_density(post, x), -10, 10, limit=200)
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -108,10 +117,10 @@ class TestMarginalDensity:
         peak = mix.transmitted_amplitude.magnitude
         assert marginal_density(post, peak) > marginal_density(mix, peak)
         assert marginal_density(post, 0.0) < marginal_density(mix, 0.0)
-        assert post.p_prime > mix.p
+        assert post[0][0] > mix.p
 
     def test_nonnegative(self):
-        mix = ErasureMixture(CoherentAmplitude(1.1, -0.4), p=0.4, tap_reflectivity=0.2)
+        mix = ErasureMixture(CoherentAmplitude(math.hypot(1.1, -0.4)), p=0.4, tap_reflectivity=0.2)
         x = np.linspace(-6, 6, 501)
         assert np.all(marginal_density(mix, x) >= 0.0)
 
@@ -122,14 +131,35 @@ class TestValidation:
             ErasureMixture(CoherentAmplitude(1.0), p=1.2, tap_reflectivity=0.5)
         with pytest.raises(ValueError):
             ErasureMixture(CoherentAmplitude(1.0), p=0.5, tap_reflectivity=-0.1)
-        with pytest.raises(ValueError):
-            PostFilterMixture(1.4, CoherentAmplitude(1.0))
 
-    @pytest.mark.parametrize("re, im", [(math.nan, 0.0), (math.inf, 0.0), (1.0, -math.inf),
-                                        (0.0, math.nan)])
-    def test_non_finite_amplitude_rejected(self, re, im):
-        with pytest.raises(ValueError, match=r"coherent amplitude must be finite, got re=.*, im="):
-            CoherentAmplitude(re, im)
+    # non-finite values, and complex ones with a non-finite part
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, complex(1.0, -math.inf),
+                                     complex(0.0, math.nan)],
+                             ids=["nan", "inf", "complex-inf", "complex-nan"])
+    def test_non_finite_amplitude_rejected(self, amp):
+        with pytest.raises(ValueError, match=r"coherent amplitude must be a finite real number "
+                                             r">= 0, got "):
+            CoherentAmplitude(amp)
+
+    @pytest.mark.parametrize("amp", [1.5j, complex(-1.5, 0.0), np.complex128(1.0),
+                                     np.complex64(0.5)])
+    def test_complex_amplitude_rejected(self, amp):
+        # a phase once gave the signal two readings: the Monte-Carlo layer took
+        # |alpha| and the marginals Re(alpha)
+        with pytest.raises(ValueError, match="coherent amplitude must be a finite real number"):
+            CoherentAmplitude(amp)
+
+    @pytest.mark.parametrize("amp", [-1.5, -5e-324, np.float64(-0.1), -math.inf])
+    def test_negative_amplitude_rejected(self, amp):
+        with pytest.raises(ValueError, match=r">= 0, got -"):
+            CoherentAmplitude(amp)
+
+    @pytest.mark.parametrize("branches", [[(1.0, 1.5j)], [(0.5, 1.0), (0.5, -1.0)],
+                                          [(1.0, math.nan)]], ids=["complex", "negative", "nan"])
+    def test_branch_list_amplitudes_are_checked(self, branches):
+        for marginal in (marginal_density, marginal_cdf):
+            with pytest.raises(ValueError, match="coherent amplitude"):
+                marginal(branches, [0.0, 1.0])
 
     def test_nan_amplitude_gives_no_density(self):
         # a NaN amplitude once came back from marginal_density as [nan nan]
