@@ -9,7 +9,9 @@ also over a config value of a flag they conflict with.  The file is read on
 every call; each subcommand's parser is built once per process, and the
 handler is looked up in COMMANDS when the command runs.  A handler returns
 its table as ``(columns, rows)`` or ``(columns, rows, extras)``; ``main``
-writes it and picks the exit code.
+writes it and picks the exit code.  The output file is opened once, before
+the work, and rewritten in place; a failed command removes a file it
+created and leaves an existing one as it was.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import math
 import os
 import shlex
+import stat
 import sys
 
 import numpy as np
@@ -64,8 +67,10 @@ def _provenance(args) -> dict:
     }
 
 
-def _emit(args, columns: list, rows: list, extra: dict | None = None):
-    """Write a handler's table as CSV (with provenance comments) or JSON."""
+def _emit(args, out, columns: list, rows: list, extra: dict | None = None):
+    """Write a handler's table as CSV (with provenance comments) or JSON to
+    the open ``--out`` text file ``out``, over its old bytes, or to stdout
+    when ``out`` is None."""
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -92,20 +97,29 @@ def _emit(args, columns: list, rows: list, extra: dict | None = None):
         for row in rows:
             writer.writerow(row)
         text = buf.getvalue()
-    if args.out:
-        with _open(args.out, "w", "--out") as fh:
-            fh.write(text)
-    else:
+    if out is None:
         sys.stdout.write(text)
+        return
+    out.write(text)
+    if stat.S_ISREG(os.fstat(out.fileno()).st_mode):  # drop a longer old file's tail
+        out.truncate()
 
 
-def _open(path: str, mode: str, source: str):
+def _open(path: str, mode: str, source: str, opener=None):
     """open(), with a failure reported as a ValueError naming ``source``, the
     flag, variable or default that gave the path."""
     try:
-        return open(path, mode)
+        return open(path, mode, opener=opener)
     except OSError as exc:
         raise ValueError(f"cannot open {source} {path!r}: {exc.strerror}") from exc
+
+
+def _in_place(path: str, flags: int) -> int:
+    """An opener for ``open(path, "w")`` that creates the file but does not
+    truncate it: an existing file keeps its bytes until ``_emit`` writes over
+    them, and ext4 starts no writeback on close, as it does after a
+    truncate to zero."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _jsonable(x):
@@ -429,17 +443,13 @@ def _figure3(args):
             "theory_filtered_hds_ideal", "model_perturbed", "model_filtered",
             "mc_density_perturbed", "mc_density_vacuum", "mc_density_filtered",
             "mc_count_perturbed", "mc_count_vacuum", "mc_count_filtered"]
-    theory_perturbed = marginal_density(mix, mids)
-    rows = [
-        list(vals) for vals in zip(
-            mids, theory_perturbed, theory_vacuum, theory_filtered[0], theory_filtered[1],
-            model_all, model_filtered,
-            res.hist_all.densities(), vac_res.hist_all.densities(),
-            res.hist_accepted.densities(),
-            res.hist_all.counts[1:-1], vac_res.hist_all.counts[1:-1],
-            res.hist_accepted.counts[1:-1],
-        )
-    ]
+    columns = [mids, marginal_density(mix, mids), theory_vacuum, *theory_filtered,
+               model_all, model_filtered,
+               res.hist_all.densities(), vac_res.hist_all.densities(),
+               res.hist_accepted.densities(),
+               res.hist_all.counts[1:-1], vac_res.hist_all.counts[1:-1],
+               res.hist_accepted.counts[1:-1]]
+    rows = [list(row) for row in zip(*(col.tolist() for col in columns))]  # counts stay ints
     return cols, rows, {"prep_error": leak, "accepted_trials": res.n_accepted}
 
 
@@ -701,6 +711,8 @@ def _parser(invoked: str, typed_only: bool = False) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    out = None  # the output file, opened before the work
+    discard = False  # remove it on failure: this command created it
     try:
         invoked = " ".join(argv[:2 if " ".join(argv[:2]) in COMMANDS else 1])  # e.g. "qkd keyrate"
         config = _config_defaults(invoked)  # read on every call: the file may change
@@ -716,11 +728,10 @@ def main(argv=None) -> int:
         if name == "figures" and not args.out:  # the default file is checked like a typed one
             args.out, source = f"{args.which}.{args.format}", "default output file"
         if args.out:  # an unopenable output file fails before the work
-            existed = os.path.lexists(args.out)
-            _open(args.out, "a", source).close()  # "a" leaves an existing file's bytes
-            if not existed:
-                os.remove(args.out)
-        _emit(args, *COMMANDS[name][0](args))
+            discard = not os.path.lexists(args.out)
+            out = _open(args.out, "w", source, _in_place)
+        _emit(args, out, *COMMANDS[name][0](args))
+        discard = False
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -728,6 +739,11 @@ def main(argv=None) -> int:
     except (NumericsError, FloatingPointError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if out is not None:
+            out.close()
+            if discard:
+                os.remove(args.out)
 
 
 if __name__ == "__main__":

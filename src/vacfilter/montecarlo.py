@@ -17,19 +17,28 @@ that equals ``searchsorted(edges, x, side="right")``; one ``bincount`` of that
 index with the trial's truth and acceptance bits appended gives the four
 counts and both histograms.
 
+A trial is the composition of two halves.  The mixture half (truth and
+verification quadrature, and with them the histogram edges) is fixed by the
+mixture's p, tap and |alpha| and by ``prep_error``; the detector half (tap
+outcome and decision) adds the filter detector.
+
 ``run_sweep`` evaluates configurations that share seed, trials and workers
 on the same trials: it draws each block once (the uniforms and the normal
 variates, computed only when a configuration reads them) and runs every
 configuration on those draws, which live for that one block; each worker
-writes its blocks' uniforms into one buffer.  Each result equals a run of
-its configuration alone; across the sweep they are common-random-number
-estimates, not independent ones.  A block's variates, trial columns and bin
-indices are computed in place wherever the arithmetic allows (the same
-operations in the same order, so the same bits): a block then frees less
-than glibc's heap-trim threshold, and the next block finds its pages still
-mapped instead of faulting them back in.  Values chosen by a trial's truth
-are gathered from a two-entry table: ``np.where`` branches on each entry of
-a random mask.
+writes its blocks' uniforms into one buffer.  Configurations with the same
+mixture half form a group: per block, the group's half is computed and
+binned once, and each member adds only its detector half and one
+``bincount``, the last member in place on the group's bin index, so a
+one-configuration run is a group of one.  One group's arrays are alive at a
+time.  Each result equals a run of its configuration alone; across the sweep
+they are common-random-number estimates, not independent ones.  A block's
+variates, trial columns and bin indices are computed in place wherever the
+arithmetic allows (the same operations in the same order, so the same bits):
+a block then frees less than glibc's heap-trim threshold, and the next block
+finds its pages still mapped instead of faulting them back in.  Values
+chosen by a trial's truth are gathered from a two-entry table: ``np.where``
+branches on each entry of a random mask.
 
 ``sample_trials`` returns the first n trials of the same stream as
 ``TrialRecords``: four numpy columns (truth, tap outcome, decision,
@@ -283,15 +292,29 @@ def _select(truth: np.ndarray, if_true: float, if_false: float) -> np.ndarray:
     return np.array([if_false, if_true]).take(truth.view(np.uint8))
 
 
-def _trials(cfg: McConfig, draws: _Draws):
-    """One configuration's trials on one block's draws as arrays
-    (truth, tap_outcome, accepted, verify_x): the single implementation of the
-    randomness contract, shared by the counts and the trial records."""
+def _mixture_key(cfg: McConfig) -> tuple:
+    """What fixes a configuration's mixture half: p, tap, |alpha| and prep_error."""
+    mix = cfg.mixture
+    return mix.p, mix.tap_reflectivity, mix.alpha.magnitude, cfg.prep_error
+
+
+def _mixture_half(cfg: McConfig, draws: _Draws):
+    """The trials' preparations and verification quadratures (truth, verify_x):
+    everything of a trial that the filter detector does not decide."""
+    mix = cfg.mixture
+    truth = draws.u[:, 0] < mix.p
+    sqrt_t = math.sqrt(mix.transmissivity)
+    verify_x = _select(truth, sqrt_t * mix.alpha.magnitude, sqrt_t * cfg.prep_error)
+    verify_x += draws.verify_noise
+    return truth, verify_x
+
+
+def _detector_half(cfg: McConfig, draws: _Draws, truth: np.ndarray):
+    """The filter's tap outcome and decision (tap_outcome, accepted) on the
+    preparations ``truth``."""
     u = draws.u
     mix = cfg.mixture
-    truth = u[:, 0] < mix.p
     sqrt_r = math.sqrt(mix.tap_reflectivity)
-    sqrt_t = math.sqrt(mix.transmissivity)
     alpha = mix.alpha.magnitude
 
     det = cfg.detector
@@ -299,20 +322,24 @@ def _trials(cfg: McConfig, draws: _Draws):
         p_sig = acceptance_probability(det, sqrt_r * alpha)
         p_vac = acceptance_probability(det, sqrt_r * cfg.prep_error)
         accepted = u[:, 1] < _select(truth, p_sig, p_vac)
-        tap_outcome = accepted
-    elif isinstance(det, Homodyne):
+        return accepted, accepted
+    if isinstance(det, Homodyne):
         tap_outcome = _select(truth, sqrt_r * alpha, sqrt_r * cfg.prep_error)
         tap_outcome *= effective_displacement(det, 1.0)
         if isinstance(det, HomodyneRandomized):
             tap_outcome *= draws.cos_phase
         tap_outcome += draws.tap_noise
-        accepted = np.abs(tap_outcome) > det.threshold
-    else:
-        raise TypeError(f"unknown detector {det!r}")
+        return tap_outcome, np.abs(tap_outcome) > det.threshold
+    raise TypeError(f"unknown detector {det!r}")
 
-    verify_x = _select(truth, sqrt_t * alpha, sqrt_t * cfg.prep_error)
-    verify_x += draws.verify_noise
-    return truth, tap_outcome, accepted, verify_x
+
+def _trials(cfg: McConfig, draws: _Draws):
+    """One configuration's trials on one block's draws as arrays
+    (truth, tap_outcome, accepted, verify_x), the mixture half composed with
+    the detector half: the single implementation of the randomness contract,
+    shared by the counts and the trial records."""
+    truth, verify_x = _mixture_half(cfg, draws)
+    return truth, *_detector_half(cfg, draws, truth), verify_x
 
 
 def _bin_index(padded: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -332,18 +359,28 @@ def _bin_index(padded: np.ndarray, x: np.ndarray) -> np.ndarray:
     return k
 
 
-def _block_counts(cfg: McConfig, draws: _Draws, padded: np.ndarray):
-    truth, tap_outcome, accepted, verify_x = _trials(cfg, draws)
-    del tap_outcome  # not counted; freed before the binning allocates
+def _group_counts(group: list, draws: _Draws, padded: np.ndarray) -> list:
+    """The counts of each configuration in ``group``, which share one mixture
+    half, on one block: the half is computed and binned once, then each
+    configuration adds its acceptance bits to the shared index."""
+    truth, verify_x = _mixture_half(group[0], draws)
     # one bincount of 4 bin + 2 truth + accepted holds every count
     index = _bin_index(padded, verify_x)
+    del verify_x
     index <<= 1
     index += truth
     index <<= 1
-    index += accepted
-    split = np.bincount(index, minlength=4 * (len(padded) - 1)).reshape(-1, 2, 2)
-    (n_vr, n_va), (n_cr, n_ca) = split.sum(axis=0).tolist()  # [truth][accepted]
-    return n_cr + n_ca, n_ca, n_vr + n_va, n_va, split.sum(axis=(1, 2)), split[:, :, 1].sum(axis=1)
+    counts = []
+    for i, cfg in enumerate(group):
+        accepted = _detector_half(cfg, draws, truth)[1]
+        # the last configuration adds its bits in place, the others to a copy
+        keyed = np.add(index, accepted, out=index if i == len(group) - 1 else None)
+        split = np.bincount(keyed, minlength=4 * (len(padded) - 1)).reshape(-1, 2, 2)
+        del keyed  # freed before the next configuration's detector half
+        (n_vr, n_va), (n_cr, n_ca) = split.sum(axis=0).tolist()  # [truth][accepted]
+        counts.append((n_cr + n_ca, n_ca, n_vr + n_va, n_va,
+                       split.sum(axis=(1, 2)), split[:, :, 1].sum(axis=1)))
+    return counts
 
 
 def run_sweep(cfgs) -> list[McResult]:
@@ -351,10 +388,12 @@ def run_sweep(cfgs) -> list[McResult]:
     per configuration, in order.
 
     The configurations must share seed, trials and workers.  Each block is
-    drawn once and every configuration is evaluated on it; blocks are
-    generated from per-block Philox keys, split among the workers and reduced
-    in block order, so each result is bit-identical to a run of its
-    configuration alone, for any worker count.
+    drawn once; configurations with equal p, tap, |alpha| and prep_error form
+    one group, whose mixture half is computed and binned once per block, and
+    each configuration adds only its detector half.  Blocks are generated
+    from per-block Philox keys, split among the workers and reduced in block
+    order, so each result is bit-identical to a run of its configuration
+    alone, for any worker count.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -365,7 +404,12 @@ def run_sweep(cfgs) -> list[McResult]:
         if (cfg.seed, cfg.trials, cfg.workers) != shared:
             raise ValueError("a sweep's configurations must share seed, trials and workers, "
                              f"got {shared} and {(cfg.seed, cfg.trials, cfg.workers)}")
-    padded = [np.concatenate(([-np.inf], _hist_edges(cfg), [np.inf])) for cfg in cfgs]
+    keys = [_mixture_key(cfg) for cfg in cfgs]
+    members = {}  # mixture key -> positions of its group's configurations
+    for i, key in enumerate(keys):
+        members.setdefault(key, []).append(i)
+    padded = {key: np.concatenate(([-np.inf], _hist_edges(cfgs[idx[0]]), [np.inf]))
+              for key, idx in members.items()}
     n_blocks = (first.trials + BLOCK_SIZE - 1) // BLOCK_SIZE
     workers = min(first.workers, n_blocks)
 
@@ -378,7 +422,11 @@ def run_sweep(cfgs) -> list[McResult]:
         counts = []
         for b in range(w, n_blocks, workers):
             draws = _Draws(first.seed, b, first.trials, buffer)
-            counts.append([_block_counts(cfg, draws, e) for cfg, e in zip(cfgs, padded)])
+            block = [None] * len(cfgs)
+            for key, idx in members.items():
+                for i, c in zip(idx, _group_counts([cfgs[i] for i in idx], draws, padded[key])):
+                    block[i] = c
+            counts.append(block)
         return counts
 
     if workers == 1:
@@ -389,10 +437,10 @@ def run_sweep(cfgs) -> list[McResult]:
         per_block = [per_worker[b % workers][b // workers] for b in range(n_blocks)]
 
     results = []
-    for cfg, e, blocks in zip(cfgs, padded, zip(*per_block)):
+    for cfg, key, blocks in zip(cfgs, keys, zip(*per_block)):
         n_c, n_ac, n_v, n_av, h_all, h_acc = (sum(col) for col in zip(*blocks))  # integer sums
-        results.append(McResult(cfg, n_c, n_ac, n_v, n_av,
-                                Histogram(e[1:-1], h_all), Histogram(e[1:-1], h_acc)))
+        e = padded[key][1:-1]
+        results.append(McResult(cfg, n_c, n_ac, n_v, n_av, Histogram(e, h_all), Histogram(e, h_acc)))
     return results
 
 

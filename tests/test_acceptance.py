@@ -23,7 +23,13 @@ from vacfilter.detectors import (
 )
 from vacfilter.gaussian import condition_on_noclick
 from vacfilter.metrics import gain_columns, sensitivity
-from vacfilter.montecarlo import McConfig, calibrate_prep_error, run_trials, verification_chi2
+from vacfilter.montecarlo import (
+    McConfig,
+    calibrate_prep_error,
+    run_sweep,
+    run_trials,
+    verification_chi2,
+)
 from vacfilter.qkd import QkdScenario, TapFilter, optimize_key_rate, p_min_search, scenario_key_rate, weak_squeezing_keyrate
 from vacfilter.signal_model import CoherentAmplitude, ErasureMixture
 
@@ -92,38 +98,36 @@ class TestAcceptance:
         }
         grid = (0.2, 0.55, 0.9, 1.25, 1.65)
         tap, p = 0.5, 0.5
+        # Each sweep result equals its configuration's run alone, bit for bit.
+        points = [(det, n_mean, McConfig(seed=SEED, trials=10**6, detector=det, workers=4,
+                                         mixture=ErasureMixture(
+                                             CoherentAmplitude(math.sqrt(n_mean / tap)), p, tap)))
+                  for det in detectors.values() for n_mean in grid]
         worst = 0.0
         checks = 0
-        for det in detectors.values():
+        for (det, n_mean, _), res in zip(points, run_sweep([cfg for *_, cfg in points]),
+                                         strict=True):
             e_true = error_probability(det)
-            for n_mean in grid:
-                mix = ErasureMixture(CoherentAmplitude(math.sqrt(n_mean / tap)), p, tap)
-                cfg = McConfig(seed=SEED, trials=10**6, detector=det, mixture=mix,
-                               workers=4)
-                res = run_trials(cfg)
-                p_true = acceptance_probability(det, math.sqrt(n_mean))
-                p_s_true = p * p_true + (1 - p) * e_true
-                for hat, true, n in (
-                    (res.p_accept_hat, p_true, res.n_coherent),
-                    (res.e_hat, e_true, res.n_vacuum),
-                    (res.p_s_hat, p_s_true, res.trials),
-                ):
-                    sigma = math.sqrt(max(true * (1 - true), 1e-12) / n)
-                    worst = max(worst, abs(hat - true) / sigma)
-                    checks += 1
+            p_true = acceptance_probability(det, math.sqrt(n_mean))
+            p_s_true = p * p_true + (1 - p) * e_true
+            for hat, true, n in (
+                (res.p_accept_hat, p_true, res.n_coherent),
+                (res.e_hat, e_true, res.n_vacuum),
+                (res.p_s_hat, p_s_true, res.trials),
+            ):
+                sigma = math.sqrt(max(true * (1 - true), 1e-12) / n)
+                worst = max(worst, abs(hat - true) / sigma)
+                checks += 1
         three_sigma_ok = worst < 3.0
 
-        identical = True
         mix = ErasureMixture(CoherentAmplitude(math.sqrt(1.65 / tap)), p, tap)
-        for det in detectors.values():
-            outs = []
-            for workers in (1, 4, 8):
-                cfg = McConfig(seed=SEED, trials=10**6, detector=det, mixture=mix,
-                               workers=workers)
-                r = run_trials(cfg)
-                outs.append((r.n_coherent, r.n_accepted_coherent, r.n_accepted_vacuum,
-                             tuple(r.hist_all.counts), tuple(r.hist_accepted.counts)))
-            identical = identical and outs[0] == outs[1] == outs[2]
+        outs = [[(r.n_coherent, r.n_accepted_coherent, r.n_accepted_vacuum,
+                  tuple(r.hist_all.counts), tuple(r.hist_accepted.counts))
+                 for r in run_sweep(McConfig(seed=SEED, trials=10**6, detector=det,
+                                             mixture=mix, workers=workers)
+                                    for det in detectors.values())]
+                for workers in (1, 4, 8)]
+        identical = outs[0] == outs[1] == outs[2]
         elapsed = time.time() - t0
         ok = three_sigma_ok and identical
         report("criterion-04 MC vs closed form", ok,

@@ -180,6 +180,48 @@ class TestExitCodes:
         assert stale.read_bytes() == fresh.read_bytes()
 
     @pytest.mark.parametrize("argv", [
+        ["acceptance", "--detector", "ideal", "--grid", "0:1:0.5"],
+        ["simulate", "--detector", "hdr", "--eta", "0.8", "--threshold", "0.4", "--p", "0.5",
+         "--alpha-sq", "1", "--trials", "1000", "--format", "json"],
+        ["figures", "fig4", "--trials", "1000"],
+        ["simulate", "--detector", "ideal", "--p", "0.5", "--alpha-sq", "1", "--trials", "0"],
+    ], ids=["table", "simulate", "figures", "failing"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_out_opened_once_and_never_truncated_to_zero(self, capsys, tmp_path, monkeypatch,
+                                                         argv, existing):
+        path = tmp_path / "out.csv"
+        if existing:
+            path.write_text("x" * 100_000)
+        opened = []
+        real_open = os.open
+
+        def recording(file, flags, *args, **kwargs):
+            if os.fspath(file) == str(path):
+                opened.append(flags)
+            return real_open(file, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        run_cli(capsys, [*argv, "--out", str(path)])
+        assert len(opened) == 1
+        assert opened[0] & os.O_TRUNC == 0
+
+    def test_out_dev_null(self, capsys):
+        code, out, err = run_cli(capsys, ["acceptance", "--detector", "ideal",
+                                          "--grid", "0:1:0.5", "--out", os.devnull])
+        assert (code, out, err) == (0, "", "")
+        assert Path(os.devnull).is_char_device()
+
+    def test_symlinked_out_rewrites_its_target(self, capsys, tmp_path):
+        fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link"
+        target.write_text("x" * 100_000)
+        link.symlink_to(target)
+        for path in (fresh, link):
+            assert run_cli(capsys, ["acceptance", "--detector", "ideal", "--grid", "0:1:0.5",
+                                    "--out", str(path)])[0] == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
         ["simulate", "--detector", "ideal", "--p", "0.5", "--alpha-sq", "1", "--trials", "0"],
         ["figures", "fig4", "--trials", "0"],
     ])

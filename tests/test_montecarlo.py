@@ -339,6 +339,34 @@ class TestSweep:
             tracemalloc.stop()
         assert peak < (4 + 7) * 8 * BLOCK_SIZE
 
+    def test_a_mixture_group_holds_few_block_sized_arrays(self):
+        # Three detectors on one mixture: the group's index is shared, and
+        # only the two configurations before the last copy it, one at a time,
+        # so the block stays under the one-configuration bound.
+        cfgs = [make_cfg(DETECTORS[kind], trials=2 * BLOCK_SIZE, prep_error=0.3)
+                for kind in sorted(DETECTORS)]
+        run_sweep(cfgs)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_sweep(cfgs)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < (4 + 7) * 8 * BLOCK_SIZE
+
+    def test_each_mixture_group_is_binned_once_per_block(self, monkeypatch, tmp_path):
+        from vacfilter import cli, montecarlo
+
+        calls = []
+        binned = montecarlo._bin_index
+        monkeypatch.setattr(montecarlo, "_bin_index",
+                            lambda padded, x: calls.append(len(x)) or binned(padded, x))
+        # fig4: three detectors at each of 11 signal levels, one block of trials
+        assert cli.main(["figures", "fig4", "--trials", "20000", "--seed", "7",
+                         "--out", str(tmp_path / "fig4.csv")]) == 0
+        assert calls == [20_000] * 11
+
 
 def _padded(edges):
     return np.concatenate(([-np.inf], edges, [np.inf]))
@@ -456,6 +484,80 @@ def test_sweep_matches_a_plain_reference(data):
                      prep_error=data.draw(st.sampled_from([0.0, 1.5]) | st.floats(0.0, 1.5)),
                      trials=trials, seed=seed, workers=workers)
             for _ in range(data.draw(st.integers(1, 4)))]
+    for res, cfg in zip(run_sweep(cfgs), cfgs, strict=True):
+        counts, h_all, h_acc = _reference_run(cfg)
+        assert [res.n_coherent, res.n_accepted_coherent, res.n_vacuum,
+                res.n_accepted_vacuum] == counts
+        np.testing.assert_array_equal(res.hist_all.counts, h_all)
+        np.testing.assert_array_equal(res.hist_accepted.counts, h_acc)
+
+
+@st.composite
+def _grouped_sweeps(draw, workers):
+    """Configurations with any detector on a pool of one to three mixture
+    halves, each used at least once, in interleaved order.  A pool entry
+    after the first is a fresh draw or a near-miss of the first that differs
+    only in p, prep_error, tap or |alpha| (at zero, possibly only by the
+    sign).  p and tap include 0 and 1, and every zero comes with either sign."""
+    zero = st.sampled_from([0.0, -0.0])
+    fields = {"p": zero | st.just(1.0) | st.floats(0.0, 1.0),
+              "tap": zero | st.just(1.0) | st.floats(0.0, 1.0),
+              "alpha": zero | st.floats(0.0, 2.5),
+              "prep_error": zero | st.floats(0.0, 1.5)}
+    fresh = st.fixed_dictionaries(fields)
+    pool = [draw(fresh)]
+    for _ in range(draw(st.integers(0, 2))):
+        field = draw(st.sampled_from([None, *fields]))
+        if field is None:
+            pool.append(draw(fresh))
+            continue
+        v = pool[0][field]
+        pool.append({**pool[0], field: draw(st.just(-v) | fields[field] if v == 0.0
+                                            else fields[field])})
+    picks = [*range(len(pool)), *draw(st.lists(st.integers(0, len(pool) - 1), max_size=3))]
+    seed = draw(st.integers(0, 2**64 - 1))
+    return [McConfig(seed=seed, trials=BLOCK_SIZE + 777, detector=draw(_any_detector()),
+                     mixture=ErasureMixture(CoherentAmplitude(pool[i]["alpha"]), pool[i]["p"],
+                                            pool[i]["tap"]),
+                     workers=workers, prep_error=pool[i]["prep_error"])
+            for i in draw(st.permutations(picks))]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_grouped_sweep_matches_runs_alone_and_the_reference(workers, data):
+    cfgs = data.draw(_grouped_sweeps(workers))
+    for res, cfg in zip(run_sweep(cfgs), cfgs, strict=True):
+        alone = run_trials(cfg)
+        counts, h_all, h_acc = _reference_run(cfg)
+        assert res.config is cfg
+        assert [res.n_coherent, res.n_accepted_coherent, res.n_vacuum,
+                res.n_accepted_vacuum] == [alone.n_coherent, alone.n_accepted_coherent,
+                                           alone.n_vacuum, alone.n_accepted_vacuum] == counts
+        np.testing.assert_array_equal(res.hist_all.edges, alone.hist_all.edges)
+        for got, want in ((res.hist_all.counts, alone.hist_all.counts),
+                          (res.hist_accepted.counts, alone.hist_accepted.counts)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(res.hist_all.counts, h_all)
+        np.testing.assert_array_equal(res.hist_accepted.counts, h_acc)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_near_miss_mixtures_keep_their_own_halves(workers):
+    # A base mixture and one variant per field of the mixture half, each
+    # between two detectors on the base: grouping on fewer fields, or handing
+    # a configuration another group's half, changes some count.
+    base = {"p": 0.5, "tap": 0.4, "alpha": 1.2, "prep_error": 0.0}
+    variants = [base, *({**base, field: value} for field, value in (
+        ("p", 0.8), ("tap", 0.7), ("alpha", 0.3), ("prep_error", 0.9)))]
+    cfgs = []
+    for m in variants:
+        for det in (DETECTORS["hds"], IdealOnOff()):
+            cfgs.append(McConfig(seed=17, trials=BLOCK_SIZE + 777, detector=det,
+                                 mixture=ErasureMixture(CoherentAmplitude(m["alpha"]), m["p"],
+                                                        m["tap"]),
+                                 workers=workers, prep_error=m["prep_error"]))
     for res, cfg in zip(run_sweep(cfgs), cfgs, strict=True):
         counts, h_all, h_acc = _reference_run(cfg)
         assert [res.n_coherent, res.n_accepted_coherent, res.n_vacuum,
