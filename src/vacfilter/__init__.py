@@ -17,15 +17,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "detectors": ("Apd", "HomodyneRandomized", "HomodyneStabilized", "IdealOnOff",
                   "acceptance_probability", "error_probability", "threshold_for_error"),
-    "gaussian": ("CovMatrix", "GaussianComponent", "GaussianMixtureState", "NumericsError",
-                 "apply_beamsplitter", "condition_on_noclick", "gaussian_entropy",
-                 "symplectic_eigenvalues"),
     "metrics": ("gain", "gain_columns", "sensitivity", "success_probability"),
     "montecarlo": ("McConfig", "McResult", "TrialRecords", "calibrate_prep_error",
                    "run_sweep", "run_trials", "sample_trials", "verification_chi2"),
     # kernel stages: filtered_covariance(V, T, p, flt, erased) -> key_rate(a, b, c, p_s, protocol)
-    "qkd": ("KeyRateResult", "QkdScenario", "TapFilter", "filtered_covariance", "key_rate",
-            "optimize_key_rate", "p_min_search", "scenario_key_rate", "weak_squeezing_keyrate"),
+    "qkd": ("KeyRateResult", "NumericsError", "QkdScenario", "TapFilter", "filtered_covariance",
+            "key_rate", "optimize_key_rate", "p_min_search", "scenario_key_rate",
+            "weak_squeezing_keyrate"),
     "signal_model": ("CoherentAmplitude", "ErasureMixture", "marginal_density",
                      "posterior_mixture"),
 }

@@ -4,9 +4,10 @@ regeneration, security analysis, and oracle spot checks.
 All outputs carry a provenance header (command line, seed, version and the
 conventions in force).  Exit codes: 0 success, 2 validation error, 3
 numerical failure.  A flat key=value config file pointed to by the
-VACFILTER_CONFIG environment variable supplies defaults; typed flags win,
-also over a config value of a flag they conflict with.  The file is read on
-every call; each subcommand's parser is built once per process, and the
+VACFILTER_CONFIG environment variable supplies defaults: a line acts as the
+flag ``--key=value`` placed before the typed flags, which win, also over a
+config value of a flag they conflict with.  The file is read on every call;
+each subcommand's parser is built once per process, config or not, and the
 handler is looked up in COMMANDS when the command runs.  A handler returns
 its table as ``(columns, rows)`` or ``(columns, rows, extras)``; ``main``
 writes it and picks the exit code.  The output file is opened once, before
@@ -29,7 +30,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, gaussian, metrics, qkd, signal_model
+from . import __version__, metrics, qkd, signal_model
 from .detectors import (
     Apd,
     HomodyneRandomized,
@@ -39,7 +40,6 @@ from .detectors import (
     error_probability,
     threshold_for_error,
 )
-from .gaussian import NumericsError
 from .signal_model import CoherentAmplitude, ErasureMixture, marginal_density, posterior_mixture
 
 CONVENTIONS = {
@@ -70,7 +70,7 @@ def _provenance(args) -> dict:
 def _emit(args, out, columns: list, rows: list, extra: dict | None = None):
     """Write a handler's table as CSV (with provenance comments) or JSON to
     the open ``--out`` text file ``out``, over its old bytes, or to stdout
-    when ``out`` is None."""
+    when ``out`` is None or is stdout's file (stderr's alike)."""
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -97,12 +97,25 @@ def _emit(args, out, columns: list, rows: list, extra: dict | None = None):
         for row in rows:
             writer.writerow(row)
         text = buf.getvalue()
-    if out is None:
-        sys.stdout.write(text)
+    # an --out naming the file behind stdout or stderr is written through that
+    # stream: reopened (/dev/stdout) it loses O_APPEND, and the rewrite cuts it
+    stream = sys.stdout if out is None else next(
+        (s for s in (sys.stdout, sys.stderr) if _same_file(out, s)), None)
+    if stream is not None:
+        stream.write(text)
         return
     out.write(text)
     if stat.S_ISREG(os.fstat(out.fileno()).st_mode):  # drop a longer old file's tail
         out.truncate()
+
+
+def _same_file(out, stream) -> bool:
+    """Whether the open file ``out`` is the file behind ``stream``; False for a
+    stream without a file descriptor, such as an in-process caller's buffer."""
+    try:
+        return os.path.samestat(os.fstat(out.fileno()), os.fstat(stream.fileno()))
+    except (AttributeError, OSError, ValueError):  # no fileno(), or a closed stream
+        return False
 
 
 def _open(path: str, mode: str, source: str, opener=None):
@@ -340,7 +353,9 @@ def cmd_oracle(args):
             fock.coherent_state(-math.sqrt(args.tap) * args.alpha, n_max),
         )
         rows.append(["fidelity_vs_product", fock.fidelity(st, target), 1.0])
-    else:  # noclick
+    else:  # noclick, the one command that loads the Gaussian reference calculus
+        from . import gaussian
+
         st = fock.tmsv_state(args.V, n_max)
         st = fock.tensor(st, fock.vacuum_state(n_max))
         st = fock.fock_beamsplitter(st, 1, 2, 1.0 - args.tap)
@@ -365,6 +380,11 @@ EXP_PD_APD = 1.4e-4
 
 
 def cmd_figures(args):
+    # checked as McConfig checks them, also for fig5a-c, which run no trials
+    if args.trials is not None and args.trials < 1:
+        raise ValueError("need at least one trial")
+    if args.workers < 1:
+        raise ValueError("need at least one worker")
     which = args.which
     ns = np.linspace(0.0, FIG_TAP_PHOTONS, 34)
     if which == "fig3":
@@ -576,18 +596,15 @@ DETECTOR_READS = {None: (), "ideal": (), "apd": ("eta", "pd"),
                   "hds": _HOMODYNE_READS, "hdr": _HOMODYNE_READS}
 
 
-def build_parser(config: dict | None = None, typed_only: bool = False,
+def build_parser(typed_only: bool = False,
                  invoked: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  ``config`` maps option keys (dashes as
-    underscores) to defaults that replace the declared ones and satisfy
-    required options; argparse converts string values with the option's type.
-    With ``typed_only`` no option has a default, so the parsed namespace holds
-    only the options on the command line.  Given the ``invoked`` subcommand,
-    only its arguments are declared: parsing never reads the others'.  When
-    it has a handler, only it and its group are declared at all; help, a bare
-    group and unknown commands get the full tree.  The parser holds no
-    handler: ``main`` takes it from COMMANDS, so a parser can be reused."""
-    config = config or {}
+    """The command-line parser.  With ``typed_only`` no option has a default
+    or is required, so the parsed namespace holds only the options on the
+    command line.  Given the ``invoked`` subcommand, only its arguments are
+    declared: parsing never reads the others'.  When it has a handler, only it
+    and its group are declared at all; help, a bare group and unknown commands
+    get the full tree.  The parser holds no handler: ``main`` takes it from
+    COMMANDS, so a parser can be reused."""
     parser = argparse.ArgumentParser(
         prog="vacfilter",
         description="vacuum-filtering analysis toolkit",
@@ -608,10 +625,8 @@ def build_parser(config: dict | None = None, typed_only: bool = False,
         if invoked is not None and name != invoked:
             continue
         for flag, kwargs in arguments:
-            key = flag[2:].replace("-", "_")
-            if flag.startswith("--") and (typed_only or key in config):
-                kwargs = {**kwargs, "required": False,
-                          "default": argparse.SUPPRESS if typed_only else config[key]}
+            if typed_only and flag.startswith("--"):
+                kwargs = {**kwargs, "required": False, "default": argparse.SUPPRESS}
             sub.add_argument(flag, **kwargs)
     return parser
 
@@ -636,12 +651,13 @@ def _read_config(path: str) -> dict:
     return entries
 
 
-def _config_defaults(invoked: str) -> dict:
-    """Defaults for the ``invoked`` subcommand from the flat key=value config
-    file named by VACFILTER_CONFIG: a switch takes true or false, a choice must
-    be one of its choices, other values stay strings for argparse to convert.
-    Keys unknown to every subcommand are rejected; keys of other subcommands
-    are ignored."""
+def _config_flags(invoked: str) -> dict:
+    """Per key of the ``invoked`` subcommand in the flat key=value config file
+    named by VACFILTER_CONFIG, the flag that sets it: ``--key=value``, or
+    ``--key`` for a switch set to true and "" for one set to false.  A
+    switch takes true or false and a choice must be one of its choices;
+    argparse converts the other values as it does typed ones.  Keys unknown
+    to every subcommand are rejected; keys of other subcommands are ignored."""
     path = os.environ.get("VACFILTER_CONFIG")
     if not path or not invoked:
         return {}
@@ -652,21 +668,22 @@ def _config_defaults(invoked: str) -> dict:
             raise ValueError(f"unknown config key {key!r}")
     _, _, arguments = COMMANDS.get(invoked, (None, None, ()))
     local = _config_keys(arguments)
-    defaults = {}
+    flags = {}
     for key, value in entries.items():
         if key not in local:
             continue
-        kwargs = local[key]
+        kwargs, flag = local[key], "--" + key.replace("_", "-")
         if kwargs.get("action") == "store_true":
             if value.lower() not in ("true", "false"):
                 raise ValueError(f"config key {key!r} is a switch, expected true or false, "
                                  f"got {value!r}")
-            value = value.lower() == "true"
+            flags[key] = flag if value.lower() == "true" else ""
         elif value not in kwargs.get("choices", (value,)):
             raise ValueError(f"config key {key!r} must be one of "
                              f"{', '.join(kwargs['choices'])}, got {value!r}")
-        defaults[key] = value
-    return defaults
+        else:
+            flags[key] = f"{flag}={value}"
+    return flags
 
 
 def _check_conflicts(args, name: str, typed: set | None):
@@ -714,14 +731,14 @@ def main(argv=None) -> int:
     out = None  # the output file, opened before the work
     discard = False  # remove it on failure: this command created it
     try:
-        invoked = " ".join(argv[:2 if " ".join(argv[:2]) in COMMANDS else 1])  # e.g. "qkd keyrate"
-        config = _config_defaults(invoked)  # read on every call: the file may change
-        reuse = invoked in COMMANDS and not config  # a bounded cache of config-free parsers
-        parser = _parser(invoked) if reuse else build_parser(config, invoked=invoked)
-        args = parser.parse_args(argv)
-        typed = set(vars(_parser(invoked, True).parse_args(argv))) if config else None
-        leaf = getattr(args, f"{args.command}_command", None)
-        name = " ".join(filter(None, (args.command, leaf)))
+        depth = 2 if " ".join(argv[:2]) in COMMANDS else 1
+        name = " ".join(argv[:depth])  # e.g. "qkd keyrate"; parsing succeeds only for a leaf
+        config = _config_flags(name)  # read on every call: the file may change
+        # unknown flags are left to the full parse, which reads a bad config value first
+        typed = set(vars(_parser(name, True).parse_known_args(argv)[0])) if config else None
+        # config flags go first, so typed ones win; a typed key's config value is never read
+        argv[depth:depth] = [flag for key, flag in config.items() if flag and key not in typed]
+        args = _parser(name if name in COMMANDS else "").parse_args(argv)  # a bounded cache
         _check_conflicts(args, name, typed)
         _check_detector_flags(args, typed)
         source = "--out"
@@ -736,7 +753,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, FloatingPointError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (qkd.NumericsError, FloatingPointError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     finally:

@@ -9,7 +9,8 @@ Conventions used throughout this module:
   quadratures are ours divided by 2.
 
 Mixtures of Gaussian states are kept as explicit weighted component lists;
-no moment matching happens here.
+no moment matching happens here.  A reference for the tests and ``oracle
+noclick`` only; ``NumericsError`` and g(y) come from the kernel in ``qkd``.
 """
 
 from __future__ import annotations
@@ -18,14 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qkd import NumericsError, entropy_g
+
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
 WEIGHT_TOL = 1e-12
-
-
-class NumericsError(RuntimeError):
-    """A computation became numerically degenerate (singular matrix, vanishing
-    success probability)."""
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -357,17 +355,6 @@ def _symplectic_eigenvalues_raw(mat: np.ndarray) -> np.ndarray:
     omega = symplectic_form(n)
     ev = np.abs(np.linalg.eigvals(1j * omega @ mat))
     return np.sort(ev)[::2][:n]  # spectrum comes doubled
-
-
-def entropy_g(y):
-    """g(y) = (y+1) log2(y+1) - y log2 y, the bosonic entropy of a thermal
-    state with mean photon number y, for a scalar (returns a float) or an
-    array; 0 where y <= 0 and NaN where y is NaN."""
-    y = np.asarray(y, dtype=float)
-    off = y <= 0.0
-    y_on = np.where(off, 1.0, y)  # keeps log2 away from zero and negatives
-    g = np.where(off, 0.0, (y_on + 1.0) * np.log2(y_on + 1.0) - y_on * np.log2(y_on))
-    return float(g) if g.ndim == 0 else g
 
 
 def gaussian_entropy(cm) -> float:

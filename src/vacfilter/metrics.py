@@ -76,9 +76,10 @@ def gain(p, p_s, error_prob, p_accept=None):
     """Gain G = p'/p of the coherent-state probability through the filter,
     written as (1/p) (1 - (1-p) E / P_S).  Arguments may be scalars or arrays.
 
-    If ``p_accept`` is supplied, the algebraically equivalent form
-    G = P / P_S is required to agree to 1e-12 (a cheap internal consistency
-    check of the inputs).
+    If ``p_accept`` is supplied, the inputs must satisfy P_S = p P + (1-p) E
+    to 1e-12 relative, which makes G = P / P_S too.  Both sides of that
+    identity are sums of nonnegative terms, so the check holds at any p; the
+    two forms of G differ by rounding of order G eps ~ eps / p.
     """
     if np.any(p <= 0.0):
         raise ValueError("gain needs p > 0")
@@ -86,12 +87,10 @@ def gain(p, p_s, error_prob, p_accept=None):
         raise ValueError("gain undefined at vanishing success probability")
     g = (1.0 - (1.0 - p) * error_prob / p_s) / p
     if p_accept is not None:
-        alt = p_accept / p_s
-        if np.any(np.abs(g - alt) > 1e-12):
-            raise ValueError(
-                f"inconsistent inputs: gain forms disagree ({g!r} vs {alt!r}); "
-                "is P_S = p P + (1-p) E?"
-            )
+        deviation = np.max(np.abs(p_s - (p * p_accept + (1.0 - p) * error_prob)) / p_s)
+        if deviation > 1e-12:
+            raise ValueError(f"inconsistent inputs: P_S and p P + (1-p) E disagree by up to "
+                             f"{deviation:.3g} relative, so the gain forms do too")
     return g
 
 

@@ -19,8 +19,8 @@ CV_noclick the no-click-conditioned one.
 
 Every reported rate comes from one closed-form kernel in two stages,
 ``filtered_covariance`` (the click-conditioned moments and P_S) and
-``key_rate`` (the bound on them).  The tests hold it to a Gaussian-mixture
-reference evaluator, to the truncated-Fock oracle and to 50-digit arithmetic.
+``key_rate`` (the bound on them), which owns ``NumericsError`` and g(y).  The
+tests hold it to a Gaussian-mixture reference, a Fock oracle and 50 digits.
 
 Two modeling knobs are exposed because they change the numbers:
 
@@ -42,10 +42,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import Apd
-from .gaussian import NumericsError, entropy_g
 
 MIN_SUCCESS_PROB = 1e-12
 MAX_VARIANCE = 1e4  # kernel rounding grows as V^2 near pure states, 2.2e-7 at 1e4
+
+
+class NumericsError(RuntimeError):
+    """A computation became numerically degenerate (singular matrix, vanishing
+    success probability)."""
+
+
+def entropy_g(y):
+    """g(y) = (y+1) log2(y+1) - y log2 y, the bosonic entropy of a thermal
+    state with mean photon number y, for a scalar (returns a float) or an
+    array; 0 where y <= 0 and NaN where y is NaN."""
+    y = np.asarray(y, dtype=float)
+    off = y <= 0.0
+    y_on = np.where(off, 1.0, y)  # keeps log2 away from zero and negatives
+    g = np.where(off, 0.0, (y_on + 1.0) * np.log2(y_on + 1.0) - y_on * np.log2(y_on))
+    return float(g) if g.ndim == 0 else g
 
 
 @dataclass(frozen=True)

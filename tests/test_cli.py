@@ -211,6 +211,21 @@ class TestExitCodes:
         assert (code, out, err) == (0, "", "")
         assert Path(os.devnull).is_char_device()
 
+    def test_out_dev_stdout_appends_where_stdout_appends(self, tmp_path):
+        log = tmp_path / "log.txt"
+        log.write_text("a\nb\n")
+        argv = ["error", "--detector", "apd", "--eta", "0.6", "--pd", "1e-3"]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("VACFILTER_CONFIG", None)
+        with open(log, "a") as stdout:
+            proc = subprocess.run([sys.executable, "-m", "vacfilter.cli", *argv,
+                                   "--out", "/dev/stdout"], stdout=stdout, stderr=subprocess.PIPE,
+                                  env=env, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        text = log.read_text()
+        assert text.startswith("a\nb\n# vacfilter ")
+        assert parse_csv(text[4:]) == (["detector", "error_probability"], [["apd", "0.001"]])
+
     def test_symlinked_out_rewrites_its_target(self, capsys, tmp_path):
         fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link"
         target.write_text("x" * 100_000)
@@ -224,11 +239,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--detector", "ideal", "--p", "0.5", "--alpha-sq", "1", "--trials", "0"],
         ["figures", "fig4", "--trials", "0"],
+        *(["figures", which, "--trials", "0"] for which in ("fig5a", "fig5b", "fig5c")),
+        *(["figures", which, "--workers", "0"] for which in ("fig4", "fig5a", "fig5c")),
     ])
     def test_zero_trials_rejected(self, capsys, tmp_path, argv):
         code, out, err = run_cli(capsys, [*argv, "--out", str(tmp_path / "out.csv")])
         assert code == 2
-        assert "need at least one trial" in err
+        assert f"need at least one {'worker' if '--workers' in argv else 'trial'}" in err
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -296,6 +313,23 @@ class TestProvenanceAndFormats:
         assert code == 0
         assert out == ""
         assert path.read_text().count("\n") >= 4
+
+
+class TestGainCommand:
+    @pytest.mark.parametrize("argv", [
+        *(["--detector", "apd", "--eta", "0.9", "--pd", "1e-7", "--p", p]
+          for p in ("1e-4", "1e-5", "1e-6")),
+        ["--detector", "hds", "--eta", "0.9", "--match-error", "1e-9", "--p", "1e-4"],
+    ])
+    def test_small_p_tables_are_consistent(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["gain", *argv, "--grid", "0.05:1.65:0.01"])
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert header == ["R_alpha_sq", "P_accept", "P_S", "G"] and len(rows) == 161
+        p = float(argv[-1])
+        for _, p_acc, p_s, g in (map(float, row) for row in rows):
+            assert g == pytest.approx(p_acc / p_s, rel=1e-12)
+            assert g <= 1.0 / p
 
 
 class TestAcceptanceCommand:
@@ -760,6 +794,17 @@ def counting_build_parser(monkeypatch) -> list:
 
 
 class TestParserReuse:
+    def test_config_calls_reuse_both_parsers(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("seed = 123\ngrid = 0:1:0.5\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        built = counting_build_parser(monkeypatch)
+        outputs = [run_cli(capsys, ["acceptance", "--detector", "apd", "--eta", "0.6"])
+                   for _ in range(3)]
+        assert outputs[0][0] == 0 and "# seed: 123" in outputs[0][1]
+        assert outputs == [outputs[0]] * 3
+        assert built == ["acceptance", "acceptance"]  # the typed-only twin and the parser
+
     @pytest.mark.parametrize("name", sorted(LEAF_ARGV))
     def test_second_call_reuses_the_parser_and_writes_the_same_bytes(self, capsys, tmp_path,
                                                                      monkeypatch, name):
@@ -989,6 +1034,40 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, ["marginal", "--x", "0:1:0.5"])
         assert code == 0, err
         assert len(parse_csv(out)[1]) == 3
+
+    @pytest.mark.parametrize("config, argv, typed", [
+        ("trials = 2000\n", ["figures", "fig4", "--out", "{out}"], ["--trials", "2000"]),
+        ("x = -1:2:0.25\n", ["marginal", "--p", "0.2", "--alpha-sq", "2"], ["--x=-1:2:0.25"]),
+        ("p = 0.1\n", ["gain", "--detector", "apd", "--eta", "0.8"], ["--p", "0.1"]),
+        ("no_filter = true\n", ["qkd", "pmin"], ["--no-filter"]),
+    ], ids=["before-the-positional", "negative-start", "required-p", "switch"])
+    def test_config_line_acts_as_its_flag(self, capsys, tmp_path, monkeypatch, config, argv,
+                                          typed):
+        def output(extra):
+            path = tmp_path / "out.csv"
+            code, out, err = run_cli(capsys, [a.format(out=path) for a in argv] + extra)
+            assert code == 0, err
+            return path.read_text() if "--out" in argv else out
+
+        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
+        expected = output(typed)
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text(config)
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        assert output([]) == expected
+
+    def test_malformed_config_value_of_a_typed_option_is_never_read(self, capsys, tmp_path,
+                                                                     monkeypatch):
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("seed = abc\n")
+        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, ["error", "--detector", "ideal", "--seed", "5"])
+        assert code == 0, err
+        assert "# seed: 5" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["error", "--detector", "ideal"])
+        assert exc.value.code == 2
+        assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 
     def test_config_supplies_defaults_flags_win(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "vacfilter.conf"

@@ -1,6 +1,7 @@
 """Import rules for the package, each checked in a fresh interpreter: a
-command loads only the scipy modules it uses, and ``import vacfilter``
-loads no submodule until one of its public names is read."""
+command loads only the scipy modules it uses, only ``oracle noclick`` loads
+the Gaussian reference calculus, and ``import vacfilter`` loads no submodule
+until one of its public names is read."""
 
 import json
 import os
@@ -89,6 +90,23 @@ def test_montecarlo_path_loads_only_scipy_special(argv, tmp_path):
     assert loaded & HEAVY_SCIPY == set()
 
 
+@pytest.mark.parametrize("statement", [
+    "import vacfilter.cli",
+    "import vacfilter.qkd",
+    cli_run("acceptance", "--detector", "hdr", "--eta", "0.63", "--match-error", "5.3e-3"),
+    cli_run("qkd", "pmin", "--eta", "0.63", "--pd", "5e-4"),
+    cli_run("simulate", "--detector", "apd", "--eta", "0.8", "--pd", "1e-3", "--p", "0.5",
+            "--alpha-sq", "2", "--trials", "1000"),
+    cli_run("oracle", "coherent"),
+], ids=["import-cli", "import-qkd", "acceptance", "qkd-pmin", "simulate", "oracle-coherent"])
+def test_shipped_paths_load_no_gaussian_calculus(statement):
+    assert "vacfilter.gaussian" not in loaded_after(statement)
+
+
+def test_oracle_noclick_loads_the_gaussian_calculus():
+    assert "vacfilter.gaussian" in loaded_after(cli_run("oracle", "noclick"))
+
+
 def test_package_import_loads_no_submodule():
     assert loaded_after("import vacfilter") == {"vacfilter"}
 
@@ -113,5 +131,5 @@ print(json.dumps([first, sorted(set(owners.values())), unknown]))
     first, owners, unknown = json.loads(probe(statement)[-2])
     assert first == ["vacfilter.detectors"]
     assert owners == [f"vacfilter.{m}" for m in
-                      ("detectors", "gaussian", "metrics", "montecarlo", "qkd", "signal_model")]
+                      ("detectors", "metrics", "montecarlo", "qkd", "signal_model")]
     assert "no_such_name" in unknown

@@ -125,6 +125,25 @@ class TestGain:
             assert g < 1.0 / p
 
 
+    @given(
+        log_p=st.floats(-9.0, -1.0),
+        p_acc=st.floats(0.0, 1.0),
+        e=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_consistency_check_holds_at_small_p(self, log_p, p_acc, e):
+        # P_S = p P + (1-p) E is checked relative to P_S, a sum of nonnegative
+        # terms, so consistent inputs pass however small p is, while the two
+        # forms of G differ by rounding of order eps / p
+        p = 10.0 ** log_p
+        e = min(e, p_acc)
+        p_s = success_probability(p, p_acc, e)
+        if p_s <= 1e-12:
+            return
+        g = gain(p, p_s, e, p_accept=p_acc)
+        assert g == pytest.approx(p_acc / p_s, rel=1e-12, abs=4.0 * np.finfo(float).eps / p)
+
+
 class TestGainVsSuccessCurve:
     def test_points_satisfy_gain_relation(self):
         det = Apd(eta=1.0, dark_prob=E_MATCH)

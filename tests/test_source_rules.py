@@ -4,8 +4,8 @@ swallow failures that should surface), no scipy module but
 ``scipy.special`` (none at all in ``fock.py``), whose imports cost more than
 the rest of the package, one writer of command output: only ``cli.main``
 calls ``cli._emit``, and only ``_emit`` writes to ``sys.stdout``, and a
-security layer that takes from ``gaussian`` only what the key-rate kernel
-uses, so the Gaussian-mixture calculus stays off its hot path."""
+security layer that imports nothing from ``gaussian``, so the
+Gaussian-mixture calculus stays off its hot path."""
 
 import ast
 from pathlib import Path
@@ -167,13 +167,9 @@ def test_output_rule_catches_each_pattern(tmp_path):
         "other.py:12: refers to _emit"]
 
 
-KERNEL_GAUSSIAN_NAMES = {"NumericsError", "entropy_g"}
-
-
 def gaussian_import_violations(path: Path) -> list:
-    """Imports of ``vacfilter.gaussian`` beyond ``KERNEL_GAUSSIAN_NAMES``; the
-    module itself counts as all of it.  Relative imports are read as
-    ``vacfilter`` ones."""
+    """Imports of ``vacfilter.gaussian`` or of any of its names.  Relative
+    imports are read as ``vacfilter`` ones."""
     nodes = sorted((node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                     if isinstance(node, (ast.Import, ast.ImportFrom))),
                    key=lambda node: node.lineno)
@@ -187,12 +183,12 @@ def gaussian_import_violations(path: Path) -> list:
         for alias in node.names:
             if module == "vacfilter" and alias.name == "gaussian":
                 found.append(f"{path.name}:{node.lineno}: imports gaussian")
-            elif module == "vacfilter.gaussian" and alias.name not in KERNEL_GAUSSIAN_NAMES:
+            elif module == "vacfilter.gaussian":
                 found.append(f"{path.name}:{node.lineno}: imports gaussian.{alias.name}")
     return found
 
 
-def test_qkd_takes_only_the_kernel_names_from_gaussian():
+def test_qkd_imports_nothing_from_gaussian():
     assert gaussian_import_violations(Path(vacfilter.__file__).parent / "qkd.py") == []
 
 
@@ -205,8 +201,9 @@ def test_gaussian_rule_catches_each_pattern(tmp_path):
                    "from vacfilter import fock, gaussian\n"
                    "def f():\n    from vacfilter.gaussian import symplectic_eigenvalues\n"
                    "from .fock import tmsv_state\n"
-                   "from .gaussian import NumericsError, entropy_g\n")
+                   "from .qkd import NumericsError, entropy_g\n")
     assert gaussian_import_violations(bad) == [
         "qkd.py:1: imports gaussian", "qkd.py:2: imports gaussian.CovMatrix",
+        "qkd.py:2: imports gaussian.NumericsError", "qkd.py:2: imports gaussian.entropy_g",
         "qkd.py:7: imports gaussian", "qkd.py:8: imports gaussian",
         "qkd.py:10: imports gaussian.symplectic_eigenvalues"]
