@@ -20,10 +20,9 @@ _EXPORTS = {
     "metrics": ("gain", "gain_columns", "sensitivity", "success_probability"),
     "montecarlo": ("McConfig", "McResult", "TrialRecords", "calibrate_prep_error",
                    "run_sweep", "run_trials", "sample_trials", "verification_chi2"),
-    # kernel stages: filtered_covariance(V, T, p, flt, erased) -> key_rate(a, b, c, p_s, protocol)
-    "qkd": ("KeyRateResult", "NumericsError", "QkdScenario", "TapFilter", "filtered_covariance",
-            "key_rate", "optimize_key_rate", "p_min_search", "scenario_key_rate",
-            "weak_squeezing_keyrate"),
+    # kernel stages: filtered_covariance(V, T, p, det, erased) -> key_rate(a, b, c, p_s, protocol)
+    "qkd": ("KeyRateResult", "NumericsError", "QkdScenario", "filtered_covariance", "key_rate",
+            "optimize_key_rate", "p_min_search", "scenario_key_rate", "weak_squeezing_keyrate"),
     "signal_model": ("CoherentAmplitude", "ErasureMixture", "marginal_density",
                      "posterior_mixture"),
 }

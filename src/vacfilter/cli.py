@@ -292,28 +292,27 @@ def cmd_marginal(args):
     return cols, [list(vals) for vals in zip(*dens)]
 
 
-def _tap_filter(args, tap: float):
+def _filter_apd(args) -> Apd | None:
     if args.no_filter:
         return None
     if args.eta is None:
         raise ValueError("filtered scenario needs --eta (or pass --no-filter)")
-    return qkd.TapFilter(tap_reflectivity=tap, eta=args.eta,
-                         dark_prob=args.pd if args.pd is not None else 0.0)
+    return Apd(eta=args.eta, dark_prob=args.pd if args.pd is not None else 0.0)
 
 
 def cmd_keyrate(args):
-    # --V, --tap and --prefactor default to None so that CONFLICTS sees them
-    # only when set; the optimizer replaces the placeholder tap
-    flt = _tap_filter(args, 0.5 if args.tap is None else args.tap)
+    # --V, --tap and --prefactor default to None so that CONFLICTS sees them only when set
+    det = _filter_apd(args)
     prefactor = args.prefactor or "ps"
     if args.optimize:
-        res = qkd.optimize_key_rate(args.p, flt, protocol=args.protocol,
+        res = qkd.optimize_key_rate(args.p, det, protocol=args.protocol,
                                     erased_mode_variance=args.erased_variance,
                                     prefactor=prefactor)
         V, T = res.optimizer
     else:
         V, T = 1.1 if args.V is None else args.V, None
-        scenario = qkd.QkdScenario(V=V, p=args.p, filter=flt,
+        scenario = qkd.QkdScenario(V=V, p=args.p, filter=det,
+                                   tap_reflectivity=0.5 if args.tap is None else args.tap,
                                    protocol=args.protocol,
                                    erased_mode_variance=args.erased_variance,
                                    prefactor=prefactor)
@@ -323,8 +322,7 @@ def cmd_keyrate(args):
 
 
 def cmd_pmin(args):
-    flt = _tap_filter(args, 0.5)  # placeholder: the search optimizes T
-    res = qkd.p_min_search(flt, precision=args.precision, protocol=args.protocol,
+    res = qkd.p_min_search(_filter_apd(args), precision=args.precision, protocol=args.protocol,
                            erased_mode_variance=args.erased_variance)
     return (["p", "max_K_lower"], [[p, k] for p, k in res.trace],
             {"p_min": res.p_min, "precision": res.precision, "bounded_below": res.bounded_below})
@@ -600,11 +598,12 @@ def build_parser(typed_only: bool = False,
                  invoked: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser.  With ``typed_only`` no option has a default
     or is required, so the parsed namespace holds only the options on the
-    command line.  Given the ``invoked`` subcommand, only its arguments are
-    declared: parsing never reads the others'.  When it has a handler, only it
-    and its group are declared at all; help, a bare group and unknown commands
-    get the full tree.  The parser holds no handler: ``main`` takes it from
-    COMMANDS, so a parser can be reused."""
+    command line, and errors show the full parser's usage line.  Given the
+    ``invoked`` subcommand, only its arguments are declared: parsing never
+    reads the others'.  When it has a handler, only it and its group are
+    declared at all; help, a bare group and unknown commands get the full
+    tree.  The parser holds no handler: ``main`` takes it from COMMANDS, so a
+    parser can be reused."""
     parser = argparse.ArgumentParser(
         prog="vacfilter",
         description="vacuum-filtering analysis toolkit",
@@ -628,6 +627,11 @@ def build_parser(typed_only: bool = False,
             if typed_only and flag.startswith("--"):
                 kwargs = {**kwargs, "required": False, "default": argparse.SUPPRESS}
             sub.add_argument(flag, **kwargs)
+        if typed_only:
+            full = argparse.ArgumentParser(prog=sub.prog)
+            for flag, kwargs in arguments:
+                full.add_argument(flag, **kwargs)
+            sub.usage = full.format_usage().removeprefix("usage: ").rstrip("\n").replace("%", "%%")
     return parser
 
 

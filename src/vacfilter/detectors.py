@@ -111,10 +111,14 @@ def acceptance_probability(det: FilterDetector, beta):
             p = 0.5 * (erfc(np.sqrt(2.0) * (B + a)) + erfc(np.sqrt(2.0) * (B - a)))
         else:
             n = 32 + 8 * math.ceil(np.max(a, initial=0.0))  # one node set for all chunks
-            rows = max(1, min(1024, 2**20 // n))  # at most ~2**20 terms per temporary
-            cos, flat = np.cos((np.arange(n) + 0.5) * (np.pi / n)), np.ravel(a)
-            p = np.concatenate([erfc(np.sqrt(2.0) * (B - flat[i:i + rows, None] * cos)).mean(-1)
-                                for i in range(0, max(flat.size, 1), rows)]).reshape(np.shape(a))
+            m = min(n, 2**20)  # nodes per slice
+            rows = min(1024, 2**20 // m)  # at most ~2**20 terms per temporary
+            flat, p = np.ravel(a), np.zeros(np.size(a))
+            for j in range(0, n, m):
+                cos = np.cos((np.arange(j, min(j + m, n)) + 0.5) * (np.pi / n))
+                for i in range(0, flat.size, rows):
+                    p[i:i + rows] += erfc(np.sqrt(2.0) * (B - flat[i:i + rows, None] * cos)).sum(-1)
+            p = (p / n).reshape(np.shape(a))
     else:
         raise TypeError(f"unknown detector {det!r}")
     return float(p) if np.ndim(p) == 0 else p

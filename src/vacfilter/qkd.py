@@ -8,9 +8,12 @@ covariance matrix of the actual (non-Gaussian) joint state, which lower-bounds
 the true rate by Gaussian extremality.
 
 With a tap filter in place, Bob's mode is split on a beam splitter of
-transmissivity T = 1 - R, the tap is watched by an on/off detector, and only
-click events are kept.  The click-conditioned covariance matrix follows from
-the second-moment identity
+transmissivity T = 1 - R, the tap is watched by a ``detectors.Apd``, and only
+click events are kept.  The kernel reads the detector's no-click element
+(1 - p_d)(1 - eta)^n, while ``detectors.acceptance_probability`` uses
+1 - (1 - p_d) exp(-eta (1 - p_d) |beta|^2): the class is shared, the formulas
+are not.  The click-conditioned covariance matrix follows from the
+second-moment identity
 
     CV_click = (CV_all - P0 * CV_noclick) / P_S,      P_S = 1 - P0,
 
@@ -64,36 +67,22 @@ def entropy_g(y):
 
 
 @dataclass(frozen=True)
-class TapFilter:
-    """Filter hardware: tap reflectivity R and the on/off detector watching
-    it, whose ``eta`` and ``dark_prob`` are checked as for ``detectors.Apd``."""
-
-    tap_reflectivity: float
-    eta: float = 1.0
-    dark_prob: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.tap_reflectivity < 1.0:
-            raise ValueError(
-                f"tap reflectivity must lie in (0, 1), got {self.tap_reflectivity}"
-            )
-        Apd(self.eta, self.dark_prob)
-
-    @property
-    def transmissivity(self) -> float:
-        return 1.0 - self.tap_reflectivity
-
-
-@dataclass(frozen=True)
 class QkdScenario:
     V: float
     p: float
-    filter: TapFilter | None = None
+    filter: Apd | None = None
     protocol: str = "heterodyne"
     erased_mode_variance: str = "marginal"
     prefactor: str = "ps"  # "ps": K = P_S (I - chi);  "p_ps": K = p P_S (I - chi)
+    tap_reflectivity: float = 0.5  # R of the filter's tap; read only with a filter
 
     def __post_init__(self):
+        if self.filter is not None:
+            if not isinstance(self.filter, Apd):
+                raise TypeError(f"the filter must be a detectors.Apd, got {self.filter!r}")
+            if not 0.0 < self.tap_reflectivity < 1.0:
+                raise ValueError(
+                    f"tap reflectivity must lie in (0, 1), got {self.tap_reflectivity}")
         if not 1.0 <= self.V <= MAX_VARIANCE:
             raise ValueError(f"squeezing variance must lie in [1, {MAX_VARIANCE:g}], got {self.V}")
         if not 0.0 <= self.p <= 1.0:
@@ -118,10 +107,10 @@ class KeyRateResult:
     optimizer: tuple | None = None  # (V, T) when produced by an optimizer
 
 
-def filtered_covariance(V, T, p, flt, erased_mode_variance):
+def filtered_covariance(V, T, p, det, erased_mode_variance):
     """Click-conditioned moments (a, b, c, P_S) of the Alice/Bob covariance
     matrix [[a I, c Z], [c Z, b I]] on scalars or broadcast arrays of V and T;
-    without a filter (``flt`` None) T is unused and P_S is 1.0.
+    without a filter (``det`` None) T is unused and P_S is 1.0.
 
     Each zero-mean branch is three scalars (Alice variance A, Bob variance B,
     correlation C).  Behind the tap it keeps its click part: with s the tap
@@ -133,15 +122,15 @@ def filtered_covariance(V, T, p, flt, erased_mode_variance):
     """
     w = V if erased_mode_variance == "marginal" else (V + 1.0 / V) / 2.0
     C = np.sqrt(V * V - 1.0)
-    if flt is None:
+    if det is None:
         a = p * V + (1.0 - p) * w
         return a, p * V + 1.0 - p, p * C, np.ones_like(a)
     r = 1.0 - T
-    kappa = (1.0 - flt.dark_prob) * (2.0 / flt.eta)
+    kappa = (1.0 - det.dark_prob) * (2.0 / det.eta)
     a = b = c = p_s = 0.0
     for weight, A, B, Ck in ((p, V, V, C), (1.0 - p, w, 1.0, 0.0)):
-        s = r * B + T + (2.0 / flt.eta - 1.0)
-        q = (r * (B - 1.0) + 2.0 * flt.dark_prob / flt.eta) / s  # 1 - kappa / s
+        s = r * B + T + (2.0 / det.eta - 1.0)
+        q = (r * (B - 1.0) + 2.0 * det.dark_prob / det.eta) / s  # 1 - kappa / s
         loss = kappa * r / (s * s)
         p_s = p_s + weight * q
         a = a + weight * (A * q + loss * Ck * Ck)
@@ -186,16 +175,16 @@ def key_rate(a, b, c, p_s, protocol):
 
 def scenario_key_rate(scenario: QkdScenario) -> KeyRateResult:
     """Key-rate bound of a full scenario (filtered or not), from the kernel."""
-    flt = scenario.filter
-    moments = filtered_covariance(scenario.V, 1.0 if flt is None else flt.transmissivity,
-                                  scenario.p, flt, scenario.erased_mode_variance)
-    return _report(key_rate(*moments, scenario.protocol), scenario.p, flt, scenario.prefactor)
+    det = scenario.filter
+    moments = filtered_covariance(scenario.V, 1.0 - scenario.tap_reflectivity, scenario.p, det,
+                                  scenario.erased_mode_variance)
+    return _report(key_rate(*moments, scenario.protocol), scenario.p, det, scenario.prefactor)
 
 
-def _report(terms, p, flt, prefactor, optimizer=None) -> KeyRateResult:
+def _report(terms, p, det, prefactor, optimizer=None) -> KeyRateResult:
     """KeyRateResult of kernel terms; "p_ps" scales a filtered K by p."""
     k, i_ab, chi, p_s = (float(x) for x in terms)
-    scale = p if flt is not None and prefactor == "p_ps" else 1.0
+    scale = p if det is not None and prefactor == "p_ps" else 1.0
     return KeyRateResult(scale * k, i_ab, chi, p_s, scale * p_s, optimizer)
 
 
@@ -221,26 +210,26 @@ P_FLOOR = 1e-3
 MAX_ITERATIONS = 60
 
 
-def _grid_optimum(p, flt, protocol, erased_mode_variance):
+def _grid_optimum(p, det, protocol, erased_mode_variance):
     """Kernel maximum of K (prefactor "ps") over V, and over the filter
     transmissivity T when a filter is present, by a deterministic coarse grid
     followed by local refinement.  Returns the kernel's terms there and
     (V, T), T being 1.0 without a filter; the arguments are assumed checked."""
     def grid_best(vs, ts):
-        terms = key_rate(*filtered_covariance(vs[:, None], ts[None, :], p, flt,
+        terms = key_rate(*filtered_covariance(vs[:, None], ts[None, :], p, det,
                                               erased_mode_variance), protocol)
         i, j = np.unravel_index(np.argmax(terms[0]), terms[0].shape)  # first maximum, V-major
-        return [x[i, j] for x in terms], (vs[i], 1.0 if flt is None else ts[j])
+        return [x[i, j] for x in terms], (vs[i], 1.0 if det is None else ts[j])
 
-    t_coarse = np.array([1.0]) if flt is None else _T_COARSE
+    t_coarse = np.array([1.0]) if det is None else _T_COARSE
     best, best_vt = grid_best(_V_COARSE, t_coarse)
 
     v_span = float(_V_COARSE[1] - _V_COARSE[0]) * 2.0
-    t_span = float(_T_COARSE[1] - _T_COARSE[0]) * 2.0 if flt is not None else 0.0
+    t_span = float(_T_COARSE[1] - _T_COARSE[0]) * 2.0 if det is not None else 0.0
     for _ in range(REFINE_ROUNDS):
         v0, t0 = best_vt
         vs = np.linspace(max(1.0005, v0 - v_span), v0 + v_span, 9)
-        ts = t_coarse if flt is None else np.linspace(
+        ts = t_coarse if det is None else np.linspace(
             max(0.005, t0 - t_span), min(0.995, t0 + t_span), 9)
         terms, vt = grid_best(vs, ts)
         if terms[0] > best[0]:
@@ -250,7 +239,7 @@ def _grid_optimum(p, flt, protocol, erased_mode_variance):
     return best, best_vt
 
 
-def optimize_key_rate(p: float, flt: TapFilter | None = None, *,
+def optimize_key_rate(p: float, det: Apd | None = None, *,
                       protocol: str = "heterodyne",
                       erased_mode_variance: str = "marginal",
                       prefactor: str = "ps") -> KeyRateResult:
@@ -261,9 +250,9 @@ def optimize_key_rate(p: float, flt: TapFilter | None = None, *,
     "p_ps" scales K by the constant p, which leaves the maximizer alone.  The
     result holds the kernel's terms at the chosen (V, T) under ``prefactor``.
     """
-    QkdScenario(1.0, p, flt, protocol, erased_mode_variance, prefactor)  # argument checks
-    terms, (V, T) = _grid_optimum(p, flt, protocol, erased_mode_variance)
-    return _report(terms, p, flt, prefactor, optimizer=(float(V), float(T)))
+    QkdScenario(1.0, p, det, protocol, erased_mode_variance, prefactor)  # argument checks
+    terms, (V, T) = _grid_optimum(p, det, protocol, erased_mode_variance)
+    return _report(terms, p, det, prefactor, optimizer=(float(V), float(T)))
 
 
 @dataclass
@@ -274,7 +263,7 @@ class PminResult:
     trace: list  # (p, max K) pairs explored by the bisection, K from the kernel
 
 
-def p_min_search(flt: TapFilter | None = None, *,
+def p_min_search(det: Apd | None = None, *,
                  precision: float = 1e-3,
                  protocol: str = "heterodyne",
                  erased_mode_variance: str = "marginal") -> PminResult:
@@ -283,18 +272,18 @@ def p_min_search(flt: TapFilter | None = None, *,
 
     Each step reads the kernel's grid optimum, the K that ``optimize_key_rate``
     reports at that p.  The search is deterministic (fixed grids, no
-    stochastic optimizer), and the filter's own tap is ignored because T is
-    optimized.  If the bound is already positive at ``P_FLOOR`` the floor is
-    returned with ``bounded_below=True`` (an ideal filter keeps the protocol
-    secure for arbitrarily small p).  ``precision`` must lie in (0, 1).
+    stochastic optimizer).  If the bound is already positive at ``P_FLOOR``
+    the floor is returned with ``bounded_below=True`` (an ideal filter keeps
+    the protocol secure for arbitrarily small p).  ``precision`` must lie in
+    (0, 1).
     """
     if not 0.0 < precision < 1.0:
         raise ValueError(f"precision must lie in (0, 1), got {precision}")
-    QkdScenario(1.0, P_FLOOR, flt, protocol, erased_mode_variance)  # argument checks
+    QkdScenario(1.0, P_FLOOR, det, protocol, erased_mode_variance)  # argument checks
     trace = []
 
     def max_rate(p):
-        k = float(_grid_optimum(p, flt, protocol, erased_mode_variance)[0][0])
+        k = float(_grid_optimum(p, det, protocol, erased_mode_variance)[0][0])
         trace.append((p, k))
         return k
 

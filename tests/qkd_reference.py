@@ -56,17 +56,17 @@ def filtered_covariance(scenario: QkdScenario):
     q = w - w_off = w ((det S - c^2) / (sqrt(det S) (sqrt(det S) + c)) + p_d
     kappa) to P_S and q Gamma_R + w_off C S^-1 C^T to P_S CV_click.
     """
-    flt = scenario.filter
-    if flt is None:
+    det = scenario.filter
+    if det is None:
         raise ValueError("filtered_covariance needs a scenario with a filter")
     state = joint_state(scenario.V, scenario.p, scenario.erased_mode_variance)
     state = gaussian.tensor(state, gaussian.vacuum(1))  # tap mode, index 2
-    state = gaussian.apply_beamsplitter(state, 1, 2, flt.transmissivity)
+    state = gaussian.apply_beamsplitter(state, 1, 2, 1.0 - scenario.tap_reflectivity)
 
     if any(np.max(np.abs(comp.mean)) >= 1e-12 for comp in state.components):
         raise NumericsError("filtered state must be zero-mean")
 
-    c = 2.0 / flt.eta
+    c = 2.0 / det.eta
     p_s = p0 = 0.0
     moment = np.zeros((4, 4))
     for comp in state.components:
@@ -75,8 +75,8 @@ def filtered_covariance(scenario: QkdScenario):
         rise = c * np.trace(excess) + np.linalg.det(excess)  # det S - c^2
         root = math.sqrt(c * c + rise)
         kappa = c / root
-        q = comp.weight * (rise / (root * (root + c)) + flt.dark_prob * kappa)
-        w_off = comp.weight * (1.0 - flt.dark_prob) * kappa
+        q = comp.weight * (rise / (root * (root + c)) + det.dark_prob * kappa)
+        w_off = comp.weight * (1.0 - det.dark_prob) * kappa
         gain = g[:4, 4:] @ np.linalg.solve(excess + c * np.eye(2), g[4:, :4])
         moment += q * g[:4, :4] + w_off * gain
         p_s, p0 = p_s + q, p0 + w_off

@@ -30,7 +30,7 @@ from vacfilter.montecarlo import (
     run_trials,
     verification_chi2,
 )
-from vacfilter.qkd import QkdScenario, TapFilter, optimize_key_rate, p_min_search, scenario_key_rate, weak_squeezing_keyrate
+from vacfilter.qkd import QkdScenario, optimize_key_rate, p_min_search, scenario_key_rate, weak_squeezing_keyrate
 from vacfilter.signal_model import CoherentAmplitude, ErasureMixture
 
 E_MATCH = 5.3e-3
@@ -214,7 +214,7 @@ class TestAcceptance:
 
     def test_criterion_08_ideal_filter_security(self):
         t0 = time.time()
-        res = optimize_key_rate(0.01, TapFilter(0.5, 1.0, 0.0))
+        res = optimize_key_rate(0.01, Apd(1.0, 0.0))
         ok = res.k_lower > 0.0
         elapsed = time.time() - t0
         report("criterion-08 ideal filter secure at p=0.01", ok,
@@ -225,7 +225,7 @@ class TestAcceptance:
     def test_criterion_09_nonideal_thresholds(self):
         t0 = time.time()
         targets = ((0.005, 0.222, 0.01), (5e-4, 0.028, 0.005), (5e-5, 0.003, 0.002))
-        results = {pd: p_min_search(TapFilter(0.5, 0.63, pd), precision=1e-3).p_min
+        results = {pd: p_min_search(Apd(0.63, pd), precision=1e-3).p_min
                    for pd, _, _ in targets}
         monotone = results[5e-5] < results[5e-4] < results[0.005]
         ok = all(
@@ -241,7 +241,7 @@ class TestAcceptance:
         t0 = time.time()
         ratios = {}
         for t_bs in (0.2, 0.5, 0.9):
-            sc = QkdScenario(V=1.01, p=1.0, filter=TapFilter(1.0 - t_bs, 1.0, 0.0))
+            sc = QkdScenario(V=1.01, p=1.0, filter=Apd(1.0, 0.0), tap_reflectivity=1.0 - t_bs)
             numeric = scenario_key_rate(sc).k_lower
             approx = weak_squeezing_keyrate(1.0, 1.0 - t_bs, t_bs, 1.01)
             ratios[t_bs] = approx / numeric

@@ -1069,6 +1069,22 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["gain", "--detector", "ideal", "--p", "x"],
+                                      ["gain", "--detector", "ideal", "--grid", "0:1:0.5", "--p"]])
+    def test_parse_error_usage_line_does_not_depend_on_the_config(self, capsys, tmp_path,
+                                                                  monkeypatch, argv):
+        cfg = tmp_path / "vacfilter.conf"
+        cfg.write_text("seed = 11\n")
+        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
+        errors = []
+        for _ in range(2):  # without a config, then with one
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            errors.append((exc.value.code, capsys.readouterr().err))
+            monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
+        assert errors[0] == errors[1]
+        assert errors[0][0] == 2 and " --p P " in errors[0][1]
+
     def test_config_supplies_defaults_flags_win(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "vacfilter.conf"
         cfg.write_text("seed=123\ngrid=0:1:0.5\n")

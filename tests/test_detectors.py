@@ -116,6 +116,29 @@ class TestAcceptanceProbability:
         assert p[0] == pytest.approx(0.01, rel=1e-12)
         assert np.all(np.diff(p) > 0.0) and p[-1] < 1.0
 
+    def test_hdr_memory_stays_bounded_above_2_20_nodes(self):
+        # a = 1e6 takes 8,000,032 nodes, summed in slices of 2**20; one array
+        # of them would hold 61 MiB
+        det = HomodyneRandomized(eta=1.0, threshold=threshold_for_error(0.01))
+        tracemalloc.start()
+        try:
+            p = acceptance_probability(det, 1e6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        # far above the threshold only the phases with a cos t < B reject
+        assert p == pytest.approx(2.0 / np.pi * np.arccos(det.threshold / 1e6), abs=1e-12)
+
+    def test_hdr_sliced_nodes_match_the_whole_node_set(self):
+        # a = 131,100 takes 1,048,832 nodes, just above 2**20
+        det = HomodyneRandomized(eta=1.0, threshold=0.7)
+        b = np.array([0.0, 50.0, 131_100.0])
+        n = 32 + 8 * 131_100
+        cos = np.cos((np.arange(n) + 0.5) * (np.pi / n))
+        whole = [erfc(np.sqrt(2.0) * (0.7 - x * cos)).mean() for x in b]
+        np.testing.assert_allclose(acceptance_probability(det, b), whole, rtol=1e-15, atol=0.0)
+
     def test_hdr_values_do_not_depend_on_the_chunking(self):
         # a = 300 takes 2,432 nodes and 431-row chunks; with the largest
         # amplitude first, each value also comes from a two-row call
@@ -254,10 +277,12 @@ class TestDetectorOrdering:
 
 class TestValidation:
     def test_bad_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            Apd(eta=0.0)
-        with pytest.raises(ValueError):
-            Apd(eta=0.5, dark_prob=1.0)
+        for eta in (0.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"APD efficiency must lie in \(0, 1\]"):
+                Apd(eta=eta)
+        for pd in (1.0, float("nan")):
+            with pytest.raises(ValueError, match=r"dark-count probability must lie in \[0, 1\)"):
+                Apd(eta=0.5, dark_prob=pd)
         with pytest.raises(ValueError):
             HomodyneStabilized(eta=0.8, threshold=-0.1)
         with pytest.raises(ValueError):

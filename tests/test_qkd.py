@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 from qkd_reference import filtered_covariance, joint_state, key_rate
 
 from vacfilter import fock, qkd
-from vacfilter.detectors import Apd
+from vacfilter.detectors import Apd, HomodyneStabilized, IdealOnOff
 from vacfilter.gaussian import (CovMatrix, NumericsError, entropy_g, mixture_covariance,
                                 symplectic_eigenvalues)
 from vacfilter.qkd import (
     KeyRateResult,
     QkdScenario,
-    TapFilter,
     optimize_key_rate,
     p_min_search,
     scenario_key_rate,
@@ -70,7 +69,7 @@ class TestJointState:
 
 class TestFilteredCovariance:
     def test_unit_variance_never_clicks(self):
-        sc = QkdScenario(V=1.0, p=1.0, filter=TapFilter(0.5, 1.0, 0.0))
+        sc = QkdScenario(V=1.0, p=1.0, filter=Apd(1.0, 0.0))
         with pytest.raises(NumericsError, match="degenerate"):
             filtered_covariance(sc)
 
@@ -79,7 +78,7 @@ class TestFilteredCovariance:
         # click-conditioned CM equals the click-conditioned squeezed branch,
         # computed here independently in the Fock basis
         V, p, T, n_max = 1.15, 0.6, 0.7, 25
-        sc = QkdScenario(V=V, p=p, filter=TapFilter(1.0 - T, 1.0, 0.0))
+        sc = QkdScenario(V=V, p=p, filter=Apd(1.0, 0.0), tap_reflectivity=1.0 - T)
         cv, p_s, p0 = filtered_covariance(sc)
 
         st = fock.tensor(fock.tmsv_state(V, n_max), fock.vacuum_state(n_max))
@@ -94,7 +93,7 @@ class TestFilteredCovariance:
         # branch decomposed into number states, recombined by the same
         # difference formula
         V, p, T, eta, pd, n_max = 1.1, 0.5, 0.7, 0.63, 0.005, 25
-        sc = QkdScenario(V=V, p=p, filter=TapFilter(1.0 - T, eta, pd))
+        sc = QkdScenario(V=V, p=p, filter=Apd(eta, pd), tap_reflectivity=1.0 - T)
         cv, p_s, p0 = filtered_covariance(sc)
 
         st = fock.tensor(fock.tmsv_state(V, n_max), fock.vacuum_state(n_max))
@@ -130,7 +129,7 @@ class TestFilteredCovariance:
         np.testing.assert_allclose(cv.mat, cv_oracle, atol=1e-6)
 
     def test_success_plus_failure_is_one(self):
-        sc = QkdScenario(V=1.2, p=0.4, filter=TapFilter(0.4, 0.8, 1e-3))
+        sc = QkdScenario(V=1.2, p=0.4, filter=Apd(0.8, 1e-3), tap_reflectivity=0.4)
         _, p_s, p0 = filtered_covariance(sc)
         assert p_s + p0 == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < p_s < 1.0
@@ -146,7 +145,7 @@ class TestFilteredCovariance:
         # V = 1 sends vacuum, so the clicks are dark counts and the kept state
         # is vacuum; forming it as CV_all - P0 CV_noclick over P_S ~ p_d leaves
         # rounding of order eps / p_d ~ 2e-9, below the physical set
-        cv, p_s, _ = filtered_covariance(QkdScenario(1.0, p, TapFilter(1.0 - T, eta, pd)))
+        cv, p_s, _ = filtered_covariance(QkdScenario(1.0, p, Apd(eta, pd), tap_reflectivity=1.0 - T))
         np.testing.assert_allclose(cv.mat, np.eye(4), rtol=0.0, atol=1e-15)
         assert p_s == pytest.approx(pd, rel=1e-8)
 
@@ -158,7 +157,8 @@ class TestFilteredCovariance:
         # ValueError), while a degenerate P_S may raise NumericsError
         for p, T, eta, pd in itertools.product([0.0, 1e-6, 0.5, 1.0], [0.005, 0.995],
                                                [0.05, 1.0], [1e-7, 3e-2]):
-            sc = QkdScenario(V, p, TapFilter(1.0 - T, eta, pd), erased_mode_variance=erased)
+            sc = QkdScenario(V, p, Apd(eta, pd), erased_mode_variance=erased,
+                             tap_reflectivity=1.0 - T)
             try:
                 _, p_s, p0 = filtered_covariance(sc)
             except NumericsError:
@@ -220,14 +220,14 @@ class TestWeakSqueezing:
     def test_against_full_rate_at_moderate_squeezing(self):
         # exact bound at V = 1.1, T = 0.9 sits within 15% of the closed form
         # with the P_S slot read as the tap fraction 1 - T
-        sc = QkdScenario(V=1.1, p=1.0, filter=TapFilter(0.1, 1.0, 0.0))
+        sc = QkdScenario(V=1.1, p=1.0, filter=Apd(1.0, 0.0), tap_reflectivity=0.1)
         numeric = scenario_key_rate(sc).k_lower
         approx = weak_squeezing_keyrate(1.0, 0.1, 0.9, 1.1)
         assert approx == pytest.approx(numeric, rel=0.15)
 
     @pytest.mark.parametrize("T", [0.2, 0.5, 0.9])
     def test_ratio_approaches_one_toward_unit_variance(self, T):
-        sc = QkdScenario(V=1.01, p=1.0, filter=TapFilter(1.0 - T, 1.0, 0.0))
+        sc = QkdScenario(V=1.01, p=1.0, filter=Apd(1.0, 0.0), tap_reflectivity=1.0 - T)
         numeric = scenario_key_rate(sc).k_lower
         approx = weak_squeezing_keyrate(1.0, 1.0 - T, T, 1.01)
         assert approx / numeric == pytest.approx(1.0, abs=0.05)
@@ -237,15 +237,15 @@ class TestWeakSqueezing:
             weak_squeezing_keyrate(0.5, 0.5, 0.5, float("nan"))
 
     def test_prefactor_conventions_coincide_at_unit_p(self):
-        flt = TapFilter(0.5, 1.0, 0.0)
-        a = scenario_key_rate(QkdScenario(V=1.05, p=1.0, filter=flt, prefactor="ps"))
-        b = scenario_key_rate(QkdScenario(V=1.05, p=1.0, filter=flt, prefactor="p_ps"))
+        det = Apd(1.0, 0.0)
+        a = scenario_key_rate(QkdScenario(V=1.05, p=1.0, filter=det, prefactor="ps"))
+        b = scenario_key_rate(QkdScenario(V=1.05, p=1.0, filter=det, prefactor="p_ps"))
         assert a.k_lower == pytest.approx(b.k_lower, rel=1e-12)
 
     def test_prefactor_conventions_differ_by_p(self):
-        flt = TapFilter(0.5, 1.0, 0.0)
-        a = scenario_key_rate(QkdScenario(V=1.05, p=0.5, filter=flt, prefactor="ps"))
-        b = scenario_key_rate(QkdScenario(V=1.05, p=0.5, filter=flt, prefactor="p_ps"))
+        det = Apd(1.0, 0.0)
+        a = scenario_key_rate(QkdScenario(V=1.05, p=0.5, filter=det, prefactor="ps"))
+        b = scenario_key_rate(QkdScenario(V=1.05, p=0.5, filter=det, prefactor="p_ps"))
         assert b.k_lower == pytest.approx(0.5 * a.k_lower, rel=1e-12)
 
 
@@ -274,17 +274,17 @@ def _mp_entropy_g(y):
     return mpmath.mpf(0) if y <= 0 else (y + 1) * mpmath.log(y + 1, 2) - y * mpmath.log(y, 2)
 
 
-def mp_kernel_terms(V, p, flt, protocol, erased):
+def mp_kernel_terms(V, T, p, det, protocol, erased):
     """(K, I_ab, chi_bE, P_S) of the kernel's closed form in mpmath, at the
-    working precision set by the caller."""
+    working precision set by the caller; T is read only with a filter ``det``."""
     mpf, sqrt = mpmath.mpf, mpmath.sqrt
     V, p = mpf(V), mpf(p)
     w = V if erased == "marginal" else (V + 1 / V) / 2
     C = sqrt(V * V - 1)
     a, b, c = p * V + (1 - p) * w, p * V + 1 - p, p * C
     p_s = mpf(1)
-    if flt is not None:
-        T, eta, pd = mpf(flt.transmissivity), mpf(flt.eta), mpf(flt.dark_prob)
+    if det is not None:
+        T, eta, pd = mpf(T), mpf(det.eta), mpf(det.dark_prob)
         r = 1 - T
         b, c = T * b + r, sqrt(T) * c
         p0 = 0
@@ -338,8 +338,8 @@ class TestKeyRateKernel:
     @example(**_CANCELLATION_EXAMPLE, protocol="homodyne")
     def test_kernel_matches_the_reference_evaluator(self, V, p, T, eta, pd, filtered,
                                                     protocol, erased):
-        sc = QkdScenario(V, p, TapFilter(1.0 - T, eta, pd) if filtered else None,
-                         protocol, erased)
+        sc = QkdScenario(V, p, Apd(eta, pd) if filtered else None, protocol, erased,
+                         tap_reflectivity=1.0 - T)
         res, ref = scenario_key_rate(sc), reference_rate(sc)
         assert abs(res.k_lower - ref.k_lower) <= 1e-10
         assert abs(res.p_s - ref.p_s) <= 1e-10
@@ -357,21 +357,21 @@ class TestKeyRateKernel:
     @example(**_CANCELLATION_EXAMPLE, protocol="homodyne")
     def test_kernel_matches_a_50_digit_evaluation(self, V, p, T, eta, pd, filtered,
                                                   protocol, erased):
-        flt = TapFilter(1.0 - T, eta, pd) if filtered else None
-        k = scenario_key_rate(QkdScenario(V, p, flt, protocol, erased)).k_lower
+        det, R = Apd(eta, pd) if filtered else None, 1.0 - T
+        k = scenario_key_rate(QkdScenario(V, p, det, protocol, erased, tap_reflectivity=R)).k_lower
         with mpmath.workdps(50):
-            exact = mp_kernel_terms(V, p, flt, protocol, erased)[0]
+            exact = mp_kernel_terms(V, 1.0 - R, p, det, protocol, erased)[0]
         assert abs(k - float(exact)) <= 1e-10 * max(1.0, abs(k))
 
-    @pytest.mark.parametrize("flt", [None, TapFilter(0.005, 1.0, 1e-7),
-                                     TapFilter(0.5, 0.63, 5e-4)])
+    @pytest.mark.parametrize("det, R", [(None, 0.5), (Apd(1.0, 1e-7), 0.005),
+                                        (Apd(0.63, 5e-4), 0.5)])
     @pytest.mark.parametrize("p", [0.5, 0.999, 1.0])
-    def test_every_term_within_1e_6_up_to_the_variance_limit(self, p, flt):
+    def test_every_term_within_1e_6_up_to_the_variance_limit(self, p, det, R):
         # near-pure states lose digits in a b - c^2 as V^2 (p = 1, no filter)
         for V in np.linspace(9e3, qkd.MAX_VARIANCE, 7):
-            res = scenario_key_rate(QkdScenario(V, p, flt))
+            res = scenario_key_rate(QkdScenario(V, p, det, tap_reflectivity=R))
             with mpmath.workdps(50):
-                exact = mp_kernel_terms(V, p, flt, "heterodyne", "marginal")
+                exact = mp_kernel_terms(V, 1.0 - R, p, det, "heterodyne", "marginal")
             for term, x in zip(_terms(res), exact):
                 assert abs(term - float(x)) <= 1e-6 * max(1.0, abs(float(x))), f"V={V}"
 
@@ -379,14 +379,14 @@ class TestKeyRateKernel:
         # V = 1 is vacuum everywhere: an ideal tap detector never clicks
         with pytest.raises(NumericsError, match="degenerate"):
             qkd.filtered_covariance(np.array([1.0, 1.2]), np.array([0.5, 0.5]), 0.5,
-                                    TapFilter(0.5, 1.0, 0.0), "marginal")
+                                    Apd(1.0, 0.0), "marginal")
 
-    @pytest.mark.parametrize("flt", [None, TapFilter(0.5, 0.63, 5e-4)])
-    def test_non_finite_rate_raises(self, flt):
+    @pytest.mark.parametrize("det", [None, Apd(0.63, 5e-4)])
+    def test_non_finite_rate_raises(self, det):
         # np.argmax would return the index of the NaN as the optimum
         with pytest.raises(NumericsError, match="finite"):
             qkd.key_rate(*qkd.filtered_covariance(np.array([1.2, np.nan]),
-                                                  np.array([0.5, 0.5]), 0.5, flt, "marginal"),
+                                                  np.array([0.5, 0.5]), 0.5, det, "marginal"),
                          "heterodyne")
 
 
@@ -400,8 +400,7 @@ class TestKernelAgainstFock:
            pd=_log_uniform(1e-7, 3e-2))
     def test_squeezed_branch_matches_fock(self, V, T, eta, pd):
         # n_max 40 keeps the squeezed pair's truncated tail below 1e-10 up to V = 3.5
-        a, b, c, p_s = qkd.filtered_covariance(V, T, 1.0, TapFilter(1.0 - T, eta, pd),
-                                               "marginal")
+        a, b, c, p_s = qkd.filtered_covariance(V, T, 1.0, Apd(eta, pd), "marginal")
         state = fock.tensor(fock.tmsv_state(V, 40), fock.vacuum_state(40))
         state = fock.fock_beamsplitter(state, 1, 2, T)
         prob_click, cond = fock.povm_expectation(state, 2, fock.Click(eta, pd))
@@ -413,7 +412,7 @@ class TestKernelAgainstFock:
     @given(V=_log_uniform(1.0, 1e4), **_BRANCH_DOMAIN)
     def test_erased_branch_closed_values(self, V, T, eta, pd, erased):
         # vacuum at Bob: only dark counts click, and Alice keeps her variance w
-        a, b, c, p_s = qkd.filtered_covariance(V, T, 0.0, TapFilter(1.0 - T, eta, pd), erased)
+        a, b, c, p_s = qkd.filtered_covariance(V, T, 0.0, Apd(eta, pd), erased)
         w = V if erased == "marginal" else (V + 1.0 / V) / 2.0
         assert p_s == pytest.approx(pd, rel=1e-14)
         assert (a, b, c) == (pytest.approx(w, rel=1e-14), pytest.approx(1.0, rel=1e-14), 0.0)
@@ -421,36 +420,35 @@ class TestKernelAgainstFock:
     @settings(max_examples=100, deadline=None)
     @given(V=_log_uniform(1.001, 1e4), p=st.floats(0.0, 1.0), **_BRANCH_DOMAIN)
     def test_any_p_mixes_the_two_branches(self, V, p, T, eta, pd, erased):
-        flt = TapFilter(1.0 - T, eta, pd)
-        a, b, c, p_s = qkd.filtered_covariance(V, T, p, flt, erased)
-        a1, b1, c1, q1 = qkd.filtered_covariance(V, T, 1.0, flt, erased)
-        a0, b0, c0, q0 = qkd.filtered_covariance(V, T, 0.0, flt, erased)
+        det = Apd(eta, pd)
+        a, b, c, p_s = qkd.filtered_covariance(V, T, p, det, erased)
+        a1, b1, c1, q1 = qkd.filtered_covariance(V, T, 1.0, det, erased)
+        a0, b0, c0, q0 = qkd.filtered_covariance(V, T, 0.0, det, erased)
         assert p_s == pytest.approx(p * q1 + (1.0 - p) * q0, rel=1e-12)
         for x, x1, x0 in ((a, a1, a0), (b, b1, b0), (c, c1, c0)):
             mixed = (p * q1 * x1 + (1.0 - p) * q0 * x0) / (p * q1 + (1.0 - p) * q0)
             assert x == pytest.approx(mixed, rel=1e-12, abs=1e-300)
 
 
-def _brute_optimum(p, flt):
+def _brute_optimum(p, det):
     """The optimizer's grid schedule with one reference evaluation per point."""
     def scan(vs, ts, best, best_vt):
         for V in vs:
             for T in ts:
-                res = reference_rate(QkdScenario(
-                    V=V, p=p, filter=None if flt is None else
-                    TapFilter(1.0 - T, flt.eta, flt.dark_prob)))
+                res = reference_rate(QkdScenario(V=V, p=p, filter=det,
+                                                 tap_reflectivity=1.0 - T))
                 if best is None or res.k_lower > best.k_lower:
                     best, best_vt = res, (V, T)
         return best, best_vt
 
-    t_values = [1.0] if flt is None else list(qkd._T_COARSE)
+    t_values = [1.0] if det is None else list(qkd._T_COARSE)
     best, best_vt = scan(qkd._V_COARSE, t_values, None, None)
     v_span = float(qkd._V_COARSE[1] - qkd._V_COARSE[0]) * 2.0
-    t_span = float(qkd._T_COARSE[1] - qkd._T_COARSE[0]) * 2.0 if flt is not None else 0.0
+    t_span = float(qkd._T_COARSE[1] - qkd._T_COARSE[0]) * 2.0 if det is not None else 0.0
     for _ in range(qkd.REFINE_ROUNDS):
         v0, t0 = best_vt
         vs = np.linspace(max(1.0005, v0 - v_span), v0 + v_span, 9)
-        ts = [1.0] if flt is None else np.linspace(
+        ts = [1.0] if det is None else np.linspace(
             max(0.005, t0 - t_span), min(0.995, t0 + t_span), 9)
         best, best_vt = scan(vs, ts, best, best_vt)
         v_span /= 3.0
@@ -459,13 +457,13 @@ def _brute_optimum(p, flt):
 
 
 class TestOptimizerHotPath:
-    @pytest.mark.parametrize("p, flt", [(0.01, TapFilter(0.5, 1.0, 0.0)), (0.9, None)])
-    def test_no_reference_call_and_same_optimum_as_brute_loop(self, p, flt, monkeypatch,
+    @pytest.mark.parametrize("p, det", [(0.01, Apd(1.0, 0.0)), (0.9, None)])
+    def test_no_reference_call_and_same_optimum_as_brute_loop(self, p, det, monkeypatch,
                                                               no_reference_evaluator):
-        res = optimize_key_rate(p, flt)
+        res = optimize_key_rate(p, det)
 
         monkeypatch.undo()
-        brute, brute_vt = _brute_optimum(p, flt)
+        brute, brute_vt = _brute_optimum(p, det)
         assert res.optimizer == brute_vt
         assert abs(res.k_lower - brute.k_lower) <= 1e-12
 
@@ -478,20 +476,20 @@ class TestOptimizationAndThresholds:
         assert len(res.trace) > 4
 
     def test_ideal_filter_secure_at_tiny_p(self):
-        res = optimize_key_rate(0.01, TapFilter(0.5, 1.0, 0.0))
+        res = optimize_key_rate(0.01, Apd(1.0, 0.0))
         assert res.k_lower > 0.0
         assert res.optimizer is not None
 
     def test_ideal_filter_beats_no_filter(self):
         for p in (0.3, 0.6, 0.9):
-            with_filter = optimize_key_rate(p, TapFilter(0.5, 1.0, 0.0)).k_lower
+            with_filter = optimize_key_rate(p, Apd(1.0, 0.0)).k_lower
             without = optimize_key_rate(p, None).k_lower
             assert with_filter >= without - 1e-9, f"p={p}"
 
     def test_dark_counts_hurt_at_fixed_point(self):
         # more dark counts, less key at the same working point
-        quiet = optimize_key_rate(0.1, TapFilter(0.5, 0.63, 5e-5)).k_lower
-        noisy = optimize_key_rate(0.1, TapFilter(0.5, 0.63, 5e-3)).k_lower
+        quiet = optimize_key_rate(0.1, Apd(0.63, 5e-5)).k_lower
+        noisy = optimize_key_rate(0.1, Apd(0.63, 5e-3)).k_lower
         assert quiet > noisy
 
     def test_homodyne_fallback_close_to_heterodyne(self):
@@ -518,7 +516,7 @@ class TestOptimizationAndThresholds:
         with pytest.raises(ValueError, match="precision"):
             p_min_search(None, precision=precision)
         with pytest.raises(ValueError, match="precision"):
-            p_min_search(TapFilter(0.5, 0.63, 5e-4), precision=precision)
+            p_min_search(Apd(0.63, 5e-4), precision=precision)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"protocol": "direct"}, "protocol"),
@@ -530,7 +528,7 @@ class TestOptimizationAndThresholds:
         with pytest.raises(ValueError, match=message):
             p_min_search(None, **kwargs)
         with pytest.raises(ValueError, match=message):
-            p_min_search(TapFilter(0.5, 0.63, 5e-4), **kwargs)
+            p_min_search(Apd(0.63, 5e-4), **kwargs)
 
 
 # p_min at the published settings (filter APD efficiency 0.63) and precision
@@ -544,7 +542,7 @@ PUBLISHED_P_MIN = {
 
 
 def _published_filter(pd):
-    return None if pd is None else TapFilter(0.5, 0.63, pd)
+    return None if pd is None else Apd(0.63, pd)
 
 
 class TestPminOnTheKernel:
@@ -553,18 +551,13 @@ class TestPminOnTheKernel:
     @pytest.mark.parametrize("precision", [1e-3, 1e-6])
     @pytest.mark.parametrize("pd", list(PUBLISHED_P_MIN))
     def test_trace_matches_the_optimizer(self, pd, precision):
-        flt = _published_filter(pd)
-        for p, k in p_min_search(flt, precision=precision).trace:
-            assert k == optimize_key_rate(p, flt).k_lower, f"p={p}"
+        det = _published_filter(pd)
+        for p, k in p_min_search(det, precision=precision).trace:
+            assert k == optimize_key_rate(p, det).k_lower, f"p={p}"
 
     @pytest.mark.parametrize("pd, p_min", list(PUBLISHED_P_MIN.items()))
     def test_published_thresholds_unchanged(self, pd, p_min):
         assert p_min_search(_published_filter(pd), precision=1e-3).p_min == p_min
-
-    def test_filter_tap_is_ignored(self):
-        a = p_min_search(TapFilter(0.5, 0.63, 5e-3))
-        b = p_min_search(TapFilter(0.3, 0.63, 5e-3))
-        assert a == b
 
 
 class TestResultTypes:
@@ -578,20 +571,28 @@ class TestResultTypes:
             QkdScenario(V=0.9, p=0.5)
         for V in (float("nan"), float("inf"), np.nextafter(qkd.MAX_VARIANCE, np.inf)):
             with pytest.raises(ValueError, match=r"squeezing variance must lie in \[1, 10000\]"):
-                QkdScenario(V=V, p=0.5, filter=TapFilter(0.5, 0.63, 5e-4))
+                QkdScenario(V=V, p=0.5, filter=Apd(0.63, 5e-4))
         with pytest.raises(ValueError):
             QkdScenario(V=1.1, p=1.5)
         with pytest.raises(ValueError):
             QkdScenario(V=1.1, p=0.5, protocol="direct")
-        with pytest.raises(ValueError):
-            TapFilter(0.0)
 
-    def test_tap_filter_checks_its_detector_as_an_apd(self):
-        nan = float("nan")
-        for kwargs in ({"eta": 0.0}, {"eta": 1.5}, {"eta": nan},
-                       {"dark_prob": 1.0}, {"dark_prob": nan}):
-            with pytest.raises(ValueError) as tap_err:
-                TapFilter(0.5, **kwargs)
-            with pytest.raises(ValueError) as apd_err:
-                Apd(**{"eta": 1.0, **kwargs})
-            assert str(tap_err.value) == str(apd_err.value)
+    @pytest.mark.parametrize("det", [HomodyneStabilized(eta=0.9, threshold=0.5), IdealOnOff()])
+    def test_filter_must_be_an_apd(self, det):
+        with pytest.raises(TypeError, match="must be a detectors.Apd"):
+            QkdScenario(V=1.1, p=0.5, filter=det)
+
+    @pytest.mark.parametrize("R", [0.0, 1.0, float("nan")])
+    def test_tap_reflectivity_checked_only_with_a_filter(self, R):
+        # the tap is checked before V
+        with pytest.raises(ValueError, match=r"tap reflectivity must lie in \(0, 1\), got "):
+            QkdScenario(V=0.9, p=0.5, filter=Apd(0.63, 5e-4), tap_reflectivity=R)
+        assert QkdScenario(V=1.1, p=0.5, tap_reflectivity=R).filter is None
+
+    def test_positional_fields_keep_their_order(self):
+        # the tap is the last field, so positional calls written before it
+        # existed still reach protocol, erased_mode_variance and prefactor
+        sc = QkdScenario(1.1, 0.5, None, "homodyne", "alphabet", "p_ps")
+        assert (sc.protocol, sc.erased_mode_variance, sc.prefactor) == ("homodyne", "alphabet",
+                                                                        "p_ps")
+        assert sc.tap_reflectivity == 0.5
