@@ -110,7 +110,8 @@ def acceptance_probability(det: FilterDetector, beta):
         if isinstance(det, HomodyneStabilized):
             p = 0.5 * (erfc(np.sqrt(2.0) * (B + a)) + erfc(np.sqrt(2.0) * (B - a)))
         else:
-            n = 32 + 8 * math.ceil(np.max(a, initial=0.0))  # one node set for all chunks
+            # one node set for all chunks, sized by the finite displacements
+            n = 32 + 8 * math.ceil(np.max(a, initial=0.0, where=np.isfinite(a)))
             m = min(n, 2**20)  # nodes per slice
             rows = min(1024, 2**20 // m)  # at most ~2**20 terms per temporary
             flat, p = np.ravel(a), np.zeros(np.size(a))

@@ -103,4 +103,4 @@ def gain_columns(det, p: float, tap_photon_numbers) -> tuple:
     e = error_probability(det)
     p_acc = acceptance_probability(det, np.sqrt(n_mean))
     p_s = success_probability(p, p_acc, e)
-    return p_acc, p_s, gain(p, p_s, e, p_accept=p_acc)
+    return p_acc, p_s, gain(p, p_s, e)

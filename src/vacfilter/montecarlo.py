@@ -26,7 +26,9 @@ outcome and decision) adds the filter detector.
 on the same trials: it draws each block once (the uniforms and the normal
 variates, computed only when a configuration reads them) and runs every
 configuration on those draws, which live for that one block; each worker
-writes its blocks' uniforms into one buffer.  Configurations with the same
+writes its blocks' uniforms into one buffer and adds their counts into one
+integer total per configuration, so a sweep's memory does not grow with its
+length.  Configurations with the same
 mixture half form a group: per block, the group's half is computed and
 binned once, and each member adds only its detector half and one
 ``bincount``, the last member in place on the group's bin index, so a
@@ -42,8 +44,8 @@ branches on each entry of a random mask.
 
 ``sample_trials`` returns the first n trials of the same stream as
 ``TrialRecords``: four numpy columns (truth, tap outcome, decision,
-verification quadrature), filled block by block from the kernel that the
-counts use.  Iterating or indexing it shows one trial as a ``TrialRecord``;
+verification quadrature), filled by the block loop and the two halves that
+the counts use.  Iterating or indexing it shows one trial as a ``TrialRecord``;
 code that reads the columns builds no per-trial object.  A pull of n < 0 or
 of more than ``cfg.trials`` trials raises ``ValueError``.
 
@@ -78,6 +80,7 @@ from .signal_model import VACUUM_QUAD_VARIANCE, ErasureMixture, marginal_cdf
 BLOCK_SIZE = 1 << 16
 _QUAD_SD = math.sqrt(VACUUM_QUAD_VARIANCE)  # exactly 0.5
 HIST_BINS = 80  # verification-quadrature histogram bins
+MAX_WORKERS = 64  # threads a run opens at most; results do not depend on it
 MIN_EXPECTED = 5.0  # chi-squared bins with fewer expected counts are pooled
 _U_LO = 2.0 ** -53
 _U_HI = 1.0 - 2.0 ** -53
@@ -287,6 +290,16 @@ class _Draws:
         return _normals(self.u[:, 3])
 
 
+def _blocks(seed: int, stop: int, first: int = 0, step: int = 1):
+    """Yield (block, _Draws) for blocks first, first + step, ... of trials
+    [0, stop), or block 0 with no trials if stop = 0.  One buffer takes every
+    block's uniforms: a fresh array per block, freed with the block's other
+    arrays, would return the heap top to the system and fault it back in."""
+    buffer = np.empty((min(BLOCK_SIZE, stop), 4))
+    for b in range(first, max(1, -(-stop // BLOCK_SIZE)), step):
+        yield b, _Draws(seed, b, stop, buffer)
+
+
 def _select(truth: np.ndarray, if_true: float, if_false: float) -> np.ndarray:
     """``np.where(truth, if_true, if_false)`` for two scalars, bit for bit, as a gather."""
     return np.array([if_false, if_true]).take(truth.view(np.uint8))
@@ -333,15 +346,6 @@ def _detector_half(cfg: McConfig, draws: _Draws, truth: np.ndarray):
     raise TypeError(f"unknown detector {det!r}")
 
 
-def _trials(cfg: McConfig, draws: _Draws):
-    """One configuration's trials on one block's draws as arrays
-    (truth, tap_outcome, accepted, verify_x), the mixture half composed with
-    the detector half: the single implementation of the randomness contract,
-    shared by the counts and the trial records."""
-    truth, verify_x = _mixture_half(cfg, draws)
-    return truth, *_detector_half(cfg, draws, truth), verify_x
-
-
 def _bin_index(padded: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``np.searchsorted(edges, x, side="right")`` for evenly spaced edges and
     finite x, given ``padded = [-inf, *edges, inf]``: an arithmetic guess, then
@@ -359,28 +363,23 @@ def _bin_index(padded: np.ndarray, x: np.ndarray) -> np.ndarray:
     return k
 
 
-def _group_counts(group: list, draws: _Draws, padded: np.ndarray) -> list:
-    """The counts of each configuration in ``group``, which share one mixture
-    half, on one block: the half is computed and binned once, then each
-    configuration adds its acceptance bits to the shared index."""
+def _group_counts(group: list, draws: _Draws, padded: np.ndarray, totals: list) -> None:
+    """Add each configuration's counts on one block, one bincount of 4 bin +
+    2 truth + accepted ([bin][truth][accepted]), to its entry of ``totals``.
+    The configurations share one mixture half, computed and binned once; each
+    adds its acceptance bits to the shared index."""
     truth, verify_x = _mixture_half(group[0], draws)
-    # one bincount of 4 bin + 2 truth + accepted holds every count
     index = _bin_index(padded, verify_x)
     del verify_x
     index <<= 1
     index += truth
     index <<= 1
-    counts = []
-    for i, cfg in enumerate(group):
+    for i, (cfg, total) in enumerate(zip(group, totals)):
         accepted = _detector_half(cfg, draws, truth)[1]
         # the last configuration adds its bits in place, the others to a copy
         keyed = np.add(index, accepted, out=index if i == len(group) - 1 else None)
-        split = np.bincount(keyed, minlength=4 * (len(padded) - 1)).reshape(-1, 2, 2)
+        total += np.bincount(keyed, minlength=4 * (len(padded) - 1))
         del keyed  # freed before the next configuration's detector half
-        (n_vr, n_va), (n_cr, n_ca) = split.sum(axis=0).tolist()  # [truth][accepted]
-        counts.append((n_cr + n_ca, n_ca, n_vr + n_va, n_va,
-                       split.sum(axis=(1, 2)), split[:, :, 1].sum(axis=1)))
-    return counts
 
 
 def run_sweep(cfgs) -> list[McResult]:
@@ -391,9 +390,10 @@ def run_sweep(cfgs) -> list[McResult]:
     drawn once; configurations with equal p, tap, |alpha| and prep_error form
     one group, whose mixture half is computed and binned once per block, and
     each configuration adds only its detector half.  Blocks are generated
-    from per-block Philox keys, split among the workers and reduced in block
-    order, so each result is bit-identical to a run of its configuration
-    alone, for any worker count.
+    from per-block Philox keys and split among at most ``MAX_WORKERS``
+    workers, each adding its blocks' counts into one integer total per
+    configuration; integer sums are exact in any order, so each result is
+    bit-identical to a run of its configuration alone, for any worker count.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -410,37 +410,30 @@ def run_sweep(cfgs) -> list[McResult]:
         members.setdefault(key, []).append(i)
     padded = {key: np.concatenate(([-np.inf], _hist_edges(cfgs[idx[0]]), [np.inf]))
               for key, idx in members.items()}
-    n_blocks = (first.trials + BLOCK_SIZE - 1) // BLOCK_SIZE
-    workers = min(first.workers, n_blocks)
+    workers = min(first.workers, -(-first.trials // BLOCK_SIZE), MAX_WORKERS)
 
-    def worker_counts(w):
-        # Worker w takes blocks w, w + workers, ... and refills one buffer
-        # with their uniforms: a fresh array per block, freed with the block's
-        # other arrays, let the allocator return the heap top to the system
-        # and page-fault it back in on every block.
-        buffer = np.empty((min(BLOCK_SIZE, first.trials), 4))
-        counts = []
-        for b in range(w, n_blocks, workers):
-            draws = _Draws(first.seed, b, first.trials, buffer)
-            block = [None] * len(cfgs)
+    def worker_totals(w):
+        # worker w takes blocks w, w + workers, ...
+        totals = [np.zeros(4 * (len(padded[key]) - 1), np.int64) for key in keys]
+        for _, draws in _blocks(first.seed, first.trials, w, workers):
             for key, idx in members.items():
-                for i, c in zip(idx, _group_counts([cfgs[i] for i in idx], draws, padded[key])):
-                    block[i] = c
-            counts.append(block)
-        return counts
+                _group_counts([cfgs[i] for i in idx], draws, padded[key], [totals[i] for i in idx])
+        return totals
 
     if workers == 1:
-        per_block = worker_counts(0)
+        totals = worker_totals(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_worker = list(pool.map(worker_counts, range(workers)))
-        per_block = [per_worker[b % workers][b // workers] for b in range(n_blocks)]
+            totals = [sum(t) for t in zip(*pool.map(worker_totals, range(workers)))]
 
     results = []
-    for cfg, key, blocks in zip(cfgs, keys, zip(*per_block)):
-        n_c, n_ac, n_v, n_av, h_all, h_acc = (sum(col) for col in zip(*blocks))  # integer sums
+    for cfg, key, total in zip(cfgs, keys, totals):
+        split = total.reshape(-1, 2, 2)  # [bin][truth][accepted]
+        (n_vr, n_va), (n_cr, n_ca) = split.sum(axis=0).tolist()
         e = padded[key][1:-1]
-        results.append(McResult(cfg, n_c, n_ac, n_v, n_av, Histogram(e, h_all), Histogram(e, h_acc)))
+        results.append(McResult(cfg, n_cr + n_ca, n_ca, n_vr + n_va, n_va,
+                                Histogram(e, split.sum(axis=(1, 2))),
+                                Histogram(e, split[:, :, 1].sum(axis=1))))
     return results
 
 
@@ -456,13 +449,14 @@ def sample_trials(cfg: McConfig, n: int) -> TrialRecords:
     ``TrialRecord`` values.  Raises ValueError unless 0 <= n <= cfg.trials."""
     if not 0 <= n <= cfg.trials:
         raise ValueError(f"n must be in [0, cfg.trials] = [0, {cfg.trials}], got n = {n}")
-    buffer = np.empty((min(BLOCK_SIZE, n), 4))
     columns = None
-    for start in range(0, n, BLOCK_SIZE) or [0]:  # n = 0: one empty block sets the dtypes
-        block = _trials(cfg, _Draws(cfg.seed, start // BLOCK_SIZE, n, buffer))
-        if columns is None:
-            columns = [np.empty(n, col.dtype) for col in block]
-        for out, col in zip(columns, block):
+    for block, draws in _blocks(cfg.seed, n):
+        truth, verify_x = _mixture_half(cfg, draws)
+        trials = (truth, *_detector_half(cfg, draws, truth), verify_x)
+        if columns is None:  # n = 0: the one empty block sets the dtypes
+            columns = [np.empty(n, col.dtype) for col in trials]
+        start = block * BLOCK_SIZE
+        for out, col in zip(columns, trials):
             out[start:start + len(col)] = col
     return TrialRecords(*columns)
 

@@ -215,6 +215,20 @@ def test_array_input_matches_scalar_calls_and_hdr_quad_oracle(det):
         assert v == pytest.approx(ref / np.pi, rel=1e-13, abs=0.0), f"a={a}"
 
 
+@pytest.mark.parametrize("det", ARRAY_DETECTORS, ids=lambda d: type(d).__name__)
+def test_non_finite_amplitudes_give_nan_and_certain_acceptance(det):
+    # Every detector reads nan as nan and an infinite amplitude as a sure
+    # click; the randomized homodyne once sized its node set from the largest
+    # entry and raised on both.  A finite entry keeps its own value.
+    assert np.isnan(acceptance_probability(det, np.nan))
+    assert acceptance_probability(det, np.inf) == 1.0
+    finite = acceptance_probability(det, 0.5)
+    with_nan = acceptance_probability(det, np.array([0.5, np.nan]))
+    assert with_nan[0] == finite and np.isnan(with_nan[1])
+    np.testing.assert_array_equal(acceptance_probability(det, np.array([0.5, np.inf])),
+                                  [finite, 1.0])
+
+
 class TestErrorProbability:
     def test_ideal_is_zero(self):
         assert error_probability(IdealOnOff()) == 0.0

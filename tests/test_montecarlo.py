@@ -1,6 +1,7 @@
 """Stochastic simulation: determinism across workers, convergence to the
 closed forms, record consistency and verification histograms."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -354,6 +355,75 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak < (4 + 7) * 8 * BLOCK_SIZE
+
+    def test_a_sweep_holds_the_same_memory_however_many_blocks_it_runs(self):
+        # Counts are integer totals per worker: a sweep that kept each block's
+        # counts until the end grew by about 1.6 KiB per block and
+        # configuration, ~300 KiB between these two lengths.
+        mix = ErasureMixture(CoherentAmplitude(1.2), 0.5, 0.5)
+        dets = [IdealOnOff(), *(Apd(eta=0.1 * k, dark_prob=1e-3) for k in range(1, 11))]
+
+        def peak(blocks):
+            cfgs = [McConfig(seed=5, trials=blocks * BLOCK_SIZE, detector=d, mixture=mix)
+                    for d in dets]
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run_sweep(cfgs)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        peak(1)
+        assert peak(24) - peak(8) < 16 * 1024
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_blocks_split_unevenly_among_workers(self, workers):
+        # 5 blocks: two workers take 3 and 2 of them, three take 2, 2 and 1
+        mixes = [ErasureMixture(CoherentAmplitude(a), 0.4, 0.5) for a in (0.8, 1.5)]
+        dets = [IdealOnOff(), Apd(eta=0.63, dark_prob=1.4e-4)]
+        cfgs = [McConfig(seed=9, trials=4 * BLOCK_SIZE + 321, detector=d, mixture=m,
+                         workers=workers) for m in mixes for d in dets]
+        for swept, cfg in zip(run_sweep(cfgs), cfgs, strict=True):
+            alone = run_trials(dataclasses.replace(cfg, workers=1))
+            assert (swept.n_coherent, swept.n_accepted_coherent, swept.n_vacuum,
+                    swept.n_accepted_vacuum) == (alone.n_coherent, alone.n_accepted_coherent,
+                                                 alone.n_vacuum, alone.n_accepted_vacuum)
+            np.testing.assert_array_equal(swept.hist_all.counts, alone.hist_all.counts)
+            np.testing.assert_array_equal(swept.hist_accepted.counts, alone.hist_accepted.counts)
+
+    @pytest.mark.parametrize("workers, blocks, opened", [
+        (8, 5, 3),  # clamped to MAX_WORKERS
+        (2, 5, 2),
+        (8, 2, 2),  # clamped to the block count
+    ])
+    def test_worker_threads_are_bounded(self, monkeypatch, workers, blocks, opened):
+        from vacfilter import montecarlo
+
+        pools = []
+
+        class SerialPool:  # records the pool size and runs the workers in this thread
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(montecarlo, "MAX_WORKERS", 3)
+        cfg = make_cfg(IdealOnOff(), trials=(blocks - 1) * BLOCK_SIZE + 1, workers=workers)
+        res = run_trials(cfg)
+        assert pools == [opened]
+        alone = run_trials(dataclasses.replace(cfg, workers=1))
+        assert (res.n_coherent, res.n_accepted_coherent, res.n_vacuum, res.n_accepted_vacuum) == \
+            (alone.n_coherent, alone.n_accepted_coherent, alone.n_vacuum, alone.n_accepted_vacuum)
+        np.testing.assert_array_equal(res.hist_accepted.counts, alone.hist_accepted.counts)
 
     def test_each_mixture_group_is_binned_once_per_block(self, monkeypatch, tmp_path):
         from vacfilter import cli, montecarlo
