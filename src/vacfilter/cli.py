@@ -3,14 +3,11 @@ regeneration, security analysis, and oracle spot checks.
 
 All outputs carry a provenance header (command line, seed, version and the
 conventions in force).  Exit codes: 0 success, 2 validation error, 3
-numerical failure.  A flat key=value config file pointed to by the
-VACFILTER_CONFIG environment variable supplies defaults: a line acts as the
-flag ``--key=value`` placed before the typed flags, which win, also over a
-config value of a flag they conflict with.  The file is read on every call;
-each subcommand's parser is built once per process, config or not, and the
-handler is looked up in COMMANDS when the command runs.  A handler returns
-its table as ``(columns, rows)`` or ``(columns, rows, extras)``; ``main``
-writes it and picks the exit code.  The output file is opened once, before
+numerical failure.  A command's behaviour depends on its argv alone.  Each
+subcommand's parser is built once per process, and the handler is looked up
+in COMMANDS when the command runs.  A handler returns its table as
+``(columns, rows)`` or ``(columns, rows, extras)``; ``main`` writes it and
+picks the exit code.  The output file is opened once, before
 the work, and rewritten in place; a failed command removes a file it
 created and leaves an existing one as it was.
 """
@@ -118,11 +115,12 @@ def _same_file(out, stream) -> bool:
         return False
 
 
-def _open(path: str, mode: str, source: str, opener=None):
-    """open(), with a failure reported as a ValueError naming ``source``, the
-    flag, variable or default that gave the path."""
+def _open(path: str, source: str):
+    """open(path, "w") without truncation (``_in_place``), with a failure
+    reported as a ValueError naming ``source``, the flag or default that gave
+    the path."""
     try:
-        return open(path, mode, opener=opener)
+        return open(path, "w", opener=_in_place)
     except OSError as exc:
         raise ValueError(f"cannot open {source} {path!r}: {exc.strerror}") from exc
 
@@ -438,10 +436,9 @@ def _figure3(args):
     mix = ErasureMixture(CoherentAmplitude(math.sqrt(alpha_sq)), FIG_P, tap)
     cfg = McConfig(seed=args.seed, trials=trials, detector=det_mc, mixture=mix,
                    workers=args.workers, prep_error=leak)
-    res = run_trials(cfg)
     vac_cfg = McConfig(seed=args.seed + 1, trials=trials, detector=det_mc,
                        mixture=ErasureMixture(mix.alpha, 0.0, tap), workers=args.workers)
-    vac_res = run_trials(vac_cfg)
+    res, vac_res = run_trials(cfg), run_trials(vac_cfg)
 
     edges = res.hist_all.edges
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -565,8 +562,7 @@ COMMANDS = {
 
 # Flags that override one another, per subcommand: (flags, flags they override,
 # message).  A value is set unless it is None or a switch left off.  Values set
-# on both sides are rejected unless only one side was typed, in which case the
-# typed side wins over the config defaults.
+# on both sides are rejected.
 _ONE_THRESHOLD = (("threshold",), ("match_error",),
                   "--threshold and --match-error both set the homodyne threshold; "
                   "pass only one of them")
@@ -587,23 +583,18 @@ CONFLICTS = {
 }
 
 # The detector flags each --detector kind reads; None is no detector (marginal
-# without a filter).  A typed flag the kind does not read is rejected, and a
-# config value of one is dropped.
+# without a filter).  A flag the kind does not read is rejected.
 _HOMODYNE_READS = ("eta", "threshold", "match_error", "efficiency_model")
 DETECTOR_READS = {None: (), "ideal": (), "apd": ("eta", "pd"),
                   "hds": _HOMODYNE_READS, "hdr": _HOMODYNE_READS}
 
 
-def build_parser(typed_only: bool = False,
-                 invoked: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  With ``typed_only`` no option has a default
-    or is required, so the parsed namespace holds only the options on the
-    command line, and errors show the full parser's usage line.  Given the
-    ``invoked`` subcommand, only its arguments are declared: parsing never
-    reads the others'.  When it has a handler, only it and its group are
-    declared at all; help, a bare group and unknown commands get the full
-    tree.  The parser holds no handler: ``main`` takes it from COMMANDS, so a
-    parser can be reused."""
+def build_parser(invoked: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given the ``invoked`` subcommand, only its
+    arguments are declared: parsing never reads the others'.  When it has a
+    handler, only it and its group are declared at all; help, a bare group and
+    unknown commands get the full tree.  The parser holds no handler: ``main``
+    takes it from COMMANDS, so a parser can be reused."""
     parser = argparse.ArgumentParser(
         prog="vacfilter",
         description="vacuum-filtering analysis toolkit",
@@ -624,99 +615,26 @@ def build_parser(typed_only: bool = False,
         if invoked is not None and name != invoked:
             continue
         for flag, kwargs in arguments:
-            if typed_only and flag.startswith("--"):
-                kwargs = {**kwargs, "required": False, "default": argparse.SUPPRESS}
             sub.add_argument(flag, **kwargs)
-        if typed_only:
-            full = argparse.ArgumentParser(prog=sub.prog)
-            for flag, kwargs in arguments:
-                full.add_argument(flag, **kwargs)
-            sub.usage = full.format_usage().removeprefix("usage: ").rstrip("\n").replace("%", "%%")
     return parser
 
 
-def _config_keys(arguments) -> dict:
-    """Config key (long option, dashes as underscores) -> add_argument keywords."""
-    return {flag[2:].replace("-", "_"): kwargs
-            for flag, kwargs in arguments if flag.startswith("--")}
-
-
-def _read_config(path: str) -> dict:
-    entries = {}
-    with _open(path, "r", "VACFILTER_CONFIG") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line {line!r}, expected key=value")
-            key, value = (tok.strip() for tok in line.split("=", 1))
-            entries[key.replace("-", "_")] = value
-    return entries
-
-
-def _config_flags(invoked: str) -> dict:
-    """Per key of the ``invoked`` subcommand in the flat key=value config file
-    named by VACFILTER_CONFIG, the flag that sets it: ``--key=value``, or
-    ``--key`` for a switch set to true and "" for one set to false.  A
-    switch takes true or false and a choice must be one of its choices;
-    argparse converts the other values as it does typed ones.  Keys unknown
-    to every subcommand are rejected; keys of other subcommands are ignored."""
-    path = os.environ.get("VACFILTER_CONFIG")
-    if not path or not invoked:
-        return {}
-    entries = _read_config(path)
-    known = {key for _, _, arguments in COMMANDS.values() for key in _config_keys(arguments)}
-    for key in entries:
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
-    _, _, arguments = COMMANDS.get(invoked, (None, None, ()))
-    local = _config_keys(arguments)
-    flags = {}
-    for key, value in entries.items():
-        if key not in local:
-            continue
-        kwargs, flag = local[key], "--" + key.replace("_", "-")
-        if kwargs.get("action") == "store_true":
-            if value.lower() not in ("true", "false"):
-                raise ValueError(f"config key {key!r} is a switch, expected true or false, "
-                                 f"got {value!r}")
-            flags[key] = flag if value.lower() == "true" else ""
-        elif value not in kwargs.get("choices", (value,)):
-            raise ValueError(f"config key {key!r} must be one of "
-                             f"{', '.join(kwargs['choices'])}, got {value!r}")
-        else:
-            flags[key] = f"{flag}={value}"
-    return flags
-
-
-def _check_conflicts(args, name: str, typed: set | None):
-    """Apply CONFLICTS to the ``args`` parsed for subcommand ``name``; ``typed``
-    names the options on the command line, None when every value set came from it."""
+def _check_conflicts(args, name: str):
+    """Apply CONFLICTS to the ``args`` parsed for subcommand ``name``."""
     for flags, overridden, message in CONFLICTS.get(name, ()):
-        sides = [{dest for dest in side  # `is`, not `in`: 0.0 == False
-                  if getattr(args, dest) is not None and getattr(args, dest) is not False}
-                 for side in (flags, overridden)]
-        if not all(sides):
-            continue
-        on_line = [side & typed for side in sides] if typed is not None else sides
-        if all(on_line) or not any(on_line):
+        # `is`, not `in`: 0.0 == False
+        if all(any(getattr(args, dest) is not None and getattr(args, dest) is not False
+                   for dest in side) for side in (flags, overridden)):
             raise ValueError(message)
-        for dest in sides[1] if on_line[0] else sides[0]:  # a config default loses
-            setattr(args, dest, None)
 
 
-def _check_detector_flags(args, typed: set | None):
-    """Apply DETECTOR_READS to ``args`` of a subcommand with the detector
-    flags; ``typed`` as in _check_conflicts."""
+def _check_detector_flags(args):
+    """Apply DETECTOR_READS to ``args`` of a subcommand with the detector flags."""
     if not hasattr(args, "detector"):
         return
     kind = args.detector
     for dest in _DETECTOR_KEYS[1:]:  # the flags after --detector itself
         if getattr(args, dest) is None or dest in DETECTOR_READS[kind]:
-            continue
-        if typed is not None and dest not in typed:  # a config default is dropped
-            setattr(args, dest, None)
             continue
         flag = "--" + dest.replace("_", "-")
         raise ValueError(f"--detector {kind} does not read {flag}; drop it" if kind
@@ -724,33 +642,28 @@ def _check_detector_flags(args, typed: set | None):
 
 
 @functools.cache
-def _parser(invoked: str, typed_only: bool = False) -> argparse.ArgumentParser:
-    """build_parser(typed_only=..., invoked=...), built once per process: it
-    depends only on the static command table and holds no handler."""
-    return build_parser(typed_only=typed_only, invoked=invoked)
+def _parser(invoked: str) -> argparse.ArgumentParser:
+    """build_parser(invoked), built once per process: it depends only on the
+    static command table and holds no handler."""
+    return build_parser(invoked=invoked)
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
     out = None  # the output file, opened before the work
     discard = False  # remove it on failure: this command created it
     try:
         depth = 2 if " ".join(argv[:2]) in COMMANDS else 1
         name = " ".join(argv[:depth])  # e.g. "qkd keyrate"; parsing succeeds only for a leaf
-        config = _config_flags(name)  # read on every call: the file may change
-        # unknown flags are left to the full parse, which reads a bad config value first
-        typed = set(vars(_parser(name, True).parse_known_args(argv)[0])) if config else None
-        # config flags go first, so typed ones win; a typed key's config value is never read
-        argv[depth:depth] = [flag for key, flag in config.items() if flag and key not in typed]
         args = _parser(name if name in COMMANDS else "").parse_args(argv)  # a bounded cache
-        _check_conflicts(args, name, typed)
-        _check_detector_flags(args, typed)
+        _check_conflicts(args, name)
+        _check_detector_flags(args)
         source = "--out"
-        if name == "figures" and not args.out:  # the default file is checked like a typed one
+        if name == "figures" and not args.out:  # the default file is checked like --out
             args.out, source = f"{args.which}.{args.format}", "default output file"
         if args.out:  # an unopenable output file fails before the work
             discard = not os.path.lexists(args.out)
-            out = _open(args.out, "w", source, _in_place)
+            out = _open(args.out, source)
         _emit(args, out, *COMMANDS[name][0](args))
         discard = False
         return 0

@@ -96,6 +96,8 @@ class McConfig:
     prep_error: float = 0.0  # coherent amplitude leaked into vacuum slots
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 64:  # Philox's key word: others alias modulo 2^64
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.workers < 1:
@@ -252,7 +254,7 @@ def _hist_edges(cfg: McConfig) -> np.ndarray:
 
 def _block_uniforms(seed: int, block: int, out: np.ndarray) -> np.ndarray:
     """Fill the (n, 4) array ``out`` with the uniforms of the block's first n trials."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)], dtype=np.uint64)
+    key = np.array([np.uint64(seed), np.uint64(block)], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     return rng.random(out=out)
 

@@ -1,5 +1,5 @@
 """Command-line surface: exit codes, provenance headers, output formats,
-config-file merging and figure-data generation."""
+parsing and figure-data generation."""
 
 import csv
 import io
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import vacfilter
-from vacfilter import cli, fock, montecarlo
+from vacfilter import cli, fock
 from vacfilter.cli import main
 
 # minimal schema for the JSON output envelope
@@ -216,7 +216,6 @@ class TestExitCodes:
         log.write_text("a\nb\n")
         argv = ["error", "--detector", "apd", "--eta", "0.6", "--pd", "1e-3"]
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        env.pop("VACFILTER_CONFIG", None)
         with open(log, "a") as stdout:
             proc = subprocess.run([sys.executable, "-m", "vacfilter.cli", *argv,
                                    "--out", "/dev/stdout"], stdout=stdout, stderr=subprocess.PIPE,
@@ -664,6 +663,28 @@ LEAF_ARGV = {
 }
 
 
+# A typed value for every flag that CONFLICTS and DETECTOR_READS name, and the
+# flags a subcommand requires before it parses.
+FLAG_ARGV = {
+    "matched_error": ["--matched-error", "0.01"], "detector": ["--detector", "hds"],
+    "eta": ["--eta", "0.5"], "pd": ["--pd", "0.1"], "threshold": ["--threshold", "1"],
+    "match_error": ["--match-error", "0.01"], "efficiency_model": ["--efficiency-model", "sqrt"],
+    "error_target": ["--error-target", "0.02"], "prep_error": ["--prep-error", "0.2"],
+    "no_filter": ["--no-filter"], "optimize": ["--optimize"], "V": ["--V", "1.5"],
+    "tap": ["--tap", "0.3"], "prefactor": ["--prefactor", "p_ps"],
+}
+REQUIRED_ARGV = {"gain": ["--p", "0.1"], "simulate": ["--p", "0.5", "--alpha-sq", "1"],
+                 "marginal": ["--p", "0.5", "--alpha-sq", "1"]}
+# Every (subcommand, flag, flag it overrides, message) of the conflict table.
+CONFLICT_PAIRS = [pytest.param(name, dest, other, message, id=f"{name}-{dest}-{other}")
+                  for name, rules in cli.CONFLICTS.items()
+                  for flags, overridden, message in rules
+                  for dest in flags for other in overridden]
+# Every (--detector kind, detector flag it does not read); None is no --detector.
+UNREAD_DETECTOR_FLAGS = [(kind, dest) for kind, reads in cli.DETECTOR_READS.items()
+                         for dest in cli._DETECTOR_KEYS[1:] if dest not in reads]
+
+
 class TestCommandSurface:
     @pytest.mark.parametrize("argv", UNREAD_FLAGS)
     def test_flags_the_handler_does_not_read_are_rejected(self, capsys, argv):
@@ -689,11 +710,11 @@ class TestCommandSurface:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", sorted(LEAF_ARGV))
-    @pytest.mark.parametrize("typed_only", [False, True])
-    def test_pruned_parser_parses_as_the_full_tree(self, name, typed_only):
+    @pytest.mark.parametrize("cached", [False, True])  # True: the parser main parses with
+    def test_pruned_parser_parses_as_the_full_tree(self, name, cached):
         argv = LEAF_ARGV[name]
-        pruned = cli.build_parser(typed_only=typed_only, invoked=name)
-        full = cli.build_parser(typed_only=typed_only)
+        pruned = cli._parser(name) if cached else cli.build_parser(invoked=name)
+        full = cli.build_parser()
         assert vars(pruned.parse_args(argv)) == vars(full.parse_args(argv))
         other = ["oracle", "coherent"] if name == "error" else ["error"]  # parse in a full tree
         with pytest.raises(SystemExit):  # only the invoked subcommand is declared
@@ -704,6 +725,8 @@ class TestCommandSurface:
         ["qkd", "keyrate", "--bogus"],
         ["simulate", "--detector", "laser"],
         ["--help"], ["--version"], ["qkd"], ["qkd", "bogus"], ["bogus"], [],
+        ["gain", "--detector", "ideal", "--p", "x"],
+        ["gain", "--detector", "ideal", "--grid", "0:1:0.5", "--p"],
     ])
     def test_errors_and_help_match_the_full_tree(self, capsys, argv):
         def outcome(parse):
@@ -755,6 +778,32 @@ class TestCommandSurface:
         assert out == ""
         assert err.startswith("error:") and flag in err
 
+    @pytest.mark.parametrize("name, dest, other, message", CONFLICT_PAIRS)
+    def test_every_pair_of_the_conflict_table_is_rejected(self, capsys, name, dest, other,
+                                                          message):
+        argv = [*name.split(), *REQUIRED_ARGV.get(name, [])]
+        code, out, err = run_cli(capsys, [*argv, *FLAG_ARGV[dest], *FLAG_ARGV[other]])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        parser = cli.build_parser(invoked=name)
+        for one in (dest, other):  # either side alone passes the check
+            cli._check_conflicts(parser.parse_args([*argv, *FLAG_ARGV[one]]), name)
+
+    @pytest.mark.parametrize("kind, dest", UNREAD_DETECTOR_FLAGS)
+    def test_every_flag_the_detector_table_leaves_unread_is_rejected(self, capsys, kind, dest):
+        flag = "--" + dest.replace("_", "-")
+        argv = ["marginal", *REQUIRED_ARGV["marginal"], *(["--detector", kind] if kind else []),
+                *FLAG_ARGV[dest]]
+        code, out, err = run_cli(capsys, argv)
+        message = (f"--detector {kind} does not read {flag}; drop it" if kind
+                   else f"{flag} is read only with --detector")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("kind", list(cli.DETECTOR_READS))
+    def test_every_flag_the_detector_table_reads_passes(self, kind):
+        argv = ["marginal", *REQUIRED_ARGV["marginal"], *(["--detector", kind] if kind else []),
+                *(token for dest in cli.DETECTOR_READS[kind] for token in FLAG_ARGV[dest])]
+        cli._check_detector_flags(cli.build_parser(invoked="marginal").parse_args(argv))
+
     @pytest.mark.parametrize("argv", [
         ["error"],
         ["simulate", "--p", "0.5", "--alpha-sq", "1", "--trials", "10"],
@@ -762,8 +811,7 @@ class TestCommandSurface:
         ["sensitivity"],
         ["gain", "--p", "0.5"],
     ], ids=lambda argv: argv[0])
-    def test_a_missing_detector_is_named(self, capsys, monkeypatch, argv):
-        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
+    def test_a_missing_detector_is_named(self, capsys, argv):
         code, out, err = run_cli(capsys, argv)
         assert code == 2
         assert out == ""
@@ -794,22 +842,10 @@ def counting_build_parser(monkeypatch) -> list:
 
 
 class TestParserReuse:
-    def test_config_calls_reuse_both_parsers(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("seed = 123\ngrid = 0:1:0.5\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        built = counting_build_parser(monkeypatch)
-        outputs = [run_cli(capsys, ["acceptance", "--detector", "apd", "--eta", "0.6"])
-                   for _ in range(3)]
-        assert outputs[0][0] == 0 and "# seed: 123" in outputs[0][1]
-        assert outputs == [outputs[0]] * 3
-        assert built == ["acceptance", "acceptance"]  # the typed-only twin and the parser
-
     @pytest.mark.parametrize("name", sorted(LEAF_ARGV))
     def test_second_call_reuses_the_parser_and_writes_the_same_bytes(self, capsys, tmp_path,
                                                                      monkeypatch, name):
         monkeypatch.chdir(tmp_path)  # the figures command line writes f.csv
-        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
         built = counting_build_parser(monkeypatch)
         outputs = []
         for _ in range(2):
@@ -821,7 +857,6 @@ class TestParserReuse:
         assert built == [name]
 
     def test_handler_swapped_in_after_the_parser_was_built_runs(self, capsys, monkeypatch):
-        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
         argv = LEAF_ARGV["error"]
         built = counting_build_parser(monkeypatch)
         code, out, err = run_cli(capsys, argv)
@@ -838,33 +873,23 @@ class TestParserReuse:
         assert [(a.detector, a.threshold) for a in seen] == [("hds", 1.0)]
         assert built == ["error"]  # the second call parsed with the first call's parser
 
-    def test_config_file_is_read_on_every_call(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
-        typed = ["acceptance", "--detector", "apd", "--eta", "0.6"]
-        code, plain, err = run_cli(capsys, typed)
-        assert code == 0, err
-        assert "# seed: 2024" in plain
-        assert parse_csv(plain)[0] == ["R_alpha_sq", "P_accept"]
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("seed = 123\ngrid = 0:1:0.5\nmatched_error = 0.01\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, out, err = run_cli(capsys, typed)  # typed detector flags win over matched_error
-        assert code == 0, err
-        header, rows = parse_csv(out)
-        assert "# seed: 123" in out
-        assert header == ["R_alpha_sq", "P_accept"]
-        assert [row[0] for row in rows] == ["0.0", "0.5", "1.0"]
-        code, out, err = run_cli(capsys, ["acceptance"])  # the configured matched_error acts
-        assert code == 0, err
-        assert parse_csv(out)[0] == ["R_alpha_sq", "P_apd", "P_hds", "P_hdr"]
-        code, out, err = run_cli(capsys, [*typed, "--matched-error", "0.01"])
-        assert (code, out) == (2, "")
-        assert "--matched-error sets its own detectors" in err
-        monkeypatch.delenv("VACFILTER_CONFIG")
-        code, out, err = run_cli(capsys, typed)
-        assert (code, out) == (0, plain), err
-        code, out, err = run_cli(capsys, ["acceptance"])
-        assert (code, out) == (2, "")
+
+def test_vacfilter_config_in_the_environment_has_no_effect(tmp_path):
+    """The command line alone sets a command's behaviour: a VACFILTER_CONFIG
+    naming a missing or a malformed file changes no byte and no exit code."""
+    malformed = tmp_path / "malformed.conf"
+    malformed.write_text("seed 78\nbogus_key = 1\nformat = xml\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("VACFILTER_CONFIG", None)
+    runs = []
+    for config in ({}, {"VACFILTER_CONFIG": str(tmp_path / "missing.conf")},
+                   {"VACFILTER_CONFIG": str(malformed)}):
+        proc = subprocess.run([sys.executable, "-m", "vacfilter.cli", "acceptance",
+                               "--detector", "apd", "--eta", "0.63", "--pd", "5e-4"],
+                              env={**env, **config}, capture_output=True, text=True, timeout=120)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0][0] == 0 and runs[0][2] == ""
+    assert runs == [runs[0]] * 3
 
 
 SIMULATE_APD = ["simulate", "--detector", "apd", "--eta", "0.8", "--pd", "1e-3", "--p", "0.5",
@@ -894,287 +919,14 @@ class TestInputValidation:
         assert out == ""
         assert "--alpha-sq" in err
 
-
-def run_with_config(tmp_path, config: str, argv: list):
-    """``vacfilter argv`` in a fresh interpreter with a VACFILTER_CONFIG file."""
-    path = tmp_path / "vacfilter.conf"
-    path.write_text(config)
-    env = dict(os.environ, VACFILTER_CONFIG=str(path), PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, "-m", "vacfilter.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-
-
-class TestConfigFile:
-    def test_config_detector_default_yields_to_typed_matched_error(self, tmp_path):
-        proc = run_with_config(tmp_path, "eta = 0.63\n",
-                               ["acceptance", "--matched-error", "0.01", "--grid", "0:1:0.5"])
-        assert proc.returncode == 0, proc.stderr
-        assert parse_csv(proc.stdout)[0] == ["R_alpha_sq", "P_apd", "P_hds", "P_hdr"]
-
-    def test_config_prep_error_yields_to_typed_error_target(self, tmp_path):
-        proc = run_with_config(tmp_path, "prep_error = 0.2\n",
-                               [*SIMULATE_APD, "--format", "json", "--error-target", "0.01"])
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["prep_error"] != 0.2
-
-    def test_config_error_target_yields_to_typed_prep_error(self, capsys, tmp_path,
-                                                             monkeypatch):
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("error_target = 0.01\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, out, err = run_cli(capsys, [*SIMULATE_APD, "--format", "json",
-                                          "--prep-error", "0.2"])
-        assert code == 0, err
-        assert json.loads(out)["prep_error"] == 0.2
-
-    def test_config_threshold_yields_to_typed_match_error(self, capsys, tmp_path,
-                                                           monkeypatch):
-        argv = ["error", "--detector", "hds", "--eta", "0.9", "--match-error", "0.01"]
-        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
-        code, plain, err = run_cli(capsys, argv)
-        assert code == 0, err
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("threshold = 0.5\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, out, err = run_cli(capsys, argv)
-        assert code == 0, err
-        assert parse_csv(out) == parse_csv(plain)
-
-    def test_config_detector_satisfies_the_missing_flag(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("detector = ideal\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, out, err = run_cli(capsys, ["error"])
-        assert code == 0, err
-        assert parse_csv(out)[1][0][0] == "ideal"
-
-    def test_config_detector_flag_the_kind_does_not_read_is_dropped(self, capsys, tmp_path,
-                                                                     monkeypatch):
-        argv = ["sensitivity", "--detector", "hds", "--eta", "0.9", "--threshold", "0.5"]
-        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
-        outputs = {}
-        for model in ("linear", "sqrt"):
-            code, outputs[model], err = run_cli(capsys, [*argv, "--efficiency-model", model])
-            assert code == 0, err
-        assert parse_csv(outputs["linear"]) != parse_csv(outputs["sqrt"])
-        cfg = tmp_path / "vacfilter.conf"
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        cfg.write_text("pd = 0.1\nefficiency_model = sqrt\n")
-        code, out, err = run_cli(capsys, argv)  # hds reads the model, not pd
-        assert code == 0, err
-        assert parse_csv(out) == parse_csv(outputs["sqrt"])
-        code, out, err = run_cli(capsys, ["error", "--detector", "ideal"])
-        assert code == 0, err
-        code, out, err = run_cli(capsys, [*argv, "--pd", "0.1"])  # typed, it is rejected
-        assert code == 2
-        assert "--pd" in err
-
-    def test_conflicting_config_values_rejected(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("matched_error = 0.01\neta = 0.5\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, _, err = run_cli(capsys, ["acceptance", "--grid", "0:1:0.5"])
-        assert code == 2
-        assert "--matched-error sets its own detectors" in err
-        code, out, err = run_cli(capsys, ["acceptance", "--detector", "apd", "--grid", "0:1:0.5"])
-        assert code == 0, err
-        assert parse_csv(out)[0] == ["R_alpha_sq", "P_accept"]
-
-    def test_config_choice_validated(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("format = xml\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, out, err = run_cli(capsys, ["acceptance", "--detector", "ideal"])
-        assert code == 2
-        assert out == ""
-        assert "config key 'format' must be one of csv, json" in err
-
-    def test_config_prefactor_leaves_pmin_alone(self, capsys, tmp_path, monkeypatch):
-        argv = ["qkd", "pmin", "--eta", "0.63", "--pd", "5e-4"]
-        code, plain, err = run_cli(capsys, argv)
-        assert code == 0, err
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("prefactor = p_ps\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, out, err = run_cli(capsys, argv)
-        assert code == 0, err
-        assert out == plain
-
-    def test_config_tap_yields_to_typed_optimize(self, capsys, tmp_path, monkeypatch):
-        single = ["qkd", "keyrate", "--p", "0.5", "--eta", "0.63", "--pd", "5e-4"]
-        code, optimized, err = run_cli(capsys, [*single, "--optimize"])
-        assert code == 0, err
-        code, tapped, err = run_cli(capsys, [*single, "--tap", "0.3"])
-        assert code == 0, err
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("tap = 0.3\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, out, err = run_cli(capsys, [*single, "--optimize"])
-        assert code == 0, err
-        assert parse_csv(out) == parse_csv(optimized)
-        code, out, err = run_cli(capsys, single)  # the configured tap still acts here
-        assert code == 0, err
-        assert parse_csv(out) == parse_csv(tapped)
-
-    def test_typed_no_filter_wins_over_config_eta(self, capsys, tmp_path, monkeypatch):
-        argv = ["qkd", "keyrate", "--no-filter", "--p", "0.95"]
-        code, plain, err = run_cli(capsys, argv)
-        assert code == 0, err
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("eta = 0.63\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, out, err = run_cli(capsys, argv)
-        assert code == 0, err
-        assert out == plain
-
-    def test_config_satisfies_a_required_flag(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("p = 0.3\nalpha_sq = 2\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, out, err = run_cli(capsys, ["marginal", "--x", "0:1:0.5"])
-        assert code == 0, err
-        assert len(parse_csv(out)[1]) == 3
-
-    @pytest.mark.parametrize("config, argv, typed", [
-        ("trials = 2000\n", ["figures", "fig4", "--out", "{out}"], ["--trials", "2000"]),
-        ("x = -1:2:0.25\n", ["marginal", "--p", "0.2", "--alpha-sq", "2"], ["--x=-1:2:0.25"]),
-        ("p = 0.1\n", ["gain", "--detector", "apd", "--eta", "0.8"], ["--p", "0.1"]),
-        ("no_filter = true\n", ["qkd", "pmin"], ["--no-filter"]),
-    ], ids=["before-the-positional", "negative-start", "required-p", "switch"])
-    def test_config_line_acts_as_its_flag(self, capsys, tmp_path, monkeypatch, config, argv,
-                                          typed):
-        def output(extra):
-            path = tmp_path / "out.csv"
-            code, out, err = run_cli(capsys, [a.format(out=path) for a in argv] + extra)
-            assert code == 0, err
-            return path.read_text() if "--out" in argv else out
-
-        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
-        expected = output(typed)
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text(config)
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        assert output([]) == expected
-
-    def test_malformed_config_value_of_a_typed_option_is_never_read(self, capsys, tmp_path,
-                                                                     monkeypatch):
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("seed = abc\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, out, err = run_cli(capsys, ["error", "--detector", "ideal", "--seed", "5"])
-        assert code == 0, err
-        assert "# seed: 5" in out
-        with pytest.raises(SystemExit) as exc:
-            main(["error", "--detector", "ideal"])
-        assert exc.value.code == 2
-        assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [["gain", "--detector", "ideal", "--p", "x"],
-                                      ["gain", "--detector", "ideal", "--grid", "0:1:0.5", "--p"]])
-    def test_parse_error_usage_line_does_not_depend_on_the_config(self, capsys, tmp_path,
-                                                                  monkeypatch, argv):
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("seed = 11\n")
-        monkeypatch.delenv("VACFILTER_CONFIG", raising=False)
-        errors = []
-        for _ in range(2):  # without a config, then with one
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            errors.append((exc.value.code, capsys.readouterr().err))
-            monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        assert errors[0] == errors[1]
-        assert errors[0][0] == 2 and " --p P " in errors[0][1]
-
-    def test_config_supplies_defaults_flags_win(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("seed=123\ngrid=0:1:0.5\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        _, out, _ = run_cli(capsys, ["acceptance", "--detector", "ideal"])
-        assert "# seed: 123" in out
-        _, out, _ = run_cli(capsys, ["acceptance", "--detector", "ideal",
-                                     "--seed", "456"])
-        assert "# seed: 456" in out
-
-    def test_missing_config_file_exits_2(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "missing.conf"
-        monkeypatch.setenv("VACFILTER_CONFIG", str(path))
-        code, out, err = run_cli(capsys, ["acceptance", "--detector", "ideal"])
-        assert code == 2
-        assert out == ""
-        assert err == (f"error: cannot open VACFILTER_CONFIG {str(path)!r}: "
-                       "No such file or directory\n")
-
-    def test_comment_and_blank_config_lines_are_skipped(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("# a comment = not a key\n\n  # indented comment\nseed = 77\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, out, err = run_cli(capsys, ["error", "--detector", "ideal"])
-        assert code == 0, err
-        assert "# seed: 77" in out
-
-    def test_config_line_without_equals_exits_2(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("seed = 77\nseed 78\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, out, err = run_cli(capsys, ["error", "--detector", "ideal"])
-        assert code == 2
-        assert out == ""
-        assert err == "error: bad config line 'seed 78', expected key=value\n"
-
-    def test_unknown_config_key_rejected(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("bogus_key=1\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, _, err = run_cli(capsys, ["acceptance", "--detector", "ideal"])
-        assert code == 2
-        assert "unknown config key" in err
-
-    def test_boolean_config_key_is_a_switch(self, capsys, tmp_path, monkeypatch):
-        argv = ["qkd", "keyrate", "--V", "1.1", "--p", "1"]
-        filter_flags = ["--eta", "0.63", "--pd", "5e-4"]
-        _, filtered, _ = run_cli(capsys, [*argv, *filter_flags])
-        _, unfiltered, _ = run_cli(capsys, [*argv, "--no-filter"])
-        cfg = tmp_path / "vacfilter.conf"
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        # a configured switch acts; typed filter flags win over it
-        for value, typed, expected in (("true", [], unfiltered),
-                                       ("False", filter_flags, filtered),
-                                       ("true", filter_flags, filtered)):
-            cfg.write_text(f"no_filter = {value}\n")
-            code, out, err = run_cli(capsys, [*argv, *typed])
-            assert code == 0, err
-            assert parse_csv(out) == parse_csv(expected)
-        cfg.write_text("no_filter = yes please\n")
-        code, _, err = run_cli(capsys, argv)
-        assert code == 2
-        assert "expected true or false" in err
-
-    def test_known_key_ignored_where_the_subcommand_lacks_it(self, capsys, tmp_path,
-                                                             monkeypatch):
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("workers = 2\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, _, err = run_cli(capsys, ["acceptance", "--detector", "ideal",
-                                        "--grid", "0:1:0.5"])
-        assert code == 0, err
-        seen = []
-        real_run_trials = montecarlo.run_trials
-
-        def recording_run_trials(cfg):
-            seen.append(cfg.workers)
-            return real_run_trials(cfg)
-
-        monkeypatch.setattr(montecarlo, "run_trials", recording_run_trials)
-        code, _, err = run_cli(capsys, ["simulate", "--detector", "ideal", "--p", "0.5",
-                                        "--alpha-sq", "1", "--trials", "1000"])
-        assert code == 0, err
-        assert seen == [2]
-
-    def test_help_is_not_a_config_key(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "vacfilter.conf"
-        cfg.write_text("help = true\n")
-        monkeypatch.setenv("VACFILTER_CONFIG", str(cfg))
-        code, out, err = run_cli(capsys, ["acceptance", "--detector", "ideal"])
-        assert code == 2
-        assert out == ""
-        assert "unknown config key 'help'" in err
+    @pytest.mark.parametrize("argv", [
+        [*SIMULATE_APD, "--seed", "-1"],
+        [*SIMULATE_APD, "--seed", str(2 ** 64)],
+        ["figures", "fig3", "--trials", "1000", "--seed", str(2 ** 64 - 1)],  # vacuum at seed + 1
+    ], ids=["negative", "2^64", "fig3-vacuum-at-2^64"])
+    def test_seed_outside_the_philox_key_is_rejected(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, [*argv, "--out", str(out_file)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: seed must lie in [0, 2^64)")
+        assert not out_file.exists()

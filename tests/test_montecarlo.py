@@ -782,6 +782,19 @@ class TestConfigValidation:
                 McConfig(seed=1, trials=10, detector=IdealOnOff(), mixture=mix,
                          prep_error=bad)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 + 3])
+    def test_seed_outside_the_philox_key_rejected(self, seed):
+        # a seed once entered Philox modulo 2^64: -1 drew the trials of 2^64 - 1
+        mix = ErasureMixture(CoherentAmplitude(1.0), 0.5, 0.5)
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            McConfig(seed=seed, trials=10, detector=IdealOnOff(), mixture=mix)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_seed_domain_ends_run(self, seed):
+        mix = ErasureMixture(CoherentAmplitude(1.0), 0.5, 0.5)
+        assert run_trials(McConfig(seed=seed, trials=1000, detector=IdealOnOff(),
+                                   mixture=mix)).trials == 1000
+
     def test_infinite_amplitude_rejected(self):
         # an infinite amplitude once reached run_trials and failed there with an
         # IndexError from NaN histogram edges

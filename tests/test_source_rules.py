@@ -5,7 +5,8 @@ swallow failures that should surface), no scipy module but
 the rest of the package, one writer of command output: only ``cli.main``
 calls ``cli._emit``, and only ``_emit`` writes to ``sys.stdout``, and a
 security layer that imports nothing from ``gaussian``, so the
-Gaussian-mixture calculus stays off its hot path."""
+Gaussian-mixture calculus stays off its hot path, and no environment
+variable read, so a command's behaviour depends on its argv alone."""
 
 import ast
 from pathlib import Path
@@ -207,3 +208,39 @@ def test_gaussian_rule_catches_each_pattern(tmp_path):
         "qkd.py:2: imports gaussian.NumericsError", "qkd.py:2: imports gaussian.entropy_g",
         "qkd.py:7: imports gaussian", "qkd.py:8: imports gaussian",
         "qkd.py:10: imports gaussian.symplectic_eigenvalues"]
+
+
+ENVIRON = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environ_violations(path: Path) -> list:
+    """Reads of the environment: ``os.environ`` (also ``.get`` and indexing),
+    ``os.getenv`` and their bytes twins, and ``from os import`` of any of them."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRON
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((node.lineno, f"reads os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"imports os.{alias.name}")
+                      for alias in node.names if alias.name in ENVIRON]
+    return [f"{path.name}:{line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_environment_variable_read(path):
+    assert environ_violations(path) == []
+
+
+def test_environ_rule_catches_each_pattern(tmp_path):
+    bad = tmp_path / "cli.py"
+    bad.write_text("import os\n"
+                   "from os import environ, path\n"
+                   "def f():\n"
+                   "    a = os.environ.get('VACFILTER_CONFIG')\n"
+                   "    b = os.environ['HOME']\n"
+                   "    c = os.getenv('PATH')\n"
+                   "    return os.path.join(a, b, c), os.fstat(1), environ\n")
+    assert environ_violations(bad) == [
+        "cli.py:2: imports os.environ", "cli.py:4: reads os.environ",
+        "cli.py:5: reads os.environ", "cli.py:6: reads os.getenv"]
