@@ -427,6 +427,9 @@ def _mc_acceptance_points(args, dets, ns):
 def _figure3(args):
     from .montecarlo import McConfig, calibrate_prep_error, run_trials, theory_branches
 
+    if args.seed == 2 ** 64 - 1:
+        raise ValueError(f"seed must lie in [0, 2^64), and below 2^64 - 1 for fig3, which runs "
+                         f"its vacuum reference at --seed + 1; got {args.seed}")
     tap = 0.5
     alpha_sq = FIG_TAP_PHOTONS / tap
     trials = 100_000 if args.trials is None else args.trials
@@ -658,6 +661,8 @@ def main(argv=None) -> int:
         args = _parser(name if name in COMMANDS else "").parse_args(argv)  # a bounded cache
         _check_conflicts(args, name)
         _check_detector_flags(args)
+        if not 0 <= args.seed < 2 ** 64:  # every provenance records it; Philox keys on 64 bits
+            raise ValueError(f"seed must lie in [0, 2^64), got {args.seed}")
         source = "--out"
         if name == "figures" and not args.out:  # the default file is checked like --out
             args.out, source = f"{args.which}.{args.format}", "default output file"

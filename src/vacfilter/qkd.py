@@ -21,9 +21,12 @@ where CV_all is the tap-traced covariance after the beam splitter and
 CV_noclick the no-click-conditioned one.
 
 Every reported rate comes from one closed-form kernel in two stages,
-``filtered_covariance`` (the click-conditioned moments and P_S) and
-``key_rate`` (the bound on them), which owns ``NumericsError`` and g(y).  The
-tests hold it to a Gaussian-mixture reference, a Fock oracle and 50 digits.
+``filtered_covariance`` (the click-conditioned moments and P_S: the
+p-independent ``_branch_terms`` mixed with the weights p and 1 - p, so a
+search builds a grid's branch terms once) and ``key_rate`` (the bound on
+them), which owns ``NumericsError`` and g(y).  The tests hold it to a
+Gaussian-mixture reference, a Fock oracle, 50 digits and, bit for bit, a
+one-loop form of the same formula.
 
 Two modeling knobs are exposed because they change the numbers:
 
@@ -61,8 +64,10 @@ def entropy_g(y):
     array; 0 where y <= 0 and NaN where y is NaN."""
     y = np.asarray(y, dtype=float)
     off = y <= 0.0
-    y_on = np.where(off, 1.0, y)  # keeps log2 away from zero and negatives
-    g = np.where(off, 0.0, (y_on + 1.0) * np.log2(y_on + 1.0) - y_on * np.log2(y_on))
+    any_off = off.any()
+    y_on = np.where(off, 1.0, y) if any_off else y  # keeps log2 away from zero and negatives
+    g = (y_on + 1.0) * np.log2(y_on + 1.0) - y_on * np.log2(y_on)
+    g = np.where(off, 0.0, g) if any_off else g
     return float(g) if g.ndim == 0 else g
 
 
@@ -117,28 +122,44 @@ def filtered_covariance(V, T, p, det, erased_mode_variance):
     variance plus the detector's 2/eta - 1 and kappa = (1 - p_d) 2/eta, the
     no-click weight is kappa / s and 1 - kappa / s = (r (B - 1) + 2 p_d / eta) / s,
     so P_S and the click-weighted (a, b, c) are sums of nonnegative terms, free
-    of the cancellation 1 - P0 suffers when P_S is small.  Raises NumericsError
-    on a degenerate P_S.
+    of the cancellation 1 - P0 suffers when P_S is small.  s, q, the loss
+    factor kappa r / s^2 and each branch's moment sums are p-independent
+    (``_branch_terms``); ``_mix`` applies the weights p and 1 - p last.
+    Raises NumericsError on a degenerate P_S.
     """
+    return _mix(_branch_terms(V, T, det, erased_mode_variance), p, det)
+
+
+def _branch_terms(V, T, det, erased_mode_variance):
+    """The p-independent terms of ``filtered_covariance``: (V, w, C) without a
+    filter; with one, the squeezed branch's q, a and b sums and the factors of
+    c, then the erased branch's q, a and b (B = 1 and Ck = 0 drop exact zeros)."""
     w = V if erased_mode_variance == "marginal" else (V + 1.0 / V) / 2.0
     C = np.sqrt(V * V - 1.0)
     if det is None:
+        return V, w, C
+    r = 1.0 - T
+    s = r * V + T + (2.0 / det.eta - 1.0)
+    q = (r * (V - 1.0) + 2.0 * det.dark_prob / det.eta) / s  # 1 - kappa / s
+    loss = (1.0 - det.dark_prob) * (2.0 / det.eta) * r / (s * s)  # kappa r / s^2
+    q0 = 2.0 * det.dark_prob / det.eta / (r + T + (2.0 / det.eta - 1.0))
+    return (q, V * q + loss * C * C, (T * V + r) * q + loss * T * (V - 1.0) ** 2,
+            np.sqrt(T), C, q + loss * (V - 1.0), q0, w * q0, (T + r) * q0)
+
+
+def _mix(terms, p, det):
+    """(a, b, c, P_S) of ``_branch_terms`` with the branch weights p and 1 - p."""
+    if det is None:
+        V, w, C = terms
         a = p * V + (1.0 - p) * w
         return a, p * V + 1.0 - p, p * C, np.ones_like(a)
-    r = 1.0 - T
-    kappa = (1.0 - det.dark_prob) * (2.0 / det.eta)
-    a = b = c = p_s = 0.0
-    for weight, A, B, Ck in ((p, V, V, C), (1.0 - p, w, 1.0, 0.0)):
-        s = r * B + T + (2.0 / det.eta - 1.0)
-        q = (r * (B - 1.0) + 2.0 * det.dark_prob / det.eta) / s  # 1 - kappa / s
-        loss = kappa * r / (s * s)
-        p_s = p_s + weight * q
-        a = a + weight * (A * q + loss * Ck * Ck)
-        b = b + weight * ((T * B + r) * q + loss * T * (B - 1.0) ** 2)
-        c = c + weight * np.sqrt(T) * Ck * (q + loss * (B - 1.0))
+    q, a1, b1, sqrt_t, C, c1, q0, a0, b0 = terms
+    p_s = p * q + (1.0 - p) * q0
     if np.any(p_s <= MIN_SUCCESS_PROB):
         raise NumericsError(f"filter success probability degenerate (P_S = {np.min(p_s):.3e})")
-    return a / p_s, b / p_s, c / p_s, p_s
+    a, b = p * a1 + (1.0 - p) * a0, p * b1 + (1.0 - p) * b0
+    # c multiplies p first, (p sqrt(T)) C (...), so its rounding is the one-loop formula's
+    return a / p_s, b / p_s, p * sqrt_t * C * c1 / p_s, p_s
 
 
 def key_rate(a, b, c, p_s, protocol):
@@ -156,17 +177,18 @@ def key_rate(a, b, c, p_s, protocol):
     """
     # nu+- = sqrt((Delta +- sqrt(Delta^2 - 4 D^2)) / 2); the root is factored
     # and nu- = D / nu+ so that nearly pure states keep full precision
-    D = a * b - c * c
-    nu_plus = np.sqrt((a * a + b * b - 2.0 * c * c
-                       + np.abs(a - b) * np.sqrt((a + b) ** 2 - 4.0 * c * c)) / 2.0)
+    cc, a1 = c * c, a + 1.0
+    D = a * b - cc
+    nu_plus = np.sqrt((a * a + b * b - 2.0 * cc
+                       + np.abs(a - b) * np.sqrt((a + b) ** 2 - 4.0 * cc)) / 2.0)
     if protocol == "heterodyne":
-        i_ab = np.log2((a + 1.0) / (a + 1.0 - c * c / (b + 1.0)))
-        nu3 = a - c * c / (b + 1.0)
+        x = cc / (b + 1.0)
+        i_ab, nu3 = np.log2(a1 / (a1 - x)), a - x
     else:
-        i_ab = 0.5 * np.log2((a + 1.0) / (a + 1.0 - c * c / b))
-        nu3 = np.sqrt(np.maximum(a * (a - c * c / b), 0.0))
-    g_plus, g_minus = entropy_g((nu_plus - 1.0) / 2.0), entropy_g((D / nu_plus - 1.0) / 2.0)
-    g3 = entropy_g((nu3 - 1.0) / 2.0)
+        x = cc / b
+        i_ab, nu3 = 0.5 * np.log2(a1 / (a1 - x)), np.sqrt(np.maximum(a * (a - x), 0.0))
+    g_plus, g_minus, g3 = entropy_g(np.stack(
+        [(nu_plus - 1.0) / 2.0, (D / nu_plus - 1.0) / 2.0, (nu3 - 1.0) / 2.0]))
     k = p_s * (i_ab - g_plus - g_minus + g3)
     if not np.all(np.isfinite(k)):
         raise NumericsError("key rate not finite on the (V, T) grid")
@@ -210,28 +232,28 @@ P_FLOOR = 1e-3
 MAX_ITERATIONS = 60
 
 
-def _grid_optimum(p, det, protocol, erased_mode_variance):
+def _grid_optimum(p, det, protocol, erased_mode_variance, coarse):
     """Kernel maximum of K (prefactor "ps") over V, and over the filter
     transmissivity T when a filter is present, by a deterministic coarse grid
-    followed by local refinement.  Returns the kernel's terms there and
-    (V, T), T being 1.0 without a filter; the arguments are assumed checked."""
-    def grid_best(vs, ts):
-        terms = key_rate(*filtered_covariance(vs[:, None], ts[None, :], p, det,
-                                              erased_mode_variance), protocol)
+    (the caller passes its p-independent ``_branch_terms`` as ``coarse``)
+    followed by local refinement.  Returns the kernel's terms there and (V, T),
+    T being 1.0 without a filter; the arguments are assumed checked."""
+    def grid_best(moments, vs, ts):
+        terms = key_rate(*moments, protocol)
         i, j = np.unravel_index(np.argmax(terms[0]), terms[0].shape)  # first maximum, V-major
         return [x[i, j] for x in terms], (vs[i], 1.0 if det is None else ts[j])
 
-    t_coarse = np.array([1.0]) if det is None else _T_COARSE
-    best, best_vt = grid_best(_V_COARSE, t_coarse)
+    best, best_vt = grid_best(_mix(coarse, p, det), _V_COARSE, _T_COARSE)
 
     v_span = float(_V_COARSE[1] - _V_COARSE[0]) * 2.0
     t_span = float(_T_COARSE[1] - _T_COARSE[0]) * 2.0 if det is not None else 0.0
     for _ in range(REFINE_ROUNDS):
         v0, t0 = best_vt
         vs = np.linspace(max(1.0005, v0 - v_span), v0 + v_span, 9)
-        ts = t_coarse if det is None else np.linspace(
+        ts = np.ones(1) if det is None else np.linspace(
             max(0.005, t0 - t_span), min(0.995, t0 + t_span), 9)
-        terms, vt = grid_best(vs, ts)
+        terms, vt = grid_best(filtered_covariance(vs[:, None], ts[None, :], p, det,
+                                                  erased_mode_variance), vs, ts)
         if terms[0] > best[0]:
             best, best_vt = terms, vt
         v_span /= 3.0
@@ -251,7 +273,8 @@ def optimize_key_rate(p: float, det: Apd | None = None, *,
     result holds the kernel's terms at the chosen (V, T) under ``prefactor``.
     """
     QkdScenario(1.0, p, det, protocol, erased_mode_variance, prefactor)  # argument checks
-    terms, (V, T) = _grid_optimum(p, det, protocol, erased_mode_variance)
+    coarse = _branch_terms(_V_COARSE[:, None], _T_COARSE[None, :], det, erased_mode_variance)
+    terms, (V, T) = _grid_optimum(p, det, protocol, erased_mode_variance, coarse)
     return _report(terms, p, det, prefactor, optimizer=(float(V), float(T)))
 
 
@@ -281,9 +304,10 @@ def p_min_search(det: Apd | None = None, *,
         raise ValueError(f"precision must lie in (0, 1), got {precision}")
     QkdScenario(1.0, P_FLOOR, det, protocol, erased_mode_variance)  # argument checks
     trace = []
+    coarse = _branch_terms(_V_COARSE[:, None], _T_COARSE[None, :], det, erased_mode_variance)
 
     def max_rate(p):
-        k = float(_grid_optimum(p, det, protocol, erased_mode_variance)[0][0])
+        k = float(_grid_optimum(p, det, protocol, erased_mode_variance, coarse)[0][0])
         trace.append((p, k))
         return k
 

@@ -923,10 +923,19 @@ class TestInputValidation:
         [*SIMULATE_APD, "--seed", "-1"],
         [*SIMULATE_APD, "--seed", str(2 ** 64)],
         ["figures", "fig3", "--trials", "1000", "--seed", str(2 ** 64 - 1)],  # vacuum at seed + 1
-    ], ids=["negative", "2^64", "fig3-vacuum-at-2^64"])
+        # no trials drawn: the seed is still recorded in the provenance
+        ["error", "--detector", "ideal", "--seed", "-1"],
+        ["acceptance", "--detector", "ideal", "--seed", str(2 ** 64)],
+        ["qkd", "pmin", "--no-filter", "--seed", "-1"],
+        ["figures", "fig5a", "--seed", "-1"],
+    ], ids=["negative", "2^64", "fig3-vacuum-at-2^64", "error", "acceptance", "qkd-pmin",
+            "fig5a"])
     def test_seed_outside_the_philox_key_is_rejected(self, capsys, tmp_path, argv):
         out_file = tmp_path / "out.csv"
         code, out, err = run_cli(capsys, [*argv, "--out", str(out_file)])
         assert (code, out) == (2, "")
         assert err.startswith("error: seed must lie in [0, 2^64)")
+        if argv[:2] == ["figures", "fig3"]:  # the message names fig3's second run and the typed seed
+            assert err == ("error: seed must lie in [0, 2^64), and below 2^64 - 1 for fig3, which "
+                           f"runs its vacuum reference at --seed + 1; got {2 ** 64 - 1}\n")
         assert not out_file.exists()

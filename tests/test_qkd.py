@@ -430,6 +430,140 @@ class TestKernelAgainstFock:
             assert x == pytest.approx(mixed, rel=1e-12, abs=1e-300)
 
 
+# The seed formula: the kernel as first written, one loop over the two
+# branches and key_rate's expression, frozen verbatim.  The two-stage kernel
+# (p-independent branch terms, then the weights p and 1 - p) must reproduce it
+# bit for bit, so that no published threshold or golden file moves.
+def _seed_entropy_g(y):
+    y = np.asarray(y, dtype=float)
+    off = y <= 0.0
+    y_on = np.where(off, 1.0, y)  # keeps log2 away from zero and negatives
+    g = np.where(off, 0.0, (y_on + 1.0) * np.log2(y_on + 1.0) - y_on * np.log2(y_on))
+    return float(g) if g.ndim == 0 else g
+
+
+def _seed_filtered_covariance(V, T, p, det, erased_mode_variance):
+    w = V if erased_mode_variance == "marginal" else (V + 1.0 / V) / 2.0
+    C = np.sqrt(V * V - 1.0)
+    if det is None:
+        a = p * V + (1.0 - p) * w
+        return a, p * V + 1.0 - p, p * C, np.ones_like(a)
+    r = 1.0 - T
+    kappa = (1.0 - det.dark_prob) * (2.0 / det.eta)
+    a = b = c = p_s = 0.0
+    for weight, A, B, Ck in ((p, V, V, C), (1.0 - p, w, 1.0, 0.0)):
+        s = r * B + T + (2.0 / det.eta - 1.0)
+        q = (r * (B - 1.0) + 2.0 * det.dark_prob / det.eta) / s  # 1 - kappa / s
+        loss = kappa * r / (s * s)
+        p_s = p_s + weight * q
+        a = a + weight * (A * q + loss * Ck * Ck)
+        b = b + weight * ((T * B + r) * q + loss * T * (B - 1.0) ** 2)
+        c = c + weight * np.sqrt(T) * Ck * (q + loss * (B - 1.0))
+    if np.any(p_s <= qkd.MIN_SUCCESS_PROB):
+        raise NumericsError(f"filter success probability degenerate (P_S = {np.min(p_s):.3e})")
+    return a / p_s, b / p_s, c / p_s, p_s
+
+
+def _seed_key_rate(a, b, c, p_s, protocol):
+    D = a * b - c * c
+    nu_plus = np.sqrt((a * a + b * b - 2.0 * c * c
+                       + np.abs(a - b) * np.sqrt((a + b) ** 2 - 4.0 * c * c)) / 2.0)
+    if protocol == "heterodyne":
+        i_ab = np.log2((a + 1.0) / (a + 1.0 - c * c / (b + 1.0)))
+        nu3 = a - c * c / (b + 1.0)
+    else:
+        i_ab = 0.5 * np.log2((a + 1.0) / (a + 1.0 - c * c / b))
+        nu3 = np.sqrt(np.maximum(a * (a - c * c / b), 0.0))
+    g_plus = _seed_entropy_g((nu_plus - 1.0) / 2.0)
+    g_minus = _seed_entropy_g((D / nu_plus - 1.0) / 2.0)
+    g3 = _seed_entropy_g((nu3 - 1.0) / 2.0)
+    k = p_s * (i_ab - g_plus - g_minus + g3)
+    if not np.all(np.isfinite(k)):
+        raise NumericsError("key rate not finite on the (V, T) grid")
+    return k, i_ab, g_plus + g_minus - g3, p_s
+
+
+def _kernel_terms(filtered_covariance, key_rate, V, T, p, det, erased, protocol):
+    """(a, b, c, P_S, K, I_ab, chi_bE) of one kernel, or its NumericsError's message."""
+    try:
+        a, b, c, p_s = filtered_covariance(V, T, p, det, erased)
+        return (a, b, c, p_s, *key_rate(a, b, c, p_s, protocol)[:3])
+    except NumericsError as exc:
+        return str(exc)
+
+
+_P_DRAWS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestKernelIsTheSeedFormula:
+    """The two-stage kernel against the frozen seed formula, with
+    ``np.array_equal`` (exact), not a tolerance."""
+
+    def _assert_bit_identical(self, V, T, p, det, erased, protocol):
+        seed = _kernel_terms(_seed_filtered_covariance, _seed_key_rate, V, T, p, det, erased,
+                             protocol)
+        kernel = _kernel_terms(qkd.filtered_covariance, qkd.key_rate, V, T, p, det, erased,
+                               protocol)
+        if isinstance(seed, str) or isinstance(kernel, str):
+            assert kernel == seed
+            return
+        for name, x, y in zip(["a", "b", "c", "P_S", "K", "I_ab", "chi_bE"], kernel, seed):
+            assert np.array_equal(x, y), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(V=st.one_of(st.just(1.0), _log_uniform(1.0, 1e4)), p=_P_DRAWS, **_SCENARIO_DOMAIN)
+    def test_scalars(self, V, p, T, eta, pd, filtered, protocol, erased):
+        self._assert_bit_identical(V, T, p, Apd(eta, pd) if filtered else None, erased,
+                                   protocol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(vs=st.lists(_log_uniform(1.0, 1e4), min_size=1, max_size=7),
+           ts=st.lists(_BRANCH_DOMAIN["T"], min_size=1, max_size=7), p=_P_DRAWS,
+           **{k: v for k, v in _SCENARIO_DOMAIN.items() if k != "T"})
+    def test_grids(self, vs, ts, p, eta, pd, filtered, protocol, erased):
+        self._assert_bit_identical(np.array(vs)[:, None], np.array(ts)[None, :], p,
+                                   Apd(eta, pd) if filtered else None, erased, protocol)
+
+    @pytest.mark.parametrize("protocol", ["heterodyne", "homodyne"])
+    @pytest.mark.parametrize("p, det, erased", [(0.9, None, "marginal"),
+                                                (0.3, Apd(0.63, 5e-3), "alphabet"),
+                                                (0.02685, Apd(0.63, 5e-4), "marginal"),
+                                                (0.01, Apd(1.0, 0.0), "marginal")])
+    def test_coarse_grid_points_equal_one_point_calls(self, p, det, erased, protocol):
+        # the argmax reads the hoisted coarse grid, so each of its points must
+        # score what a one-point (V, T) grid would, wherever it sits.  (A call
+        # on Python floats can differ in the last bit: x ** 2 on a scalar is
+        # C pow(), on an array x * x; the seed formula does the same.)
+        coarse = qkd._branch_terms(qkd._V_COARSE[:, None], qkd._T_COARSE[None, :], det, erased)
+        grid = qkd.key_rate(*qkd._mix(coarse, p, det), protocol)
+        ts = qkd._T_COARSE if det is not None else [1.0]
+        for i, V in enumerate(qkd._V_COARSE):
+            for j, T in enumerate(ts):
+                point = qkd.key_rate(*qkd.filtered_covariance(np.array([[V]]), np.array([[T]]), p,
+                                                              det, erased), protocol)
+                for x, y in zip(grid, point):
+                    assert np.array_equal(x[i, j], y[0, 0]), (V, T)
+
+
+class TestCoarseTermsHoisted:
+    @pytest.mark.parametrize("precision", [1e-3, 1e-6])
+    def test_one_coarse_branch_evaluation_per_search(self, precision, monkeypatch):
+        shapes = []
+        branch_terms = qkd._branch_terms
+
+        def counted(V, T, det, erased):
+            shapes.append(np.broadcast_shapes(np.shape(V), np.shape(T)))
+            return branch_terms(V, T, det, erased)
+
+        monkeypatch.setattr(qkd, "_branch_terms", counted)
+        res = p_min_search(Apd(0.63, 5e-4), precision=precision)
+        coarse = (len(qkd._V_COARSE), len(qkd._T_COARSE))
+        assert coarse == (48, 32)
+        assert shapes.count(coarse) == 1
+        # each step scores its two refinement rounds through filtered_covariance
+        assert len(shapes) == 1 + qkd.REFINE_ROUNDS * len(res.trace)
+
+
 def _brute_optimum(p, det):
     """The optimizer's grid schedule with one reference evaluation per point."""
     def scan(vs, ts, best, best_vt):
@@ -507,6 +641,7 @@ class TestOptimizationAndThresholds:
             raise AssertionError("a key rate was evaluated")
 
         monkeypatch.setattr(qkd, "optimize_key_rate", never)
+        monkeypatch.setattr(qkd, "_branch_terms", never)
         monkeypatch.setattr(qkd, "filtered_covariance", never)
         monkeypatch.setattr(qkd, "key_rate", never)
 
