@@ -3,13 +3,12 @@ regeneration, security analysis, and oracle spot checks.
 
 All outputs carry a provenance header (command line, seed, version and the
 conventions in force).  Exit codes: 0 success, 2 validation error, 3
-numerical failure.  A command's behaviour depends on its argv alone.  Each
-subcommand's parser is built once per process, and the handler is looked up
-in COMMANDS when the command runs.  A handler returns its table as
-``(columns, rows)`` or ``(columns, rows, extras)``; ``main`` writes it and
-picks the exit code.  The output file is opened once, before
-the work, and rewritten in place; a failed command removes a file it
-created and leaves an existing one as it was.
+numerical failure.  A command's behaviour depends on its argv alone.  One
+parser is built per process, and the handler is looked up in COMMANDS when
+the command runs.  A handler returns its table as ``(columns, rows)`` or
+``(columns, rows, extras)``; ``main`` writes it and picks the exit code.  The
+output file is opened once, before the work, and rewritten in place; a failed
+command removes a file it created and leaves an existing one as it was.
 """
 
 from __future__ import annotations
@@ -169,9 +168,7 @@ def _build_detector(args) -> object:
     if kind == "ideal":
         return IdealOnOff()
     if kind == "apd":
-        if args.eta is None:
-            raise ValueError("APD needs --eta")
-        return Apd(eta=args.eta, dark_prob=args.pd if args.pd is not None else 0.0)
+        return _apd(args, "APD needs --eta")
     if kind in ("hds", "hdr"):
         if args.eta is None:
             raise ValueError("homodyne detector needs --eta")
@@ -186,6 +183,12 @@ def _build_detector(args) -> object:
     if kind is None:
         raise ValueError("--detector is required: one of " + ", ".join(_DETECTOR[0][1]["choices"]))
     raise ValueError(f"unknown detector {kind!r}")
+
+
+def _apd(args, missing_eta: str) -> Apd:
+    if args.eta is None:
+        raise ValueError(missing_eta)
+    return Apd(eta=args.eta, dark_prob=args.pd if args.pd is not None else 0.0)
 
 
 def _mixture(args) -> ErasureMixture:
@@ -293,9 +296,7 @@ def cmd_marginal(args):
 def _filter_apd(args) -> Apd | None:
     if args.no_filter:
         return None
-    if args.eta is None:
-        raise ValueError("filtered scenario needs --eta (or pass --no-filter)")
-    return Apd(eta=args.eta, dark_prob=args.pd if args.pd is not None else 0.0)
+    return _apd(args, "filtered scenario needs --eta (or pass --no-filter)")
 
 
 def cmd_keyrate(args):
@@ -350,6 +351,11 @@ def cmd_oracle(args):
         )
         rows.append(["fidelity_vs_product", fock.fidelity(st, target), 1.0])
     else:  # noclick, the one command that loads the Gaussian reference calculus
+        if not 0.0 < args.eta <= 1.0:
+            raise ValueError(f"--eta is a detector efficiency, must lie in (0, 1], got {args.eta}")
+        if not 0.0 <= args.pd < 1.0:
+            raise ValueError(f"--pd is a dark-count probability, must lie in [0, 1), "
+                             f"got {args.pd}")
         from . import gaussian
 
         st = fock.tmsv_state(args.V, n_max)
@@ -592,39 +598,32 @@ DETECTOR_READS = {None: (), "ideal": (), "apd": ("eta", "pd"),
                   "hds": _HOMODYNE_READS, "hdr": _HOMODYNE_READS}
 
 
-def build_parser(invoked: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  Given the ``invoked`` subcommand, only its
-    arguments are declared: parsing never reads the others'.  When it has a
-    handler, only it and its group are declared at all; help, a bare group and
-    unknown commands get the full tree.  The parser holds no handler: ``main``
-    takes it from COMMANDS, so a parser can be reused."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: every subcommand of COMMANDS with its
+    arguments.  A parsed command names its subcommand in ``args.leaf`` (e.g.
+    "qkd keyrate").  The parser holds no handler: ``main`` takes it from
+    COMMANDS, so a parser can be reused."""
     parser = argparse.ArgumentParser(
         prog="vacfilter",
         description="vacuum-filtering analysis toolkit",
     )
     parser.add_argument("--version", action="version", version=f"vacfilter {__version__}")
-    prune = COMMANDS.get(invoked, (None,))[0] is not None
-    # a pruned tree still lists every command in the usage line of its errors
-    metavar = {"metavar": "{%s}" % ",".join(n for n in COMMANDS if " " not in n)} if prune else {}
-    groups = {"": parser.add_subparsers(dest="command", required=True, **metavar)}
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
     for name, (func, help_text, arguments) in COMMANDS.items():
-        if prune and invoked != name and not invoked.startswith(name + " "):
-            continue
         group, _, leaf = name.rpartition(" ")
         sub = groups[group].add_parser(leaf, **({"help": help_text} if help_text else {}))
         if func is None:
             groups[name] = sub.add_subparsers(dest=f"{name}_command", required=True)
             continue
-        if invoked is not None and name != invoked:
-            continue
+        sub.set_defaults(leaf=name)
         for flag, kwargs in arguments:
             sub.add_argument(flag, **kwargs)
     return parser
 
 
-def _check_conflicts(args, name: str):
-    """Apply CONFLICTS to the ``args`` parsed for subcommand ``name``."""
-    for flags, overridden, message in CONFLICTS.get(name, ()):
+def _check_conflicts(args):
+    """Apply CONFLICTS to parsed ``args``."""
+    for flags, overridden, message in CONFLICTS.get(args.leaf, ()):
         # `is`, not `in`: 0.0 == False
         if all(any(getattr(args, dest) is not None and getattr(args, dest) is not False
                    for dest in side) for side in (flags, overridden)):
@@ -645,10 +644,10 @@ def _check_detector_flags(args):
 
 
 @functools.cache
-def _parser(invoked: str) -> argparse.ArgumentParser:
-    """build_parser(invoked), built once per process: it depends only on the
-    static command table and holds no handler."""
-    return build_parser(invoked=invoked)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: it depends only on the static
+    command table and holds no handler."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
@@ -656,20 +655,18 @@ def main(argv=None) -> int:
     out = None  # the output file, opened before the work
     discard = False  # remove it on failure: this command created it
     try:
-        depth = 2 if " ".join(argv[:2]) in COMMANDS else 1
-        name = " ".join(argv[:depth])  # e.g. "qkd keyrate"; parsing succeeds only for a leaf
-        args = _parser(name if name in COMMANDS else "").parse_args(argv)  # a bounded cache
-        _check_conflicts(args, name)
+        args = _parser().parse_args(argv)
+        _check_conflicts(args)
         _check_detector_flags(args)
         if not 0 <= args.seed < 2 ** 64:  # every provenance records it; Philox keys on 64 bits
             raise ValueError(f"seed must lie in [0, 2^64), got {args.seed}")
         source = "--out"
-        if name == "figures" and not args.out:  # the default file is checked like --out
+        if args.leaf == "figures" and not args.out:  # the default file is checked like --out
             args.out, source = f"{args.which}.{args.format}", "default output file"
         if args.out:  # an unopenable output file fails before the work
             discard = not os.path.lexists(args.out)
             out = _open(args.out, source)
-        _emit(args, out, *COMMANDS[name][0](args))
+        _emit(args, out, *COMMANDS[args.leaf][0](args))
         discard = False
         return 0
     except ValueError as exc:

@@ -480,11 +480,11 @@ class TestOracleCommand:
         (["oracle", "beamsplitter", "--alpha", "nan", "--tap", "0.3"], "must be finite"),
         (["oracle", "noclick", "--V", "nan"], "variance must be >= 1"),
         (["oracle", "noclick", "--V", "inf"], "variance must be >= 1 and finite, got inf"),
-        (["oracle", "noclick", "--pd", "1.5"], "dark_prob must lie in [0, 1]"),
+        (["oracle", "noclick", "--pd", "1.5"], "--pd is a dark-count probability"),
         (["oracle", "beamsplitter", "--tap", "1.5"], "--tap is a reflectivity, must lie in"),
         (["oracle", "noclick", "--tap", "-0.5"], "--tap is a reflectivity, must lie in"),
-        (["oracle", "noclick", "--eta", "0"], "efficiency must lie in (0, 1]"),
-        (["oracle", "noclick", "--pd", "1"], "zero-probability POVM outcome"),
+        (["oracle", "noclick", "--eta", "0"], "--eta is a detector efficiency"),
+        (["oracle", "noclick", "--pd", "1"], "--pd is a dark-count probability"),
         (["oracle", "coherent", "--nmax", "-1", "--alpha", "0"],
          "--nmax must lie in [0, 100], got -1"),
         (["oracle", "noclick", "--nmax", "100000"], "--nmax must lie in [0, 100], got 100000"),
@@ -508,6 +508,20 @@ class TestOracleCommand:
             code, _, err = run_cli(capsys, ["oracle", command, "--nmax", "100000"])
             assert code == 2
             assert "--nmax must lie in" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--eta", "0"], "--eta is a detector efficiency, must lie in (0, 1], got 0.0"),
+        (["--eta", "1.5"], "--eta is a detector efficiency, must lie in (0, 1], got 1.5"),
+        (["--pd", "1"], "--pd is a dark-count probability, must lie in [0, 1), got 1.0"),
+    ], ids=["eta-0", "eta-1.5", "pd-1"])
+    def test_noclick_detector_checked_before_any_state_is_built(self, capsys, monkeypatch,
+                                                                argv, message):
+        def never(*args, **kwargs):
+            raise AssertionError("a Fock state was built")
+
+        monkeypatch.setattr(fock, "tmsv_state", never)
+        code, out, err = run_cli(capsys, ["oracle", "noclick", "--nmax", "100", *argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("n_max", [0, cli.MAX_NMAX])
     def test_nmax_bounds_are_inclusive(self, capsys, n_max):
@@ -700,7 +714,7 @@ class TestCommandSurface:
     def test_handler_returns_its_table_and_writes_nothing(self, capsys, tmp_path, monkeypatch,
                                                           name):
         monkeypatch.chdir(tmp_path)  # the figures command line names f.csv
-        args = cli.build_parser(invoked=name).parse_args(LEAF_ARGV[name])
+        args = cli.build_parser().parse_args(LEAF_ARGV[name])
         table = cli.COMMANDS[name][0](args)
         assert isinstance(table, tuple) and len(table) in (2, 3)
         columns, rows, *extras = table
@@ -711,14 +725,17 @@ class TestCommandSurface:
 
     @pytest.mark.parametrize("name", sorted(LEAF_ARGV))
     @pytest.mark.parametrize("cached", [False, True])  # True: the parser main parses with
-    def test_pruned_parser_parses_as_the_full_tree(self, name, cached):
-        argv = LEAF_ARGV[name]
-        pruned = cli._parser(name) if cached else cli.build_parser(invoked=name)
-        full = cli.build_parser()
-        assert vars(pruned.parse_args(argv)) == vars(full.parse_args(argv))
-        other = ["oracle", "coherent"] if name == "error" else ["error"]  # parse in a full tree
-        with pytest.raises(SystemExit):  # only the invoked subcommand is declared
-            pruned.parse_args(other)
+    def test_one_parser_names_every_subcommand_it_parses(self, name, cached):
+        parser = cli._parser() if cached else cli.build_parser()
+        args = parser.parse_args(LEAF_ARGV[name])
+        assert args.leaf == name  # main dispatches and checks CONFLICTS on this name
+        assert vars(args) == vars(cli.build_parser().parse_args(LEAF_ARGV[name]))
+        other = "oracle coherent" if name == "error" else "error"
+        assert parser.parse_args(LEAF_ARGV[other]).leaf == other  # the same parser, another leaf
+
+    def test_every_conflict_table_key_is_a_subcommand_with_a_handler(self):
+        # args.leaf only ever names a leaf; a rule under any other key never fires
+        assert set(cli.CONFLICTS) <= set(LEAF_ARGV)
 
     @pytest.mark.parametrize("argv", [
         *UNREAD_FLAGS,
@@ -737,7 +754,7 @@ class TestCommandSurface:
 
         expected = outcome(cli.build_parser().parse_args)
         assert outcome(main) == expected
-        assert outcome(main) == expected  # again, through the parsers the first call built
+        assert outcome(main) == expected  # again, through the parser the first call built
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--detector", "ideal", "--p", "0.5", "--alpha-sq", "1", "--trials", "1000",
@@ -784,9 +801,9 @@ class TestCommandSurface:
         argv = [*name.split(), *REQUIRED_ARGV.get(name, [])]
         code, out, err = run_cli(capsys, [*argv, *FLAG_ARGV[dest], *FLAG_ARGV[other]])
         assert (code, out, err) == (2, "", f"error: {message}\n")
-        parser = cli.build_parser(invoked=name)
+        parser = cli.build_parser()
         for one in (dest, other):  # either side alone passes the check
-            cli._check_conflicts(parser.parse_args([*argv, *FLAG_ARGV[one]]), name)
+            cli._check_conflicts(parser.parse_args([*argv, *FLAG_ARGV[one]]))
 
     @pytest.mark.parametrize("kind, dest", UNREAD_DETECTOR_FLAGS)
     def test_every_flag_the_detector_table_leaves_unread_is_rejected(self, capsys, kind, dest):
@@ -802,7 +819,7 @@ class TestCommandSurface:
     def test_every_flag_the_detector_table_reads_passes(self, kind):
         argv = ["marginal", *REQUIRED_ARGV["marginal"], *(["--detector", kind] if kind else []),
                 *(token for dest in cli.DETECTOR_READS[kind] for token in FLAG_ARGV[dest])]
-        cli._check_detector_flags(cli.build_parser(invoked="marginal").parse_args(argv))
+        cli._check_detector_flags(cli.build_parser().parse_args(argv))
 
     @pytest.mark.parametrize("argv", [
         ["error"],
@@ -829,12 +846,12 @@ class TestCommandSurface:
 
 
 def counting_build_parser(monkeypatch) -> list:
-    """Empty the parser cache and record the ``invoked`` of every later build."""
+    """Empty the parser cache and record every parser built after it."""
     built, real = [], cli.build_parser
 
-    def counting(*args, **kwargs):
-        built.append(kwargs.get("invoked"))
-        return real(*args, **kwargs)
+    def counting():
+        built.append(real())
+        return built[-1]
 
     monkeypatch.setattr(cli, "build_parser", counting)
     cli._parser.cache_clear()
@@ -846,7 +863,6 @@ class TestParserReuse:
     def test_second_call_reuses_the_parser_and_writes_the_same_bytes(self, capsys, tmp_path,
                                                                      monkeypatch, name):
         monkeypatch.chdir(tmp_path)  # the figures command line writes f.csv
-        built = counting_build_parser(monkeypatch)
         outputs = []
         for _ in range(2):
             code, out, err = run_cli(capsys, LEAF_ARGV[name])
@@ -854,13 +870,20 @@ class TestParserReuse:
             files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
             outputs.append((out, err, files))
         assert outputs[0] == outputs[1]
-        assert built == [name]
+
+    def test_every_subcommand_parses_with_the_one_parser(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the figures command line writes f.csv
+        built = counting_build_parser(monkeypatch)
+        for name, argv in LEAF_ARGV.items():
+            code, _, err = run_cli(capsys, argv)
+            assert code == 0, (name, err)
+        assert len(built) == 1
 
     def test_handler_swapped_in_after_the_parser_was_built_runs(self, capsys, monkeypatch):
         argv = LEAF_ARGV["error"]
         built = counting_build_parser(monkeypatch)
         code, out, err = run_cli(capsys, argv)
-        assert (code, built) == (0, ["error"]), err
+        assert (code, len(built)) == (0, 1), err
         assert "error_probability" in out
         seen = []
         _, help_text, arguments = cli.COMMANDS["error"]
@@ -871,7 +894,7 @@ class TestParserReuse:
         assert (code, err) == (0, "")
         assert parse_csv(out) == (["stub"], [["7"]])
         assert [(a.detector, a.threshold) for a in seen] == [("hds", 1.0)]
-        assert built == ["error"]  # the second call parsed with the first call's parser
+        assert len(built) == 1  # the second call parsed with the first call's parser
 
 
 def test_vacfilter_config_in_the_environment_has_no_effect(tmp_path):
