@@ -180,9 +180,8 @@ def _build_detector(args) -> object:
             raise ValueError("homodyne detector needs --threshold or --match-error")
         cls = HomodyneStabilized if kind == "hds" else HomodyneRandomized
         return cls(eta=args.eta, threshold=b, efficiency_model=args.efficiency_model or "linear")
-    if kind is None:
-        raise ValueError("--detector is required: one of " + ", ".join(_DETECTOR[0][1]["choices"]))
-    raise ValueError(f"unknown detector {kind!r}")
+    # argparse's choices leave only a missing --detector
+    raise ValueError("--detector is required: one of " + ", ".join(_DETECTOR[0][1]["choices"]))
 
 
 def _apd(args, missing_eta: str) -> Apd:
@@ -338,6 +337,8 @@ def cmd_oracle(args):
     rows = []
     if args.oracle_command != "coherent" and not 0.0 <= args.tap <= 1.0:
         raise ValueError(f"--tap is a reflectivity, must lie in [0, 1], got {args.tap}")
+    if args.oracle_command != "noclick" and not math.isfinite(args.alpha):
+        raise ValueError(f"--alpha: coherent amplitude must be finite, got {args.alpha}")
     if args.oracle_command == "coherent":
         st = fock.coherent_state(args.alpha, n_max)
         rows.append(["mean_photons", fock.mean_photon(st, 0), args.alpha ** 2])
@@ -351,6 +352,9 @@ def cmd_oracle(args):
         )
         rows.append(["fidelity_vs_product", fock.fidelity(st, target), 1.0])
     else:  # noclick, the one command that loads the Gaussian reference calculus
+        if not 1.0 <= args.V < math.inf:
+            raise ValueError(f"--V: two-mode squeezing variance must be >= 1 and finite, "
+                             f"got {args.V}")
         if not 0.0 < args.eta <= 1.0:
             raise ValueError(f"--eta is a detector efficiency, must lie in (0, 1], got {args.eta}")
         if not 0.0 <= args.pd < 1.0:

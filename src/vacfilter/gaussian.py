@@ -231,19 +231,14 @@ def beamsplitter_symplectic(n_modes: int, mode_i: int, mode_j: int,
     return S
 
 
-def apply_symplectic(state: GaussianMixtureState, S: np.ndarray) -> GaussianMixtureState:
-    """Apply a symplectic transformation to every component of a mixture."""
-    comps = tuple(
-        GaussianComponent(c.weight, S @ c.mean, CovMatrix(S @ c.cm.mat @ S.T))
-        for c in state.components
-    )
-    return GaussianMixtureState(comps)
-
-
 def apply_beamsplitter(state: GaussianMixtureState, mode_i: int, mode_j: int,
                        transmissivity: float) -> GaussianMixtureState:
+    """Apply :func:`beamsplitter_symplectic` to every component of a mixture."""
     S = beamsplitter_symplectic(state.n_modes, mode_i, mode_j, transmissivity)
-    return apply_symplectic(state, S)
+    return GaussianMixtureState(tuple(
+        GaussianComponent(c.weight, S @ c.mean, CovMatrix(S @ c.cm.mat @ S.T))
+        for c in state.components
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +320,9 @@ def condition_on_noclick(state: GaussianMixtureState, tap_mode: int,
 # moments, spectra, entropies
 # ---------------------------------------------------------------------------
 
-def mixture_mean(state: GaussianMixtureState) -> np.ndarray:
-    return sum(c.weight * c.mean for c in state.components)
-
-
 def mixture_covariance(state: GaussianMixtureState) -> np.ndarray:
     """Second central moments of the full mixture (not of any one branch)."""
-    mu = mixture_mean(state)
+    mu = sum(c.weight * c.mean for c in state.components)
     cm = np.zeros((2 * state.n_modes, 2 * state.n_modes))
     for c in state.components:
         d = c.mean - mu

@@ -72,26 +72,18 @@ def success_probability(p, p_accept, error_prob):
     return p * p_accept + (1.0 - p) * error_prob
 
 
-def gain(p, p_s, error_prob, p_accept=None):
+def gain(p, p_s, error_prob):
     """Gain G = p'/p of the coherent-state probability through the filter,
     written as (1/p) (1 - (1-p) E / P_S).  Arguments may be scalars or arrays.
 
-    If ``p_accept`` is supplied, the inputs must satisfy P_S = p P + (1-p) E
-    to 1e-12 relative, which makes G = P / P_S too.  Both sides of that
-    identity are sums of nonnegative terms, so the check holds at any p; the
-    two forms of G differ by rounding of order G eps ~ eps / p.
+    With P_S = p P + (1-p) E this equals P / P_S; the two forms differ by
+    rounding of order G eps ~ eps / p.
     """
     if np.any(p <= 0.0):
         raise ValueError("gain needs p > 0")
     if np.any(p_s <= 0.0):
         raise ValueError("gain undefined at vanishing success probability")
-    g = (1.0 - (1.0 - p) * error_prob / p_s) / p
-    if p_accept is not None:
-        deviation = np.max(np.abs(p_s - (p * p_accept + (1.0 - p) * error_prob)) / p_s)
-        if deviation > 1e-12:
-            raise ValueError(f"inconsistent inputs: P_S and p P + (1-p) E disagree by up to "
-                             f"{deviation:.3g} relative, so the gain forms do too")
-    return g
+    return (1.0 - (1.0 - p) * error_prob / p_s) / p
 
 
 def gain_columns(det, p: float, tap_photon_numbers) -> tuple:

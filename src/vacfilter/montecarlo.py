@@ -240,10 +240,6 @@ class McResult:
             return abs(g) * math.sqrt(var)
         raise ValueError(f"unknown estimate {which!r}")
 
-    @property
-    def hist_rejected(self) -> Histogram:
-        return Histogram(self.hist_all.edges, self.hist_all.counts - self.hist_accepted.counts)
-
 
 def _hist_edges(cfg: McConfig) -> np.ndarray:
     mean = cfg.mixture.transmitted_amplitude.magnitude
@@ -469,7 +465,8 @@ def sample_trials(cfg: McConfig, n: int) -> TrialRecords:
 
 def theory_branches(cfg: McConfig, condition: str) -> list:
     """Weighted coherent branches of the verification-arm marginal implied by
-    the simulation model, for 'all', 'accepted' or 'rejected' subsets."""
+    the simulation model, for all trials ('all') or the filter-accepted ones
+    ('accepted')."""
     mix = cfg.mixture
     sqrt_r = math.sqrt(mix.tap_reflectivity)
     sqrt_t = math.sqrt(mix.transmissivity)
@@ -478,12 +475,10 @@ def theory_branches(cfg: McConfig, condition: str) -> list:
     p = mix.p
     if condition == "all":
         return [(p, amp_sig), (1.0 - p, amp_leak)]
+    if condition != "accepted":
+        raise ValueError(f"condition must be all/accepted, got {condition!r}")
     p_acc = acceptance_probability(cfg.detector, sqrt_r * mix.alpha.magnitude)
     e_eff = acceptance_probability(cfg.detector, sqrt_r * cfg.prep_error)
-    if condition == "rejected":  # the same posterior for the other outcome
-        p_acc, e_eff = 1.0 - p_acc, 1.0 - e_eff
-    elif condition != "accepted":
-        raise ValueError(f"condition must be all/accepted/rejected, got {condition!r}")
     p_s = p * p_acc + (1.0 - p) * e_eff
     if p_s <= 0.0:
         raise ValueError(f"empty {condition} subset in theory model")
@@ -492,13 +487,12 @@ def theory_branches(cfg: McConfig, condition: str) -> list:
 
 def verification_chi2(result: McResult, condition: str = "all"):
     """Chi-squared fit of the verification quadratures over a subset of
-    trials ('all', 'accepted' or 'rejected') to the analytic marginal of the
+    trials ('all' or 'accepted') to the analytic marginal of the
     corresponding mixture.  Returns (statistic, dof, p_value)."""
-    hist = {"all": result.hist_all,
-            "accepted": result.hist_accepted,
-            "rejected": result.hist_rejected}[condition]
+    hist = result.hist_accepted if condition == "accepted" else result.hist_all
     if hist.total == 0:
         raise ValueError(f"no trials in subset {condition!r}")
+    # theory_branches rejects a condition other than 'all' and 'accepted'
     cdf = marginal_cdf(theory_branches(result.config, condition), hist.edges)
     probs = np.concatenate([[cdf[0]], np.diff(cdf), [1.0 - cdf[-1]]])
     return chi2_gof(hist.counts, probs)

@@ -143,7 +143,7 @@ def _branch_terms(V, T, det, erased_mode_variance):
     q = (r * (V - 1.0) + 2.0 * det.dark_prob / det.eta) / s  # 1 - kappa / s
     loss = (1.0 - det.dark_prob) * (2.0 / det.eta) * r / (s * s)  # kappa r / s^2
     q0 = 2.0 * det.dark_prob / det.eta / (r + T + (2.0 / det.eta - 1.0))
-    return (q, V * q + loss * C * C, (T * V + r) * q + loss * T * (V - 1.0) ** 2,
+    return (q, V * q + loss * C * C, (T * V + r) * q + loss * T * ((V - 1.0) * (V - 1.0)),
             np.sqrt(T), C, q + loss * (V - 1.0), q0, w * q0, (T + r) * q0)
 
 
@@ -177,10 +177,10 @@ def key_rate(a, b, c, p_s, protocol):
     """
     # nu+- = sqrt((Delta +- sqrt(Delta^2 - 4 D^2)) / 2); the root is factored
     # and nu- = D / nu+ so that nearly pure states keep full precision
-    cc, a1 = c * c, a + 1.0
+    cc, a1, a_b = c * c, a + 1.0, a + b
     D = a * b - cc
     nu_plus = np.sqrt((a * a + b * b - 2.0 * cc
-                       + np.abs(a - b) * np.sqrt((a + b) ** 2 - 4.0 * cc)) / 2.0)
+                       + np.abs(a - b) * np.sqrt(a_b * a_b - 4.0 * cc)) / 2.0)
     if protocol == "heterodyne":
         x = cc / (b + 1.0)
         i_ab, nu3 = np.log2(a1 / (a1 - x)), a - x

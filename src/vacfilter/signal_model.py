@@ -35,13 +35,6 @@ class CoherentAmplitude:
         if not (isinstance(m, Real) and math.isfinite(m) and m >= 0.0):
             raise ValueError(f"coherent amplitude must be a finite real number >= 0, got {m}")
 
-    @property
-    def mean_photons(self) -> float:
-        return self.magnitude * self.magnitude
-
-    def scaled(self, factor: float) -> "CoherentAmplitude":
-        return CoherentAmplitude(factor * self.magnitude)
-
 
 @dataclass(frozen=True)
 class ErasureMixture:
@@ -64,12 +57,8 @@ class ErasureMixture:
         return 1.0 - self.tap_reflectivity
 
     @property
-    def tap_amplitude(self) -> CoherentAmplitude:
-        return self.alpha.scaled(math.sqrt(self.tap_reflectivity))
-
-    @property
     def transmitted_amplitude(self) -> CoherentAmplitude:
-        return self.alpha.scaled(math.sqrt(self.transmissivity))
+        return CoherentAmplitude(math.sqrt(self.transmissivity) * self.alpha.magnitude)
 
 
 def posterior_mixture(mix: ErasureMixture, p_accept: float, error_prob: float) -> list:

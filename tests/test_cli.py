@@ -523,6 +523,25 @@ class TestOracleCommand:
         code, out, err = run_cli(capsys, ["oracle", "noclick", "--nmax", "100", *argv])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["noclick", "--V", "0.5"],
+         "--V: two-mode squeezing variance must be >= 1 and finite, got 0.5"),
+        (["noclick", "--V", "inf"],
+         "--V: two-mode squeezing variance must be >= 1 and finite, got inf"),
+        (["coherent", "--alpha", "nan"], "--alpha: coherent amplitude must be finite, got nan"),
+        (["beamsplitter", "--alpha=-inf"],
+         "--alpha: coherent amplitude must be finite, got -inf"),
+    ], ids=["noclick-V-0.5", "noclick-V-inf", "coherent-alpha-nan", "beamsplitter-alpha-inf"])
+    def test_state_parameters_checked_before_any_state_is_built(self, capsys, monkeypatch,
+                                                                argv, message):
+        def never(*args, **kwargs):
+            raise AssertionError("a Fock state was built")
+
+        for name in ("vacuum_state", "coherent_state", "tmsv_state"):
+            monkeypatch.setattr(fock, name, never)
+        code, out, err = run_cli(capsys, ["oracle", *argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("n_max", [0, cli.MAX_NMAX])
     def test_nmax_bounds_are_inclusive(self, capsys, n_max):
         code, _, err = run_cli(capsys, ["oracle", "coherent", "--alpha", "0",

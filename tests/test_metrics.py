@@ -75,8 +75,9 @@ class TestSuccessProbability:
         p_acc = np.array([0.2, 0.5, 0.9])
         p_s = success_probability(0.3, p_acc, 0.1)
         np.testing.assert_array_equal(p_s, [success_probability(0.3, a, 0.1) for a in p_acc])
-        np.testing.assert_array_equal(gain(0.3, p_s, 0.1, p_accept=p_acc),
-                                      [gain(0.3, s, 0.1, p_accept=a) for s, a in zip(p_s, p_acc)])
+        g = gain(0.3, p_s, 0.1)
+        np.testing.assert_array_equal(g, [gain(0.3, s, 0.1) for s in p_s])
+        np.testing.assert_allclose(g, p_acc / p_s, rtol=1e-12)
         with pytest.raises(ValueError):
             success_probability(0.3, np.array([0.2, 1.5]), 0.1)
         with pytest.raises(ValueError):
@@ -89,16 +90,13 @@ class TestGain:
 
     def test_uninformative_filter_gain_is_one(self):
         p_s = success_probability(0.3, 0.2, 0.2)
-        assert gain(0.3, p_s, 0.2, p_accept=0.2) == pytest.approx(1.0)
+        assert gain(0.3, p_s, 0.2) == pytest.approx(1.0)
+        assert gain(0.3, p_s, 0.2) == pytest.approx(0.2 / p_s, rel=1e-12)
 
     def test_identity_with_acceptance_ratio(self):
         p, p_acc, e = 0.02, 0.808, E_MATCH
         p_s = success_probability(p, p_acc, e)
-        assert gain(p, p_s, e, p_accept=p_acc) == pytest.approx(p_acc / p_s, abs=1e-12)
-
-    def test_inconsistent_inputs_detected(self):
-        with pytest.raises(ValueError, match="disagree"):
-            gain(0.02, 0.05, E_MATCH, p_accept=0.9)
+        assert gain(p, p_s, e) == pytest.approx(p_acc / p_s, abs=1e-12)
 
     def test_zero_success_rejected(self):
         with pytest.raises(ValueError):
@@ -117,7 +115,8 @@ class TestGain:
         p_s = success_probability(p, p_acc, e)
         if p_s <= 1e-12:
             return
-        g = gain(p, p_s, e, p_accept=p_acc)
+        g = gain(p, p_s, e)
+        assert g == pytest.approx(p_acc / p_s, rel=1e-12, abs=4.0 * np.finfo(float).eps / p)
         assert g <= 1.0 / p + 1e-9
         if e == 0.0:
             assert g == pytest.approx(1.0 / p, rel=1e-12)
@@ -132,15 +131,14 @@ class TestGain:
     )
     @settings(max_examples=300, deadline=None)
     def test_consistency_check_holds_at_small_p(self, log_p, p_acc, e):
-        # P_S = p P + (1-p) E is checked relative to P_S, a sum of nonnegative
-        # terms, so consistent inputs pass however small p is, while the two
-        # forms of G differ by rounding of order eps / p
+        # with P_S = p P + (1-p) E the two forms of G, (1/p)(1 - (1-p) E / P_S)
+        # and P / P_S, differ only by rounding of order eps / p, however small p is
         p = 10.0 ** log_p
         e = min(e, p_acc)
         p_s = success_probability(p, p_acc, e)
         if p_s <= 1e-12:
             return
-        g = gain(p, p_s, e, p_accept=p_acc)
+        g = gain(p, p_s, e)
         assert g == pytest.approx(p_acc / p_s, rel=1e-12, abs=4.0 * np.finfo(float).eps / p)
 
 

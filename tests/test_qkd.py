@@ -500,15 +500,18 @@ class TestKernelIsTheSeedFormula:
     ``np.array_equal`` (exact), not a tolerance."""
 
     def _assert_bit_identical(self, V, T, p, det, erased, protocol):
-        seed = _kernel_terms(_seed_filtered_covariance, _seed_key_rate, V, T, p, det, erased,
-                             protocol)
+        # the seed formula runs on arrays, where x ** 2 is x * x; on Python
+        # floats it would be C pow(), which the kernel avoids, so a scalar
+        # (V, T) is scored by the seed formula as a one-point grid
+        seed = _kernel_terms(_seed_filtered_covariance, _seed_key_rate, np.full((1, 1), V)
+                             if np.ndim(V) == 0 else V, T, p, det, erased, protocol)
         kernel = _kernel_terms(qkd.filtered_covariance, qkd.key_rate, V, T, p, det, erased,
                                protocol)
         if isinstance(seed, str) or isinstance(kernel, str):
             assert kernel == seed
             return
         for name, x, y in zip(["a", "b", "c", "P_S", "K", "I_ab", "chi_bE"], kernel, seed):
-            assert np.array_equal(x, y), name
+            assert np.array_equal(x, np.reshape(y, np.shape(x))), name
 
     @settings(max_examples=300, deadline=None)
     @given(V=st.one_of(st.just(1.0), _log_uniform(1.0, 1e4)), p=_P_DRAWS, **_SCENARIO_DOMAIN)
@@ -531,9 +534,7 @@ class TestKernelIsTheSeedFormula:
                                                 (0.01, Apd(1.0, 0.0), "marginal")])
     def test_coarse_grid_points_equal_one_point_calls(self, p, det, erased, protocol):
         # the argmax reads the hoisted coarse grid, so each of its points must
-        # score what a one-point (V, T) grid would, wherever it sits.  (A call
-        # on Python floats can differ in the last bit: x ** 2 on a scalar is
-        # C pow(), on an array x * x; the seed formula does the same.)
+        # score what a one-point (V, T) grid would, wherever it sits
         coarse = qkd._branch_terms(qkd._V_COARSE[:, None], qkd._T_COARSE[None, :], det, erased)
         grid = qkd.key_rate(*qkd._mix(coarse, p, det), protocol)
         ts = qkd._T_COARSE if det is not None else [1.0]
@@ -543,6 +544,23 @@ class TestKernelIsTheSeedFormula:
                                                               det, erased), protocol)
                 for x, y in zip(grid, point):
                     assert np.array_equal(x[i, j], y[0, 0]), (V, T)
+
+    @pytest.mark.parametrize("protocol", ["heterodyne", "homodyne"])
+    @pytest.mark.parametrize("det", [Apd(1.0, 0.0), Apd(0.63, 5e-4), None])
+    def test_coarse_grid_points_equal_python_float_calls(self, det, protocol):
+        # single-point `qkd keyrate` calls the kernel on Python floats; a square
+        # taken there with C pow() instead of the grid's x * x moves 8 of these
+        # 27,648 points (all with Apd(1, 0)) in their last bits
+        coarse = qkd._branch_terms(qkd._V_COARSE[:, None], qkd._T_COARSE[None, :], det,
+                                   "marginal")
+        for p in (0.01, 0.05, 0.5):
+            grid = qkd.key_rate(*qkd._mix(coarse, p, det), protocol)
+            for i, V in enumerate(qkd._V_COARSE):
+                for j, T in enumerate(qkd._T_COARSE):
+                    point = qkd.key_rate(*qkd.filtered_covariance(float(V), float(T), p, det,
+                                                                  "marginal"), protocol)
+                    for x, y in zip(grid, point):
+                        assert x[i, j if det is not None else 0] == y, (p, V, T)
 
 
 class TestCoarseTermsHoisted:

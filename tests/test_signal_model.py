@@ -22,13 +22,13 @@ class TestTapSplit:
     def test_tap_mean_photon_number(self):
         # R |alpha|^2 = 1.65 in the filter arm conditioned on the signal branch
         mix = ErasureMixture(CoherentAmplitude(math.sqrt(3.3)), p=0.02, tap_reflectivity=0.5)
-        assert mix.tap_amplitude.mean_photons == pytest.approx(1.65)
+        assert (math.sqrt(mix.tap_reflectivity) * mix.alpha.magnitude) ** 2 == pytest.approx(1.65)
 
     def test_amplitude_bookkeeping(self):
         mix = ErasureMixture(CoherentAmplitude(1.0), p=0.5, tap_reflectivity=0.25)
         assert mix.transmissivity == pytest.approx(0.75)
-        assert mix.transmitted_amplitude.mean_photons == pytest.approx(0.75)
-        assert mix.tap_amplitude.mean_photons == pytest.approx(0.25)
+        assert mix.transmitted_amplitude.magnitude ** 2 == pytest.approx(0.75)
+        assert (math.sqrt(mix.tap_reflectivity) * mix.alpha.magnitude) ** 2 == pytest.approx(0.25)
 
 
 class TestPosteriorMixture:
@@ -112,7 +112,7 @@ class TestMarginalDensity:
     def test_filtering_enhances_coherent_peak(self):
         mix = ErasureMixture(CoherentAmplitude(math.sqrt(3.3)), p=0.02, tap_reflectivity=0.5)
         det = Apd(eta=1.0, dark_prob=5.3e-3)
-        p_acc = acceptance_probability(det, mix.tap_amplitude.magnitude)
+        p_acc = acceptance_probability(det, math.sqrt(mix.tap_reflectivity) * mix.alpha.magnitude)
         post = posterior_mixture(mix, p_acc, error_probability(det))
         peak = mix.transmitted_amplitude.magnitude
         assert marginal_density(post, peak) > marginal_density(mix, peak)

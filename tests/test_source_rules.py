@@ -5,8 +5,9 @@ swallow failures that should surface), no scipy module but
 the rest of the package, one writer of command output: only ``cli.main``
 calls ``cli._emit``, and only ``_emit`` writes to ``sys.stdout``, and a
 security layer that imports nothing from ``gaussian``, so the
-Gaussian-mixture calculus stays off its hot path, and no environment
-variable read, so a command's behaviour depends on its argv alone."""
+Gaussian-mixture calculus stays off its hot path, no environment
+variable read, so a command's behaviour depends on its argv alone, and no
+definition that nothing reads but the tests written for it."""
 
 import ast
 from pathlib import Path
@@ -244,3 +245,131 @@ def test_environ_rule_catches_each_pattern(tmp_path):
     assert environ_violations(bad) == [
         "cli.py:2: imports os.environ", "cli.py:4: reads os.environ",
         "cli.py:5: reads os.environ", "cli.py:6: reads os.getenv"]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
+
+# Definitions that nothing in the package or perfbench reads, each kept
+# because a test compares shipped code against it: "file::function" (or
+# "file::Class::method") of that test under tests/.
+TEST_REFERENCES = {
+    "fock.number_state":
+        "test_qkd.py::TestFilteredCovariance::test_nonideal_filter_matches_fock_mixture",
+    "fock.von_neumann_entropy":
+        "test_gaussian.py::TestSpectraAndEntropy::test_thermal_entropy_matches_fock",
+    "gaussian.thermal": "qkd_reference.py::joint_state",
+    "gaussian.gaussian_entropy":
+        "test_gaussian.py::TestSpectraAndEntropy::test_thermal_entropy_matches_fock",
+    "montecarlo.verification_chi2":
+        "test_acceptance.py::TestAcceptance::test_criterion_11_figure_data",
+    "qkd.weak_squeezing_keyrate":
+        "test_qkd.py::TestWeakSqueezing::test_against_full_rate_at_moderate_squeezing",
+}
+
+
+def _is_def(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+
+
+def _non_dunder_defs(body) -> list:
+    return [node for node in body if _is_def(node)
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def definitions(path: Path) -> list:
+    """(line, "module.name") of each module-level function and class, and
+    (line, "module.Class.name") of each method or property; dunders, which
+    Python calls by protocol, are left out."""
+    found = []
+    for node in _non_dunder_defs(ast.parse(path.read_text(), filename=str(path)).body):
+        found.append((node.lineno, f"{path.stem}.{node.name}"))
+        if isinstance(node, ast.ClassDef):
+            found += [(item.lineno, f"{path.stem}.{node.name}.{item.name}")
+                      for item in _non_dunder_defs(node.body)]
+    return found
+
+
+def read_names(path: Path) -> set:
+    """Names a file loads, as ``x`` or ``obj.x``, and every dotted part of the
+    strings of a module-level ``TARGETS`` list (the tracer wraps those by name)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            names |= {part for c in ast.walk(node.value)
+                      if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                      for part in c.value.split(".")}
+    return names
+
+
+def unread_definitions(sources, readers, references) -> list:
+    """Definitions in ``sources`` whose name no file of ``readers`` reads and
+    ``references`` does not list, and ``references`` entries that are read or
+    not defined.  Matching is by name, so a read of a same-named thing can
+    hide an unread definition, but a read one is never flagged."""
+    read = set().union(*(read_names(path) for path in readers))
+    found, defined = [], set()
+    for path in sources:
+        for line, name in definitions(path):
+            defined.add(name)
+            if name.rsplit(".", 1)[1] in read:
+                if name in references:
+                    found.append(f"{path.name}:{line}: {name} is read; drop its test reference")
+            elif name not in references:
+                found.append(f"{path.name}:{line}: {name} is never read")
+    return found + [f"{name} is listed but not defined" for name in sorted(references)
+                    if name not in defined]
+
+
+def test_every_definition_is_read_or_test_referenced():
+    readers = SOURCES + sorted(PERFBENCH.glob("*.py"))
+    assert unread_definitions(SOURCES, readers, TEST_REFERENCES) == []
+
+
+@pytest.mark.parametrize("name, test", sorted(TEST_REFERENCES.items()))
+def test_each_test_reference_names_a_test_that_reads_it(name, test):
+    file_name, *qualified = test.split("::")
+    scope = ast.parse((TESTS / file_name).read_text())
+    for part in qualified:
+        scope = next(node for node in scope.body if _is_def(node) and node.name == part)
+    attr = name.rsplit(".", 1)[1]
+    assert any(isinstance(node, ast.Name) and node.id == attr
+               or isinstance(node, ast.Attribute) and node.attr == attr
+               for node in ast.walk(scope))
+
+
+def test_unread_rule_catches_each_pattern(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("class Box:\n"
+                   "    def __init__(self):\n        self.size = 1\n"
+                   "    @property\n    def area(self):\n        return 0\n"
+                   "    def grow(self):\n        return helper()\n"
+                   "    def shrink(self):\n        pass\n"
+                   "def helper():\n    def inner():\n        pass\n"
+                   "def unread():\n    pass\n"
+                   "class Unused:\n    pass\n"
+                   "def stored():\n    pass\n"
+                   "def traced():\n    pass\n"
+                   "def kept():\n    pass\n"
+                   "def listed_but_read():\n    pass\n"
+                   "def __getattr__(name):\n    pass\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("from mod import Box, listed_but_read\n"
+                      "Box().grow()\n"
+                      "listed_but_read()\n"
+                      "stored = 'unread'\n"
+                      "TARGETS = [('mod', 'traced', 'mod.traced', None)]\n")
+    references = {"mod.kept": "test_mod.py::test_kept",
+                  "mod.listed_but_read": "test_mod.py::test_read",
+                  "mod.gone": "test_mod.py::test_gone"}
+    assert unread_definitions([src], [src, reader], references) == [
+        "mod.py:5: mod.Box.area is never read", "mod.py:9: mod.Box.shrink is never read",
+        "mod.py:14: mod.unread is never read", "mod.py:16: mod.Unused is never read",
+        "mod.py:18: mod.stored is never read",
+        "mod.py:24: mod.listed_but_read is read; drop its test reference",
+        "mod.gone is listed but not defined"]
