@@ -231,10 +231,9 @@ def cmd_error(args):
 
 def cmd_sensitivity(args):
     det = _build_detector(args)
-    s = metrics.sensitivity(det, args.tap)
-    s_analytic = metrics.sensitivity(det, args.tap, analytic=True)
+    s = metrics.sensitivity(det, args.tap)  # S_analytic repeats it, for the layout
     return (["detector", "tap_reflectivity", "S", "S_over_R", "S_analytic"],
-            [[args.detector, args.tap, s, s / args.tap, s_analytic]])
+            [[args.detector, args.tap, s, s / args.tap, s]])
 
 
 def cmd_gain(args):
@@ -339,19 +338,7 @@ def cmd_oracle(args):
         raise ValueError(f"--tap is a reflectivity, must lie in [0, 1], got {args.tap}")
     if args.oracle_command != "noclick" and not math.isfinite(args.alpha):
         raise ValueError(f"--alpha: coherent amplitude must be finite, got {args.alpha}")
-    if args.oracle_command == "coherent":
-        st = fock.coherent_state(args.alpha, n_max)
-        rows.append(["mean_photons", fock.mean_photon(st, 0), args.alpha ** 2])
-        rows.append(["trace_deficit", st.deficit, 0.0])
-    elif args.oracle_command == "beamsplitter":
-        st = fock.tensor(fock.coherent_state(args.alpha, n_max), fock.vacuum_state(n_max))
-        st = fock.fock_beamsplitter(st, 0, 1, 1.0 - args.tap)
-        target = fock.tensor(
-            fock.coherent_state(math.sqrt(1.0 - args.tap) * args.alpha, n_max),
-            fock.coherent_state(-math.sqrt(args.tap) * args.alpha, n_max),
-        )
-        rows.append(["fidelity_vs_product", fock.fidelity(st, target), 1.0])
-    else:  # noclick, the one command that loads the Gaussian reference calculus
+    if args.oracle_command == "noclick":
         if not 1.0 <= args.V < math.inf:
             raise ValueError(f"--V: two-mode squeezing variance must be >= 1 and finite, "
                              f"got {args.V}")
@@ -360,9 +347,31 @@ def cmd_oracle(args):
         if not 0.0 <= args.pd < 1.0:
             raise ValueError(f"--pd is a dark-count probability, must lie in [0, 1), "
                              f"got {args.pd}")
+    # the one state that can be too wide for the cutoff (the beam splitter's targets are
+    # narrower); |alpha|^2 above nmax + 1 puts over half of it past the cutoff, and could overflow
+    flag = "--V" if args.oracle_command == "noclick" else "--alpha"
+    if flag == "--alpha" and abs(args.alpha) > math.sqrt(n_max + 1.0):
+        raise ValueError(f"--alpha does not fit --nmax {n_max}: "
+                         f"|alpha| = {abs(args.alpha):g} exceeds sqrt(nmax + 1)")
+    try:
+        st = (fock.tmsv_state(args.V, n_max) if flag == "--V"
+              else fock.coherent_state(args.alpha, n_max))
+    except fock.TruncationError as exc:
+        raise ValueError(f"{flag} does not fit --nmax {n_max}: {exc}") from exc
+    if args.oracle_command == "coherent":
+        rows.append(["mean_photons", fock.mean_photon(st, 0), args.alpha ** 2])
+        rows.append(["trace_deficit", st.deficit, 0.0])
+    elif args.oracle_command == "beamsplitter":
+        st = fock.tensor(st, fock.vacuum_state(n_max))
+        st = fock.fock_beamsplitter(st, 0, 1, 1.0 - args.tap)
+        target = fock.tensor(
+            fock.coherent_state(math.sqrt(1.0 - args.tap) * args.alpha, n_max),
+            fock.coherent_state(-math.sqrt(args.tap) * args.alpha, n_max),
+        )
+        rows.append(["fidelity_vs_product", fock.fidelity(st, target), 1.0])
+    else:  # noclick, the one command that loads the Gaussian reference calculus
         from . import gaussian
 
-        st = fock.tmsv_state(args.V, n_max)
         st = fock.tensor(st, fock.vacuum_state(n_max))
         st = fock.fock_beamsplitter(st, 1, 2, 1.0 - args.tap)
         prob, cond = fock.povm_expectation(st, 2, fock.NoClick(args.eta, args.pd))
@@ -406,7 +415,7 @@ def cmd_figures(args):
         rows = []
         for e in es:
             dets = _matched_trio(e)
-            svals = [metrics.sensitivity(d, 1.0, analytic=True) for d in dets]
+            svals = [metrics.sensitivity(d, 1.0) for d in dets]
             rows.append([e, *svals])
         return ["E", "S_over_R_apd", "S_over_R_hds", "S_over_R_hdr"], rows
     columns = [ns]  # fig5b and fig5c share their data

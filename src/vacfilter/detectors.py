@@ -150,13 +150,14 @@ def threshold_for_error(error_target: float) -> float:
 
     if not 0.0 < error_target <= 1.0:
         raise ValueError(f"error target must lie in (0, 1], got {error_target}")
-    return float(erfcinv(error_target) / np.sqrt(2.0))
+    # erfcinv(1) is -0.0; abs makes B = +0.0 there and changes no other value
+    return abs(float(erfcinv(error_target) / np.sqrt(2.0)))
 
 
 def acceptance_curvature(det: FilterDetector) -> float:
-    """Analytic second derivative of P with respect to |beta| at |beta| = 0.
-
-    Used to cross-check the finite-difference sensitivity:
+    """Analytic second derivative of P with respect to |beta| at |beta| = 0,
+    the one source of the sensitivity :func:`vacfilter.metrics.sensitivity`
+    (the test suite checks it against finite differences of P):
       ideal on/off      2
       APD               2 eta (1-p_d)^2
       stabilized HD     8 sqrt(2/pi) kappa^2 B exp(-2 B^2)

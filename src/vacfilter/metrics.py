@@ -1,7 +1,8 @@
 """Figures of merit for the filtering protocol: sensitivity, gain and success
-probability.  At matched error probability the (P_S, G) points of
-:func:`gain_columns` for different detectors fall on the single curve
-G = (1/p)(1 - (1-p) E / P_S)."""
+probability.  The sensitivity is the closed-form curvature of the acceptance
+probability, scaled by the tap.  At matched error probability the (P_S, G)
+points of :func:`gain_columns` for different detectors fall on the single
+curve G = (1/p)(1 - (1-p) E / P_S)."""
 
 from __future__ import annotations
 
@@ -9,57 +10,20 @@ import numpy as np
 
 from .detectors import acceptance_curvature, acceptance_probability, error_probability
 
-# Richardson extrapolation of the sensitivity: first step, halvings, agreement
-RICHARDSON_H0 = 1e-2
-RICHARDSON_LEVELS = 6
-RICHARDSON_TOL = 1e-8
 
-
-def sensitivity(det, tap_reflectivity: float, *, analytic: bool = False) -> float:
+def sensitivity(det, tap_reflectivity: float) -> float:
     """Half the second derivative of the acceptance probability with respect
     to the signal amplitude |alpha|, at |alpha| = 0, for a tap of
-    reflectivity R (the detector sees sqrt(R) |alpha|).
+    reflectivity R (the detector sees sqrt(R) |alpha|), from the closed-form
+    curvature P''(0) of :func:`acceptance_curvature`: S = R P''(0) / 2.
 
     The derivative is taken with respect to the amplitude, not the photon
     number; this normalization makes the ideal on/off filter score exactly R.
-    Computed by symmetric finite differences with Richardson extrapolation
-    unless ``analytic=True``, in which case the closed-form curvature is used.
     """
     R = tap_reflectivity
     if not 0.0 < R <= 1.0:
         raise ValueError(f"tap reflectivity must lie in (0, 1], got {R}")
-    if analytic:
-        return 0.5 * R * acceptance_curvature(det)
-
-    sqrt_r = np.sqrt(R)
-    p0 = acceptance_probability(det, 0.0)
-
-    def curvature(h):
-        # f(t) = P(sqrt(R) t) is even in t, so 2 (f(h) - f(0)) / h^2 -> f''(0)
-        return 2.0 * (acceptance_probability(det, sqrt_r * h) - p0) / (h * h)
-
-    return 0.5 * _richardson_even(curvature)
-
-
-def _richardson_even(d) -> float:
-    """Richardson-extrapolate d(h) = c0 + c1 h^2 + c2 h^4 + ... toward h -> 0.
-
-    Halves the step from RICHARDSON_H0 down to ~3e-4 and returns the deepest
-    Neville column once consecutive estimates agree to RICHARDSON_TOL.
-    """
-    table = []
-    best = None
-    for k in range(RICHARDSON_LEVELS):
-        h = RICHARDSON_H0 / 2.0 ** k
-        row = [d(h)]
-        for j, prev in enumerate(table[-1] if table else []):
-            f = 4.0 ** (j + 1)
-            row.append((f * row[j] - prev) / (f - 1.0))
-        table.append(row)
-        if best is not None and abs(row[-1] - best) < RICHARDSON_TOL:
-            return row[-1]
-        best = row[-1]
-    return table[-1][-1]
+    return 0.5 * R * acceptance_curvature(det)
 
 
 def success_probability(p, p_accept, error_prob):

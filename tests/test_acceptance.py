@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from finite_difference import FD_ABS, FD_REL, richardson_sensitivity
 
 from vacfilter import fock, gaussian
 from vacfilter.cli import main as cli_main
@@ -42,26 +43,37 @@ def report(criterion: str, ok: bool, detail: str, elapsed: float):
     print(f"[{criterion}] {status} ({elapsed:.1f}s): {detail}")
 
 
+def matches_finite_difference(det, tap: float) -> bool:
+    """The closed-form sensitivity agrees with the Richardson finite difference
+    of the acceptance probability (tolerances in ``finite_difference``)."""
+    s = sensitivity(det, tap)
+    return abs(richardson_sensitivity(det, tap) - s) <= max(FD_REL * s, FD_ABS)
+
+
 class TestAcceptance:
     def test_criterion_01_ideal_sensitivity(self):
         t0 = time.time()
         ratios = {r: sensitivity(IdealOnOff(), r) / r for r in (0.1, 0.5, 0.9)}
-        ok = all(abs(v - 1.0) < 1e-6 for v in ratios.values())
+        fd_ok = all(matches_finite_difference(IdealOnOff(), r) for r in ratios)
+        ok = all(abs(v - 1.0) < 1e-6 for v in ratios.values()) and fd_ok
         elapsed = time.time() - t0
         report("criterion-01 ideal S/R = 1", ok,
-               ", ".join(f"R={r}: {v:.9f}" for r, v in ratios.items()), elapsed)
+               ", ".join(f"R={r}: {v:.9f}" for r, v in ratios.items())
+               + f"; finite difference agrees={fd_ok}", elapsed)
         assert ok and elapsed < 1.0
 
     def test_criterion_02_apd_sensitivity_identity(self):
         t0 = time.time()
-        devs = {}
+        devs, fd_ok = {}, True
         for pd in (1e-4, 5e-3, 0.05):
             got = sensitivity(Apd(eta=1.0, dark_prob=pd), 0.5) / 0.5
             devs[pd] = abs(got - (1 - pd) ** 2)
-        ok = all(d < 1e-6 for d in devs.values())
+            fd_ok = fd_ok and matches_finite_difference(Apd(eta=1.0, dark_prob=pd), 0.5)
+        ok = all(d < 1e-6 for d in devs.values()) and fd_ok
         elapsed = time.time() - t0
         report("criterion-02 APD S/R = (1-pd)^2", ok,
-               ", ".join(f"pd={pd}: dev={d:.2e}" for pd, d in devs.items()), elapsed)
+               ", ".join(f"pd={pd}: dev={d:.2e}" for pd, d in devs.items())
+               + f"; finite difference agrees={fd_ok}", elapsed)
         assert ok and elapsed < 1.0
 
     def test_criterion_03_detector_ordering(self):
@@ -81,11 +93,12 @@ class TestAcceptance:
         s_hds = sensitivity(hds, 0.5)
         s_hdr = sensitivity(hdr, 0.5)
         s_ok = s_apd > s_hds > s_hdr
+        fd_ok = all(matches_finite_difference(d, 0.5) for d in (apd, hds, hdr))
         elapsed = time.time() - t0
-        report("criterion-03 ordering at matched E", p_ok and s_ok,
+        report("criterion-03 ordering at matched E", p_ok and s_ok and fd_ok,
                f"P ordering={p_ok}; S/R: apd={2*s_apd:.4f} hds={2*s_hds:.4f} "
-               f"hdr={2*s_hdr:.4f}", elapsed)
-        assert p_ok and s_ok and elapsed < 5.0
+               f"hdr={2*s_hdr:.4f}; finite difference agrees={fd_ok}", elapsed)
+        assert p_ok and s_ok and fd_ok and elapsed < 5.0
 
     def test_criterion_04_monte_carlo_vs_closed_form(self):
         t0 = time.time()

@@ -331,6 +331,30 @@ class TestGainCommand:
             assert g <= 1.0 / p
 
 
+class TestSensitivityCommand:
+    @pytest.mark.parametrize("argv", [
+        ["--detector", "ideal", "--tap", "0.3"],
+        ["--detector", "apd", "--eta", "1", "--pd", "0.005", "--tap", "0.5"],
+        ["--detector", "apd", "--eta", "0.8", "--pd", "0.999999", "--tap", "0.5"],
+        ["--detector", "hds", "--eta", "0.84", "--match-error", "5.3e-3", "--tap", "0.7"],
+        ["--detector", "hdr", "--eta", "0.84", "--match-error", "1e-12", "--tap", "0.1"],
+    ], ids=["ideal", "apd", "apd-pd-0.999999", "hds", "hdr-E-1e-12"])
+    def test_s_is_the_closed_form_in_both_columns(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["sensitivity", *argv])
+        assert (code, err) == (0, "")
+        header, [row] = parse_csv(out)
+        assert header == ["detector", "tap_reflectivity", "S", "S_over_R", "S_analytic"]
+        assert row[2] == row[4]
+        assert float(row[3]) == float(row[2]) / float(row[1])
+        assert float(row[2]) > 0.0
+
+    def test_full_error_homodyne_prints_positive_zero(self, capsys):
+        code, out, err = run_cli(capsys, ["sensitivity", "--detector", "hds", "--eta", "0.8",
+                                          "--match-error", "1", "--tap", "0.5"])
+        assert (code, err) == (0, "")
+        assert parse_csv(out)[1] == [["hds", "0.5", "0.0", "0.0", "0.0"]]
+
+
 class TestAcceptanceCommand:
     def test_ideal_reduction(self, capsys):
         code, out, _ = run_cli(capsys, ["acceptance", "--detector", "apd",
@@ -497,6 +521,18 @@ class TestOracleCommand:
         assert code == 2
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["coherent", "--alpha", "1e200"], "--alpha"),
+        (["beamsplitter", "--alpha", "1e200"], "--alpha"),
+        (["coherent", "--alpha", "100", "--nmax", "10"], "--alpha"),
+        (["noclick", "--V", "1e6", "--nmax", "10"], "--V"),
+    ], ids=["coherent-alpha-1e200", "beamsplitter-alpha-1e200", "coherent-alpha-100",
+            "noclick-V-1e6"])
+    def test_states_too_wide_for_the_cutoff_exit_2(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, ["oracle", *argv])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} does not fit --nmax ")
 
     def test_nmax_checked_before_any_state_is_built(self, capsys, monkeypatch):
         def never(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Detector closed forms: acceptance probabilities, error probabilities,
 threshold inversion, and the orderings behind the detector comparison."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -247,6 +248,10 @@ class TestErrorProbability:
 class TestThresholdForError:
     def test_full_error_means_zero_threshold(self):
         assert threshold_for_error(1.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_full_error_threshold_is_positive_zero(self):
+        # erfcinv(1) is -0.0, which would print as a threshold of "-0.0"
+        assert math.copysign(1.0, threshold_for_error(1.0)) == 1.0
 
     def test_inverse_consistency(self):
         assert threshold_for_error(erfc(np.sqrt(2))) == pytest.approx(1.0, rel=1e-12)

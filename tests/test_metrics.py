@@ -1,8 +1,11 @@
 """Sensitivity, gain and success-probability figures of merit."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from finite_difference import FD_ABS, FD_REL, richardson_sensitivity
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vacfilter.detectors import (
@@ -20,6 +23,21 @@ from vacfilter.metrics import (
 )
 
 E_MATCH = 5.3e-3
+B_E12 = threshold_for_error(1e-12)
+
+
+@st.composite
+def detectors(draw):
+    """Any filter detector: all four kinds, both homodyne efficiency models."""
+    kind = draw(st.sampled_from(["ideal", "apd", "hds", "hdr"]))
+    if kind == "ideal":
+        return IdealOnOff()
+    eta = draw(st.floats(0.0, 1.0, exclude_min=True))
+    if kind == "apd":
+        return Apd(eta=eta, dark_prob=draw(st.floats(0.0, 1.0, exclude_max=True)))
+    cls = HomodyneStabilized if kind == "hds" else HomodyneRandomized
+    return cls(eta=eta, threshold=draw(st.floats(0.0, 4.0)),
+               efficiency_model=draw(st.sampled_from(["linear", "sqrt"])))
 
 
 class TestSensitivity:
@@ -38,17 +56,23 @@ class TestSensitivity:
             0.63 * (1 - 1.4e-4) ** 2, abs=1e-8
         )
 
-    def test_hds_finite_difference_vs_analytic_curvature(self):
-        det = HomodyneStabilized(eta=0.84, threshold=threshold_for_error(E_MATCH))
-        fd = sensitivity(det, 0.5)
-        closed = sensitivity(det, 0.5, analytic=True)
-        assert fd == pytest.approx(closed, abs=1e-8)
+    @settings(max_examples=300, deadline=None)
+    @given(det=detectors(), tap=st.floats(0.0, 1.0, exclude_min=True))
+    def test_closed_form_matches_finite_difference(self, det, tap):
+        s = sensitivity(det, tap)
+        assume(s >= 1e-6)
+        assert richardson_sensitivity(det, tap) == pytest.approx(s, rel=FD_REL, abs=FD_ABS)
 
-    def test_hdr_finite_difference_vs_analytic_curvature(self):
-        det = HomodyneRandomized(eta=0.84, threshold=threshold_for_error(E_MATCH))
-        assert sensitivity(det, 0.5) == pytest.approx(
-            sensitivity(det, 0.5, analytic=True), abs=1e-7
-        )
+    @pytest.mark.parametrize("det, curvature", [
+        (Apd(eta=0.8, dark_prob=0.999999), 2 * 0.8 * (1 - 0.999999) ** 2),
+        (Apd(eta=0.63, dark_prob=0.999), 2 * 0.63 * (1 - 0.999) ** 2),
+        # 8 B phi(B) eta^2, phi the vacuum quadrature density (variance 1/4)
+        (HomodyneStabilized(eta=0.8, threshold=B_E12),
+         8 * B_E12 * math.exp(-2 * B_E12 ** 2) / math.sqrt(0.5 * math.pi) * 0.8 ** 2),
+    ], ids=["apd-pd-0.999999", "apd-pd-0.999", "hds-E-1e-12"])
+    def test_closed_form_where_finite_differences_lose_digits(self, det, curvature):
+        # S is 4e-13 for the first APD and 3e-11 for the HDS
+        assert sensitivity(det, 0.5) == pytest.approx(0.5 * 0.5 * curvature, rel=1e-12, abs=0.0)
 
     def test_invalid_reflectivity(self):
         with pytest.raises(ValueError):

@@ -272,22 +272,34 @@ def _is_def(node) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _non_dunder_defs(body) -> list:
-    return [node for node in body if _is_def(node)
-            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    return [node for node in body if _is_def(node) and not _is_dunder(node.name)]
+
+
+def _assigned_names(node) -> list:
+    """Names a module-level ``x = ...``, ``x: T = ...`` or ``x, y = ...`` binds."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and not _is_dunder(n.id)]
 
 
 def definitions(path: Path) -> list:
-    """(line, "module.name") of each module-level function and class, and
-    (line, "module.Class.name") of each method or property; dunders, which
-    Python calls by protocol, are left out."""
-    found = []
-    for node in _non_dunder_defs(ast.parse(path.read_text(), filename=str(path)).body):
+    """(line, "module.name") of each module-level function, class and assigned
+    name, and (line, "module.Class.name") of each method or property; dunders,
+    which Python reads by protocol, are left out."""
+    body = ast.parse(path.read_text(), filename=str(path)).body
+    found = [(n.lineno, f"{path.stem}.{n.id}") for node in body for n in _assigned_names(node)]
+    for node in _non_dunder_defs(body):
         found.append((node.lineno, f"{path.stem}.{node.name}"))
         if isinstance(node, ast.ClassDef):
             found += [(item.lineno, f"{path.stem}.{node.name}.{item.name}")
                       for item in _non_dunder_defs(node.body)]
-    return found
+    return sorted(found)
 
 
 def read_names(path: Path) -> set:
@@ -373,3 +385,20 @@ def test_unread_rule_catches_each_pattern(tmp_path):
         "mod.py:18: mod.stored is never read",
         "mod.py:24: mod.listed_but_read is read; drop its test reference",
         "mod.gone is listed but not defined"]
+
+
+def test_unread_rule_catches_unread_constants(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("__all__ = ['run']\n"
+                   "STEP = 1e-2\n"
+                   "LEVELS, TOL = 6, 1e-8\n"
+                   "LIMIT: int = 3\n"
+                   "COUNT: int = 0\n"
+                   "TABLE = {}\n"
+                   "TABLE['step'] = STEP\n"
+                   "def run():\n    return LIMIT\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("from mod import run\nrun()\n")
+    assert unread_definitions([src], [src, reader], {}) == [
+        "mod.py:3: mod.LEVELS is never read", "mod.py:3: mod.TOL is never read",
+        "mod.py:5: mod.COUNT is never read"]
