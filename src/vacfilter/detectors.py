@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Randomized-homodyne erfc terms one call may evaluate (points x nodes), ~1 min
+MAX_HDR_TERMS = 2**32
+
 
 @dataclass(frozen=True)
 class IdealOnOff:
@@ -94,7 +97,8 @@ def acceptance_probability(det: FilterDetector, beta):
       randomized HD     (1/2pi) int erfc(sqrt2 (B - a cos t)) dt over (-pi, pi)
 
     The randomized-HD integrand is even, periodic and entire in t, so the
-    midpoint rule on (0, pi) with 32 + 8 ceil(max a) nodes is exact to rounding.
+    midpoint rule on (0, pi) with 32 + 8 ceil(max a) nodes is exact to rounding;
+    more than ``MAX_HDR_TERMS`` points x nodes raise ValueError.
     """
     b = np.abs(beta)
     if isinstance(det, IdealOnOff):
@@ -111,7 +115,12 @@ def acceptance_probability(det: FilterDetector, beta):
             p = 0.5 * (erfc(np.sqrt(2.0) * (B + a)) + erfc(np.sqrt(2.0) * (B - a)))
         else:
             # one node set for all chunks, sized by the finite displacements
-            n = 32 + 8 * math.ceil(np.max(a, initial=0.0, where=np.isfinite(a)))
+            a_max = np.max(a, initial=0.0, where=np.isfinite(a))
+            n = 32 + 8 * math.ceil(a_max)
+            if np.size(a) * n > MAX_HDR_TERMS:
+                raise ValueError(
+                    f"randomized-homodyne acceptance of {np.size(a)} point(s) up to "
+                    f"displacement {a_max:.6g} needs over {MAX_HDR_TERMS} erfc terms")
             m = min(n, 2**20)  # nodes per slice
             rows = min(1024, 2**20 // m)  # at most ~2**20 terms per temporary
             flat, p = np.ravel(a), np.zeros(np.size(a))

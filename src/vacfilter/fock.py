@@ -13,8 +13,7 @@ it is sized for at most three modes at the usual cutoffs.
 
 Every state is pure.  A mixed input is the reduced state of a pure one on more
 modes: a thermal mode of mean photon number n is either mode of the two-mode
-squeezed vacuum ``tmsv_state(2 n + 1, n_max)``, and ``reduced_density`` and
-``von_neumann_entropy`` read one mode's reduced state.
+squeezed vacuum ``tmsv_state(2 n + 1, n_max)``.
 
 Quadrature moments are reported in the covariance-matrix convention of
 :mod:`vacfilter.gaussian` (vacuum variance 1); quadrature-interval POVMs take
@@ -70,15 +69,6 @@ def _poisson_tail(mean: float, n_max: int) -> float:
 def vacuum_state(n_max: int, n_modes: int = 1) -> FockState:
     vec = np.zeros((n_max + 1,) * n_modes, dtype=complex)
     vec[(0,) * n_modes] = 1.0
-    return FockState(n_max, vec=vec)
-
-
-def number_state(ns, n_max: int) -> FockState:
-    ns = tuple(int(n) for n in np.atleast_1d(ns))
-    if any(n < 0 or n > n_max for n in ns):
-        raise TruncationError(f"photon numbers {ns} outside cutoff {n_max}")
-    vec = np.zeros((n_max + 1,) * len(ns), dtype=complex)
-    vec[ns] = 1.0
     return FockState(n_max, vec=vec)
 
 
@@ -354,20 +344,6 @@ def covariance_matrix(state: FockState) -> np.ndarray:
 def mean_photon(state: FockState, mode: int) -> float:
     a = lowering_matrix(state.n_max)
     return complex(np.vdot(state.vec, _apply_axis(a.conj().T @ a, state.vec, mode))).real
-
-
-def reduced_density(state: FockState, keep_mode: int) -> np.ndarray:
-    """Reduced density matrix of one mode."""
-    work = np.moveaxis(state.vec, keep_mode, 0)
-    flat = work.reshape(work.shape[0], -1)
-    return flat @ flat.conj().T
-
-
-def von_neumann_entropy(state: FockState, mode: int) -> float:
-    """Entropy in bits of one mode's reduced density matrix."""
-    evals = np.linalg.eigvalsh(reduced_density(state, mode))
-    evals = evals[evals > 1e-15]
-    return float(-(evals * np.log2(evals)).sum())
 
 
 def fidelity(a: FockState, b: FockState) -> float:

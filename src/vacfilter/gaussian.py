@@ -10,7 +10,7 @@ Conventions used throughout this module:
 
 Mixtures of Gaussian states are kept as explicit weighted component lists;
 no moment matching happens here.  A reference for the tests and ``oracle
-noclick`` only; ``NumericsError`` and g(y) come from the kernel in ``qkd``.
+noclick`` only; ``NumericsError`` comes from the kernel in ``qkd``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qkd import NumericsError, entropy_g
+from .qkd import NumericsError
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
@@ -145,20 +145,6 @@ def vacuum(n_modes: int = 1) -> GaussianMixtureState:
     )
 
 
-def coherent(alpha: complex) -> GaussianMixtureState:
-    mean = np.array([2.0 * np.real(alpha), 2.0 * np.imag(alpha)])
-    return GaussianMixtureState((GaussianComponent(1.0, mean, CovMatrix(np.eye(2))),))
-
-
-def thermal(variance: float) -> GaussianMixtureState:
-    """Single-mode thermal state of quadrature variance ``variance`` >= 1."""
-    if variance < 1.0 - PHYSICALITY_TOL:
-        raise ValueError(f"thermal variance must be >= 1, got {variance}")
-    return GaussianMixtureState(
-        (GaussianComponent(1.0, np.zeros(2), CovMatrix(variance * np.eye(2))),)
-    )
-
-
 def two_mode_squeezed(V: float) -> GaussianMixtureState:
     """Two-mode squeezed vacuum with quadrature variance V >= 1 per mode."""
     return GaussianMixtureState(
@@ -188,15 +174,6 @@ def tensor(left: GaussianMixtureState, right: GaussianMixtureState) -> GaussianM
             cm[:na, :na] = a.cm.mat
             cm[na:, na:] = b.cm.mat
             comps.append(GaussianComponent(a.weight * b.weight, mean, CovMatrix(cm)))
-    return GaussianMixtureState(tuple(comps))
-
-
-def mix(weighted_states) -> GaussianMixtureState:
-    """Probabilistic mixture of states: iterable of (weight, state) pairs."""
-    comps = []
-    for w, state in weighted_states:
-        for c in state.components:
-            comps.append(GaussianComponent(w * c.weight, c.mean, c.cm))
     return GaussianMixtureState(tuple(comps))
 
 
@@ -317,7 +294,7 @@ def condition_on_noclick(state: GaussianMixtureState, tap_mode: int,
 
 
 # ---------------------------------------------------------------------------
-# moments, spectra, entropies
+# moments and spectra
 # ---------------------------------------------------------------------------
 
 def mixture_covariance(state: GaussianMixtureState) -> np.ndarray:
@@ -346,15 +323,3 @@ def _symplectic_eigenvalues_raw(mat: np.ndarray) -> np.ndarray:
     omega = symplectic_form(n)
     ev = np.abs(np.linalg.eigvals(1j * omega @ mat))
     return np.sort(ev)[::2][:n]  # spectrum comes doubled
-
-
-def gaussian_entropy(cm) -> float:
-    """Von Neumann entropy in bits of a Gaussian state with this covariance.
-
-    Symplectic eigenvalues marginally below 1 (within the physicality
-    tolerance) are treated as exactly 1.
-    """
-    nus = symplectic_eigenvalues(cm)
-    if nus.min() < 1.0 - PHYSICALITY_TOL:
-        raise ValueError(f"unphysical covariance matrix (nu_min = {nus.min():.12f})")
-    return float(sum(entropy_g(max(nu - 1.0, 0.0) / 2.0) for nu in nus))

@@ -96,6 +96,12 @@ class McConfig:
     prep_error: float = 0.0  # coherent amplitude leaked into vacuum slots
 
     def __post_init__(self):
+        for name in ("seed", "trials", "workers"):  # a float seed keys Philox by its integer part
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if not 0 <= self.seed < 2 ** 64:  # Philox's key word: others alias modulo 2^64
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.trials < 1:

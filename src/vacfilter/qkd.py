@@ -42,7 +42,6 @@ Two modeling knobs are exposed because they change the numbers:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,17 +207,6 @@ def _report(terms, p, det, prefactor, optimizer=None) -> KeyRateResult:
     k, i_ab, chi, p_s = (float(x) for x in terms)
     scale = p if det is not None and prefactor == "p_ps" else 1.0
     return KeyRateResult(scale * k, i_ab, chi, p_s, scale * p_s, optimizer)
-
-
-def weak_squeezing_keyrate(p: float, p_s: float, transmissivity: float, V: float) -> float:
-    """Small-alphabet closed form p * P_S * (1/2) log2(e/2) * T * (V-1)^2.
-
-    The exact bound approaches this expression with the P_S slot instantiated
-    as the tap fraction 1 - T; the test suite pins that correspondence.
-    """
-    if not V >= 1.0:
-        raise ValueError(f"squeezing variance must be >= 1, got {V}")
-    return p * p_s * 0.5 * math.log2(math.e / 2.0) * transmissivity * (V - 1.0) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,9 @@ def marginal_density(mixture, x):
     dens = np.zeros_like(x, dtype=float)
     norm = 1.0 / np.sqrt(2.0 * np.pi * VACUUM_QUAD_VARIANCE)
     for w, amp in _branches(mixture):
-        dens += w * norm * np.exp(-((x - amp) ** 2) / (2.0 * VACUUM_QUAD_VARIANCE))
+        # past |x - amp| ~ 1.3e154 the square overflows to inf and exp gives 0.0
+        with np.errstate(over="ignore"):
+            dens += w * norm * np.exp(-((x - amp) ** 2) / (2.0 * VACUUM_QUAD_VARIANCE))
     return dens if dens.ndim else float(dens)
 
 

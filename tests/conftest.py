@@ -18,9 +18,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 @pytest.fixture
 def no_reference_evaluator(monkeypatch):
     """Make the Gaussian-mixture reference evaluator (``qkd_reference``) and
-    every function and class defined in ``gaussian`` raise; ``entropy_g`` and
-    ``NumericsError``, which it imports from the key-rate kernel, are left as
-    they are.  ``monkeypatch.undo()`` restores them."""
+    every function and class defined in ``gaussian`` raise; ``NumericsError``,
+    which it imports from the key-rate kernel, is left as it is.
+    ``monkeypatch.undo()`` restores them."""
     import qkd_reference
     from vacfilter import gaussian
 

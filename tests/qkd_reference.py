@@ -7,22 +7,20 @@ same bound the long way, on explicit Gaussian mixtures from
 erasure channel, ``filtered_covariance`` conditions it on a tap click and
 returns a ``CovMatrix``, and ``key_rate`` reads (a, b, c) off that matrix
 (``_symmetric_form``) and its symplectic spectrum.  The tests hold the kernel
-to it.
+to it.  ``weak_squeezing_keyrate`` is the small-alphabet closed form the
+bound approaches toward unit squeezing variance.
 """
 
 import math
 
 import numpy as np
 
+from state_reference import mix, thermal
+
 from vacfilter import gaussian
-from vacfilter.gaussian import (
-    CovMatrix,
-    GaussianMixtureState,
-    NumericsError,
-    entropy_g,
-    symplectic_eigenvalues,
-)
-from vacfilter.qkd import MIN_SUCCESS_PROB, KeyRateResult, QkdScenario
+from vacfilter.gaussian import (CovMatrix, GaussianMixtureState, NumericsError,
+                                symplectic_eigenvalues)
+from vacfilter.qkd import MIN_SUCCESS_PROB, KeyRateResult, QkdScenario, entropy_g
 
 SYMMETRIC_FORM_TOL = 1e-8
 
@@ -36,12 +34,12 @@ def joint_state(V: float, p: float,
         raise ValueError(f"transmission probability must lie in [0, 1], got {p}")
     w = V if erased_mode_variance == "marginal" else (V + 1.0 / V) / 2.0
     kept = gaussian.two_mode_squeezed(V)
-    erased = gaussian.tensor(gaussian.thermal(w), gaussian.vacuum(1))
+    erased = gaussian.tensor(thermal(w), gaussian.vacuum(1))
     if p == 1.0:
         return kept
     if p == 0.0:
         return erased
-    return gaussian.mix([(p, kept), (1.0 - p, erased)])
+    return mix([(p, kept), (1.0 - p, erased)])
 
 
 def filtered_covariance(scenario: QkdScenario):
@@ -157,3 +155,13 @@ def key_rate(cm, multiplier: float = 1.0, protocol: str = "heterodyne",
         multiplier=multiplier,
     )
 
+
+def weak_squeezing_keyrate(p: float, p_s: float, transmissivity: float, V: float) -> float:
+    """Small-alphabet closed form p * P_S * (1/2) log2(e/2) * T * (V-1)^2.
+
+    The exact bound approaches this expression with the P_S slot instantiated
+    as the tap fraction 1 - T; the test suite pins that correspondence.
+    """
+    if not V >= 1.0:
+        raise ValueError(f"squeezing variance must be >= 1, got {V}")
+    return p * p_s * 0.5 * math.log2(math.e / 2.0) * transmissivity * (V - 1.0) ** 2

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 from finite_difference import FD_ABS, FD_REL, richardson_sensitivity
+from qkd_reference import weak_squeezing_keyrate
 
 from vacfilter import fock, gaussian
 from vacfilter.cli import main as cli_main
@@ -31,7 +32,7 @@ from vacfilter.montecarlo import (
     run_trials,
     verification_chi2,
 )
-from vacfilter.qkd import QkdScenario, optimize_key_rate, p_min_search, scenario_key_rate, weak_squeezing_keyrate
+from vacfilter.qkd import QkdScenario, optimize_key_rate, p_min_search, scenario_key_rate
 from vacfilter.signal_model import CoherentAmplitude, ErasureMixture
 
 E_MATCH = 5.3e-3

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erfc
 
-from vacfilter import fock
+from vacfilter import detectors, fock
 from vacfilter.detectors import (
     Apd,
     Homodyne,
@@ -228,6 +228,25 @@ def test_non_finite_amplitudes_give_nan_and_certain_acceptance(det):
     assert with_nan[0] == finite and np.isnan(with_nan[1])
     np.testing.assert_array_equal(acceptance_probability(det, np.array([0.5, np.inf])),
                                   [finite, 1.0])
+
+
+def test_hdr_huge_amplitude_raises_at_once():
+    # |beta| = 1e150 once asked for ~8e150 midpoint nodes and never returned
+    det = HomodyneRandomized(eta=1.0, threshold=threshold_for_error(0.01))
+    with pytest.raises(ValueError, match=r"1 point\(s\) up to displacement 1e\+150"):
+        acceptance_probability(det, 1e150)
+
+
+def test_hdr_term_cap_sits_at_points_times_nodes(monkeypatch):
+    # three points up to a = 0.8 take 32 + 8 = 40 nodes each: 120 terms
+    det = HomodyneRandomized(eta=0.8, threshold=0.5)
+    beta = np.array([0.0, 0.5, 1.0])
+    expected = acceptance_probability(det, beta)
+    monkeypatch.setattr(detectors, "MAX_HDR_TERMS", 120)
+    np.testing.assert_array_equal(acceptance_probability(det, beta), expected)
+    monkeypatch.setattr(detectors, "MAX_HDR_TERMS", 119)
+    with pytest.raises(ValueError, match=r"3 point\(s\) up to displacement 0\.8 "):
+        acceptance_probability(det, beta)
 
 
 class TestErrorProbability:

@@ -770,6 +770,15 @@ class TestConfigValidation:
                 McConfig(seed=1, trials=10, detector=IdealOnOff(), mixture=mix,
                          prep_error=bad)
 
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("trials", 1000.5),
+                                              ("workers", 1.5)])
+    def test_non_integer_count_rejected(self, field, value):
+        # seed=1.5 once ran as seed 1, workers=1.5 passed, trials=1000.5 failed in the block loop
+        mix = ErasureMixture(CoherentAmplitude(1.0), 0.5, 0.5)
+        fields = {"seed": 1, "trials": 1000, "workers": 1, field: value}
+        with pytest.raises(TypeError, match=f"{field} must be an integer, got {value}"):
+            McConfig(detector=IdealOnOff(), mixture=mix, **fields)
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 + 3])
     def test_seed_outside_the_philox_key_rejected(self, seed):
         # a seed once entered Philox modulo 2^64: -1 drew the trials of 2^64 - 1

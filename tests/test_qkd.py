@@ -10,19 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from qkd_reference import filtered_covariance, joint_state, key_rate
+from qkd_reference import filtered_covariance, joint_state, key_rate, weak_squeezing_keyrate
+from state_reference import number_state
 
 from vacfilter import fock, qkd
 from vacfilter.detectors import Apd, HomodyneStabilized, IdealOnOff
-from vacfilter.gaussian import (CovMatrix, NumericsError, entropy_g, mixture_covariance,
-                                symplectic_eigenvalues)
+from vacfilter.gaussian import CovMatrix, NumericsError, mixture_covariance, symplectic_eigenvalues
 from vacfilter.qkd import (
     KeyRateResult,
     QkdScenario,
+    entropy_g,
     optimize_key_rate,
     p_min_search,
     scenario_key_rate,
-    weak_squeezing_keyrate,
 )
 
 
@@ -109,7 +109,7 @@ class TestFilteredCovariance:
         cm2_all = np.zeros((4, 4))
         cm2_cond = np.zeros((4, 4))
         for n, q in enumerate(probs):
-            comp = fock.number_state([n, 0, 0], n_max)
+            comp = number_state([n, 0, 0], n_max)
             comp = fock.fock_beamsplitter(comp, 1, 2, T)
             wn, condn = fock.povm_expectation(comp, 2, fock.NoClick(eta, pd))
             cm_n = fock.covariance_matrix(comp)[:4, :4]

@@ -124,6 +124,12 @@ class TestMarginalDensity:
         x = np.linspace(-6, 6, 501)
         assert np.all(marginal_density(mix, x) >= 0.0)
 
+    def test_far_tails_are_zero_without_overflow_warning(self):
+        # (x - amp)^2 once overflowed there and warned; warnings are errors here
+        mix = ErasureMixture(CoherentAmplitude(1.0), p=0.5, tap_reflectivity=0.5)
+        np.testing.assert_array_equal(marginal_density(mix, np.array([-1e300, 1e300])), 0.0)
+        assert marginal_density(mix, 1e300) == 0.0
+
 
 class TestValidation:
     def test_probability_ranges(self):

@@ -254,17 +254,8 @@ TESTS = Path(__file__).resolve().parent
 # because a test compares shipped code against it: "file::function" (or
 # "file::Class::method") of that test under tests/.
 TEST_REFERENCES = {
-    "fock.number_state":
-        "test_qkd.py::TestFilteredCovariance::test_nonideal_filter_matches_fock_mixture",
-    "fock.von_neumann_entropy":
-        "test_gaussian.py::TestSpectraAndEntropy::test_thermal_entropy_matches_fock",
-    "gaussian.thermal": "qkd_reference.py::joint_state",
-    "gaussian.gaussian_entropy":
-        "test_gaussian.py::TestSpectraAndEntropy::test_thermal_entropy_matches_fock",
     "montecarlo.verification_chi2":
         "test_acceptance.py::TestAcceptance::test_criterion_11_figure_data",
-    "qkd.weak_squeezing_keyrate":
-        "test_qkd.py::TestWeakSqueezing::test_against_full_rate_at_moderate_squeezing",
 }
 
 
@@ -302,34 +293,56 @@ def definitions(path: Path) -> list:
     return sorted(found)
 
 
-def read_names(path: Path) -> set:
-    """Names a file loads, as ``x`` or ``obj.x``, and every dotted part of the
-    strings of a module-level ``TARGETS`` list (the tracer wraps those by name)."""
+def read_names(path: Path) -> tuple:
+    """(bare, qualified) reads of a file.  ``bare``: every name it loads, as
+    ``x`` or ``obj.x``.  ``qualified``: "module.x" for each ``x`` it loads by
+    bare name (module is the file's own), imports from a module, or reads as
+    an attribute of a module (``fock.x``, ``vacfilter.fock.x``).  The strings
+    of a module-level ``TARGETS`` list (the tracer wraps those by name) add
+    each dotted part to ``bare`` and each dotted string to ``qualified``."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    names = {node.id for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    names |= {node.attr for node in ast.walk(tree)
-              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    bare, qualified = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            bare.add(node.id)
+            qualified.add(f"{path.stem}.{node.id}")
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            bare.add(node.attr)
+            owner = node.value
+            if isinstance(owner, (ast.Name, ast.Attribute)):
+                module = owner.id if isinstance(owner, ast.Name) else owner.attr
+                qualified.add(f"{module}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.rsplit(".", 1)[-1]
+            qualified |= {f"{module}.{alias.name}" for alias in node.names}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
-            names |= {part for c in ast.walk(node.value)
-                      if isinstance(c, ast.Constant) and isinstance(c.value, str)
-                      for part in c.value.split(".")}
-    return names
+            strings = {c.value for c in ast.walk(node.value)
+                       if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+            bare |= {part for text in strings for part in text.split(".")}
+            qualified |= {text for text in strings if "." in text}
+    return bare, qualified
 
 
 def unread_definitions(sources, readers, references) -> list:
-    """Definitions in ``sources`` whose name no file of ``readers`` reads and
+    """Definitions in ``sources`` that no file of ``readers`` reads and
     ``references`` does not list, and ``references`` entries that are read or
-    not defined.  Matching is by name, so a read of a same-named thing can
-    hide an unread definition, but a read one is never flagged."""
-    read = set().union(*(read_names(path) for path in readers))
+    not defined.  A module-level definition counts as read by its qualified
+    name (``read_names``), a method or property by its bare name, so a read of
+    a same-named attribute can hide an unread method, but a read definition is
+    never flagged."""
+    bare, qualified = set(), set()
+    for path in readers:
+        path_bare, path_qualified = read_names(path)
+        bare |= path_bare
+        qualified |= path_qualified
     found, defined = [], set()
     for path in sources:
         for line, name in definitions(path):
             defined.add(name)
-            if name.rsplit(".", 1)[1] in read:
+            read = name.rsplit(".", 1)[1] in bare if name.count(".") == 2 else name in qualified
+            if read:
                 if name in references:
                     found.append(f"{path.name}:{line}: {name} is read; drop its test reference")
             elif name not in references:
@@ -402,3 +415,26 @@ def test_unread_rule_catches_unread_constants(tmp_path):
     assert unread_definitions([src], [src, reader], {}) == [
         "mod.py:3: mod.LEVELS is never read", "mod.py:3: mod.TOL is never read",
         "mod.py:5: mod.COUNT is never read"]
+
+
+def test_unread_rule_qualifies_module_level_reads(tmp_path):
+    # a same-named function read in another module once hid mod.shared
+    src = tmp_path / "mod.py"
+    src.write_text("def shared():\n    pass\n"
+                   "def imported():\n    pass\n"
+                   "def attribute():\n    pass\n"
+                   "def dotted():\n    pass\n"
+                   "class Box:\n    def shared(self):\n        pass\n")
+    other = tmp_path / "other.py"
+    other.write_text("import pkg.mod\n"
+                     "from pkg.mod import imported\n"
+                     "from pkg import mod\n"
+                     "def shared():\n    pass\n"
+                     "shared()\n"
+                     "mod.attribute()\n"
+                     "pkg.mod.dotted()\n"
+                     "other_mod.imported()\n"
+                     "print(mod.Box)\n")
+    assert unread_definitions([src], [src, other], {}) == ["mod.py:1: mod.shared is never read"]
+    assert unread_definitions([src, other], [src, other], {}) == [
+        "mod.py:1: mod.shared is never read"]
