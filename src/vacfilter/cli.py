@@ -254,7 +254,7 @@ def cmd_simulate(args):
     trials = 10**6 if args.trials is None else args.trials
     cfg = McConfig(seed=args.seed, trials=trials, detector=det,
                    mixture=mix, workers=args.workers, prep_error=prep)
-    res = run_trials(cfg)
+    res = run_trials(cfg, histograms=False)
     n_mean = args.tap * args.alpha_sq
     rows = [[args.detector, n_mean, res.p_accept_hat, res.stderr("p_accept"),
              res.e_hat, res.p_s_hat, res.g_hat]]
@@ -436,7 +436,7 @@ def _mc_acceptance_points(args, dets, ns):
                                  mixture=ErasureMixture(CoherentAmplitude(math.sqrt(n / tap)),
                                                         0.5, tap)))
               for d, name in zip(dets, ("apd", "hds", "hdr")) for n in ns if n != 0.0]
-    results = run_sweep([cfg for _, _, cfg in points])
+    results = run_sweep([cfg for _, _, cfg in points], histograms=False)
     cols = ["R_alpha_sq", "detector", "P_hat", "P_se", "E_hat", "E_se"]
     rows = [[n, name, res.p_accept_hat, res.stderr("p_accept"), res.e_hat, res.stderr("e")]
             for (n, name, _), res in zip(points, results)]

@@ -10,12 +10,18 @@ Randomness contract: trial t consumes exactly four uniform variates derived
 from a Philox stream keyed by (seed, t // BLOCK_SIZE), so results are
 bit-identical for any worker count and any partitioning of the trial range.
 Normal variates are produced from uniforms by the inverse CDF, never by
-rejection sampling, to keep the per-trial consumption fixed.  Each block's
-verification quadratures are binned once, by an arithmetic bin index (a
-truncated multiply, then one exact comparison each way against the edges)
-that equals ``searchsorted(edges, x, side="right")``; one ``bincount`` of that
-index with the trial's truth and acceptance bits appended gives the four
-counts and both histograms.
+rejection sampling, to keep the per-trial consumption fixed.
+
+A run keeps verification histograms on request (``histograms=True``, the
+default).  Then each block's verification quadratures are binned once, by an
+arithmetic bin index (a truncated multiply, then one exact comparison each
+way against the edges) that equals ``searchsorted(edges, x, side="right")``;
+one ``bincount`` of that index with the trial's truth and acceptance bits
+appended gives the four counts and both histograms.  Without histograms the
+verification quadratures are never computed (their uniforms are still drawn)
+and each configuration adds four tallies per block: the same counts, and the
+results' histogram fields are None.  ``simulate`` and ``figures fig4`` read
+counts only; ``figures fig3`` and ``verification_chi2`` read histograms.
 
 A trial is the composition of two halves.  The mixture half (truth and
 verification quadrature, and with them the histogram edges) is fixed by the
@@ -28,13 +34,13 @@ variates, computed only when a configuration reads them) and runs every
 configuration on those draws, which live for that one block; each worker
 writes its blocks' uniforms into one buffer and adds their counts into one
 integer total per configuration, so a sweep's memory does not grow with its
-length.  Configurations with the same
-mixture half form a group: per block, the group's half is computed and
-binned once, and each member adds only its detector half and one
-``bincount``, the last member in place on the group's bin index, so a
-one-configuration run is a group of one.  One group's arrays are alive at a
-time.  Each result equals a run of its configuration alone; across the sweep
-they are common-random-number estimates, not independent ones.  A block's
+length.  Configurations with the same mixture half form a group: per block,
+the group's half is computed (and binned) once, and each member adds only its
+detector half and its counts (with histograms, one ``bincount``, the last
+member in place on the group's bin index), so a one-configuration run is a
+group of one.  One group's arrays are alive at a time.  Each result equals a
+run of its configuration alone; across the sweep they are
+common-random-number estimates, not independent ones.  A block's
 variates, trial columns and bin indices are computed in place wherever the
 arithmetic allows (the same operations in the same order, so the same bits):
 a block then frees less than glibc's heap-trim threshold, and the next block
@@ -180,8 +186,8 @@ class McResult:
     n_accepted_coherent: int
     n_vacuum: int
     n_accepted_vacuum: int
-    hist_all: Histogram
-    hist_accepted: Histogram
+    hist_all: Histogram | None  # None for a run made without histograms
+    hist_accepted: Histogram | None
 
     @property
     def trials(self) -> int:
@@ -367,11 +373,20 @@ def _bin_index(padded: np.ndarray, x: np.ndarray) -> np.ndarray:
     return k
 
 
-def _group_counts(group: list, draws: _Draws, padded: np.ndarray, totals: list) -> None:
-    """Add each configuration's counts on one block, one bincount of 4 bin +
-    2 truth + accepted ([bin][truth][accepted]), to its entry of ``totals``.
-    The configurations share one mixture half, computed and binned once; each
-    adds its acceptance bits to the shared index."""
+def _group_counts(group: list, draws: _Draws, padded: np.ndarray | None, totals: list) -> None:
+    """Add each configuration's counts on one block to its entry of
+    ``totals``, laid out [bin][truth][accepted].  The configurations share one
+    mixture half, computed (and binned) once; each adds its acceptance bits.
+    With ``padded`` None the run keeps no histograms: the group computes only
+    its preparations, and each configuration adds four tallies, one bin."""
+    if padded is None:
+        truth = draws.u[:, 0] < group[0].mixture.p
+        n, n_c = len(truth), np.count_nonzero(truth)
+        for cfg, total in zip(group, totals):
+            accepted = _detector_half(cfg, draws, truth)[1]
+            n_a, n_ca = np.count_nonzero(accepted), np.count_nonzero(truth & accepted)
+            total += (n - n_c - n_a + n_ca, n_a - n_ca, n_c - n_ca, n_ca)
+        return
     truth, verify_x = _mixture_half(group[0], draws)
     index = _bin_index(padded, verify_x)
     del verify_x
@@ -382,11 +397,11 @@ def _group_counts(group: list, draws: _Draws, padded: np.ndarray, totals: list) 
         accepted = _detector_half(cfg, draws, truth)[1]
         # the last configuration adds its bits in place, the others to a copy
         keyed = np.add(index, accepted, out=index if i == len(group) - 1 else None)
-        total += np.bincount(keyed, minlength=4 * (len(padded) - 1))
+        total += np.bincount(keyed, minlength=len(total))
         del keyed  # freed before the next configuration's detector half
 
 
-def run_sweep(cfgs) -> list[McResult]:
+def run_sweep(cfgs, histograms: bool = True) -> list[McResult]:
     """Run several configurations on the same trials and return one McResult
     per configuration, in order.
 
@@ -398,6 +413,9 @@ def run_sweep(cfgs) -> list[McResult]:
     workers, each adding its blocks' counts into one integer total per
     configuration; integer sums are exact in any order, so each result is
     bit-identical to a run of its configuration alone, for any worker count.
+    With ``histograms`` false the verification quadratures are neither
+    computed nor binned, and each result's histograms are None; the counts are
+    the same.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -413,12 +431,13 @@ def run_sweep(cfgs) -> list[McResult]:
     for i, key in enumerate(keys):
         members.setdefault(key, []).append(i)
     padded = {key: np.concatenate(([-np.inf], _hist_edges(cfgs[idx[0]]), [np.inf]))
-              for key, idx in members.items()}
+              if histograms else None for key, idx in members.items()}
     workers = min(first.workers, -(-first.trials // BLOCK_SIZE), MAX_WORKERS)
 
     def worker_totals(w):
         # worker w takes blocks w, w + workers, ...
-        totals = [np.zeros(4 * (len(padded[key]) - 1), np.int64) for key in keys]
+        totals = [np.zeros(4 if padded[key] is None else 4 * (len(padded[key]) - 1), np.int64)
+                  for key in keys]
         for _, draws in _blocks(first.seed, first.trials, w, workers):
             for key, idx in members.items():
                 _group_counts([cfgs[i] for i in idx], draws, padded[key], [totals[i] for i in idx])
@@ -434,17 +453,20 @@ def run_sweep(cfgs) -> list[McResult]:
     for cfg, key, total in zip(cfgs, keys, totals):
         split = total.reshape(-1, 2, 2)  # [bin][truth][accepted]
         (n_vr, n_va), (n_cr, n_ca) = split.sum(axis=0).tolist()
-        e = padded[key][1:-1]
-        results.append(McResult(cfg, n_cr + n_ca, n_ca, n_vr + n_va, n_va,
-                                Histogram(e, split.sum(axis=(1, 2))),
-                                Histogram(e, split[:, :, 1].sum(axis=1))))
+        hists = (None, None)
+        if histograms:
+            e = padded[key][1:-1]
+            hists = (Histogram(e, split.sum(axis=(1, 2))),
+                     Histogram(e, split[:, :, 1].sum(axis=1)))
+        results.append(McResult(cfg, n_cr + n_ca, n_ca, n_vr + n_va, n_va, *hists))
     return results
 
 
-def run_trials(cfg: McConfig) -> McResult:
+def run_trials(cfg: McConfig, histograms: bool = True) -> McResult:
     """Run the full simulation of one configuration and return count-based
-    estimates (a sweep of one)."""
-    return run_sweep([cfg])[0]
+    estimates (a sweep of one), with verification histograms unless
+    ``histograms`` is false."""
+    return run_sweep([cfg], histograms)[0]
 
 
 def sample_trials(cfg: McConfig, n: int) -> TrialRecords:
@@ -496,6 +518,9 @@ def verification_chi2(result: McResult, condition: str = "all"):
     trials ('all' or 'accepted') to the analytic marginal of the
     corresponding mixture.  Returns (statistic, dof, p_value)."""
     hist = result.hist_accepted if condition == "accepted" else result.hist_all
+    if hist is None:
+        raise ValueError("the run was made without histograms; "
+                         "run it with histograms=True to fit its verification quadratures")
     if hist.total == 0:
         raise ValueError(f"no trials in subset {condition!r}")
     # theory_branches rejects a condition other than 'all' and 'accepted'

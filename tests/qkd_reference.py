@@ -50,16 +50,20 @@ def filtered_covariance(scenario: QkdScenario):
     component is zero-mean and all operations preserve that); a nonzero mean
     raises NumericsError.  A component of weight w, blocks Gamma_T (tap), C
     (cross) and Gamma_R (Alice/Bob) and no-click weight w_off = w (1 - p_d)
-    kappa, kappa = c / sqrt(det S), S = Gamma_T - I + c I, c = 2/eta, adds
+    kappa, kappa = c / sqrt(det S), S = D + c I, c = 2/eta, adds
     q = w - w_off = w ((det S - c^2) / (sqrt(det S) (sqrt(det S) + c)) + p_d
-    kappa) to P_S and q Gamma_R + w_off C S^-1 C^T to P_S CV_click.
+    kappa) to P_S and q Gamma_R + w_off C S^-1 C^T to P_S CV_click.  The tap
+    excess D = Gamma_T - I = R (Gamma_B - I) is formed from Bob's block before
+    the beam splitter: read off its output, where t^2 + r^2 = 1 only to eps, a
+    branch whose tap sees vacuum would get a click weight off by ~eps / P_S.
     """
     det = scenario.filter
     if det is None:
         raise ValueError("filtered_covariance needs a scenario with a filter")
-    state = joint_state(scenario.V, scenario.p, scenario.erased_mode_variance)
-    state = gaussian.tensor(state, gaussian.vacuum(1))  # tap mode, index 2
-    state = gaussian.apply_beamsplitter(state, 1, 2, 1.0 - scenario.tap_reflectivity)
+    R = scenario.tap_reflectivity
+    joint = joint_state(scenario.V, scenario.p, scenario.erased_mode_variance)
+    state = gaussian.tensor(joint, gaussian.vacuum(1))  # tap mode, index 2
+    state = gaussian.apply_beamsplitter(state, 1, 2, 1.0 - R)
 
     if any(np.max(np.abs(comp.mean)) >= 1e-12 for comp in state.components):
         raise NumericsError("filtered state must be zero-mean")
@@ -67,9 +71,9 @@ def filtered_covariance(scenario: QkdScenario):
     c = 2.0 / det.eta
     p_s = p0 = 0.0
     moment = np.zeros((4, 4))
-    for comp in state.components:
+    for bob, comp in zip(joint.components, state.components, strict=True):
         g = comp.cm.mat
-        excess = g[4:, 4:] - np.eye(2)  # S = excess + c I, a 2 x 2 block
+        excess = R * (bob.cm.mat[2:, 2:] - np.eye(2))  # D; S = D + c I, a 2 x 2 block
         rise = c * np.trace(excess) + np.linalg.det(excess)  # det S - c^2
         root = math.sqrt(c * c + rise)
         kappa = c / root

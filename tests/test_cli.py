@@ -2,6 +2,7 @@
 parsing and figure-data generation."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -44,6 +45,10 @@ QKD_GOLDEN = json.loads((DATA / "qkd_golden.json").read_text())["cases"]
 # and JSON, without the provenance command line; recorded while amplitudes
 # were still complex and the posterior was a PostFilterMixture.
 SIGNAL_GOLDEN = json.loads((DATA / "signal_golden.json").read_text())["cases"]
+# sha256 of simulate's JSON output without the provenance command line, every
+# detector kind at 1 and 2 workers over four blocks; recorded while simulate
+# still binned every trial's verification quadrature.
+SIMULATE_GOLDEN = json.loads((DATA / "simulate_golden.json").read_text())["cases"]
 
 
 def run_cli(capsys, argv):
@@ -426,6 +431,12 @@ class TestSimulateCommand:
         _, out2, _ = run_cli(capsys, argv + ["--workers", "4"])
         strip = lambda t: [ln for ln in t.splitlines() if not ln.startswith("#")]
         assert strip(out1) == strip(out2)
+
+    @pytest.mark.parametrize("case", SIMULATE_GOLDEN, ids=lambda c: " ".join(c["argv"][1:]))
+    def test_output_bytes_pinned(self, capsys, case):
+        code, out, err = run_cli(capsys, case["argv"])
+        assert code == 0, err
+        assert hashlib.sha256(without_command_line(out).encode()).hexdigest() == case["sha256"]
 
 
 class TestQkdCommands:

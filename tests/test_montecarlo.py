@@ -274,6 +274,32 @@ def sweeps(draw, workers):
             for _ in range(draw(st.integers(1, 5)))]
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Runs a sweep's workers one after another in this thread, at most three
+    of them; returns the list of pool sizes the runs open."""
+    from vacfilter import montecarlo
+
+    pools = []
+
+    class SerialPool:  # records the pool size and runs the workers in this thread
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo, "MAX_WORKERS", 3)
+    return pools
+
+
 class TestSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     @settings(max_examples=15, deadline=None)
@@ -397,29 +423,10 @@ class TestSweep:
         (2, 5, 2),
         (8, 2, 2),  # clamped to the block count
     ])
-    def test_worker_threads_are_bounded(self, monkeypatch, workers, blocks, opened):
-        from vacfilter import montecarlo
-
-        pools = []
-
-        class SerialPool:  # records the pool size and runs the workers in this thread
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(montecarlo, "MAX_WORKERS", 3)
+    def test_worker_threads_are_bounded(self, serial_pool, workers, blocks, opened):
         cfg = make_cfg(IdealOnOff(), trials=(blocks - 1) * BLOCK_SIZE + 1, workers=workers)
         res = run_trials(cfg)
-        assert pools == [opened]
+        assert serial_pool == [opened]
         alone = run_trials(dataclasses.replace(cfg, workers=1))
         assert (res.n_coherent, res.n_accepted_coherent, res.n_vacuum, res.n_accepted_vacuum) == \
             (alone.n_coherent, alone.n_accepted_coherent, alone.n_vacuum, alone.n_accepted_vacuum)
@@ -428,14 +435,64 @@ class TestSweep:
     def test_each_mixture_group_is_binned_once_per_block(self, monkeypatch, tmp_path):
         from vacfilter import cli, montecarlo
 
+        # fig4's three detectors at each of 11 signal levels, one block of trials
+        swept = []
+        sweep = montecarlo.run_sweep
+        monkeypatch.setattr(montecarlo, "run_sweep",
+                            lambda cfgs, **kw: swept.append(list(cfgs)) or sweep(swept[-1], **kw))
+        assert cli.main(["figures", "fig4", "--trials", "20000", "--seed", "7",
+                         "--out", str(tmp_path / "fig4.csv")]) == 0
+        [cfgs] = swept
+        assert len(cfgs) == 33
         calls = []
         binned = montecarlo._bin_index
         monkeypatch.setattr(montecarlo, "_bin_index",
                             lambda padded, x: calls.append(len(x)) or binned(padded, x))
-        # fig4: three detectors at each of 11 signal levels, one block of trials
-        assert cli.main(["figures", "fig4", "--trials", "20000", "--seed", "7",
-                         "--out", str(tmp_path / "fig4.csv")]) == 0
+        sweep(cfgs, histograms=True)
         assert calls == [20_000] * 11
+
+    @pytest.mark.parametrize("argv, histogrammed", [
+        (["simulate", "--detector", "hdr", "--eta", "0.84", "--match-error", "5.3e-3",
+          "--p", "0.5", "--alpha-sq", "3.3", "--trials", "20000"], 0),
+        (["figures", "fig4", "--trials", "20000"], 0),
+        (["figures", "fig3", "--trials", "20000"], 2),  # the probes fire where histograms are read
+    ], ids=["simulate", "fig4", "fig3"])
+    def test_only_histogram_readers_draw_and_bin_verification_quadratures(
+            self, monkeypatch, tmp_path, argv, histogrammed):
+        from vacfilter import cli, montecarlo
+
+        calls = {"verify_noise": 0, "_bin_index": 0}
+
+        def counted(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+            return wrapper
+
+        monkeypatch.setattr(montecarlo._Draws, "verify_noise",
+                            property(counted("verify_noise", montecarlo._Draws.verify_noise.func)))
+        monkeypatch.setattr(montecarlo, "_bin_index", counted("_bin_index", montecarlo._bin_index))
+        assert cli.main([*argv, "--seed", "7", "--out", str(tmp_path / "out.csv")]) == 0
+        assert calls == {"verify_noise": histogrammed, "_bin_index": histogrammed}
+
+    @pytest.mark.parametrize("trials", [1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 1])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_counts_only_equals_the_histogram_path(self, serial_pool, workers, trials):
+        # six mixture groups of every detector kind: p at both ends and inside,
+        # with and without light leaked into the vacuum slots
+        cfgs = [make_cfg(d, p=p, trials=trials, workers=workers, prep_error=prep)
+                for p in (0.0, 1.0, 0.5) for prep in (0.0, 0.3) for d in _SWEEP_DETECTORS]
+
+        def counts(res):
+            return res.n_coherent, res.n_accepted_coherent, res.n_vacuum, res.n_accepted_vacuum
+
+        counted = run_sweep(cfgs, histograms=False)
+        for cfg, full, fast in zip(cfgs, run_sweep(cfgs), counted, strict=True):
+            assert fast.config is cfg
+            assert counts(fast) == counts(full)
+            assert fast.hist_all is None and fast.hist_accepted is None
+            assert counts(run_trials(cfg, histograms=False)) == counts(full)
+        assert sum(counts(res)[1] for res in counted) > 0
 
 
 def _padded(edges):
@@ -677,6 +734,12 @@ class TestVerificationHistograms:
         with pytest.raises(ValueError, match="no trials"):
             verification_chi2(res, "accepted")
         assert res.g_hat is None
+
+    def test_a_run_without_histograms_has_none_to_fit(self):
+        res = run_trials(make_cfg(IdealOnOff(), trials=2000), histograms=False)
+        for condition in ("all", "accepted"):
+            with pytest.raises(ValueError, match="made without histograms"):
+                verification_chi2(res, condition)
 
 
 class TestChi2:
