@@ -28,19 +28,47 @@ verification quadrature, and with them the histogram edges) is fixed by the
 mixture's p, tap and |alpha| and by ``prep_error``; the detector half (tap
 outcome and decision) adds the filter detector.
 
+The runs decide a trial from its tap uniform u1, with one set of cuts per
+preparation branch.  An on/off filter accepts iff u1 < P(sqrt(R) amp), the
+exact rule.  A homodyne filter accepts iff |x| > B for the tap quadrature
+x = fl(fl(d c) + n), with d = fl(sqrt(R) amp kappa), c the phase factor (1
+for the stabilized filter, |c| <= 1 for the randomized one) and
+n = ndtri(clip(u1)) / 2; fl(d c) lies in [d_lo, d_hi], (d, d) stabilized and
+(-|d|, |d|) randomized.  With the guard g = 2^-26 (``_GUARD``), the filter
+accepts below Phi(2(-B - d_hi)) - g and above Phi(2(B - d_lo)) + g, and
+rejects between Phi(2(-B - d_lo)) + g and Phi(2(B - d_hi)) - g; only the
+trials in the band between the cuts get their quadrature, by the same
+operations in the same order as ``sample_trials``, so every count is
+bit-identical to computing it for every trial.  The guard is at least 1.9e-8
+in quadrature units, far above the rounding of ``ndtr``, ``ndtri`` and the
+sum (it grows with B beyond 2^20, where the sum's rounding would catch up).
+A bare cut, g = 0, is wrong: ``ndtri`` is not monotone on the 2^-53 lattice
+of the uniforms (about one consecutive pair in 5,000 decreases), and
+ndtr(ndtri(u)) rounds below u for about one u in eight, so a trial whose
+quadrature sits at the threshold would flip.  Every homodyne cut of a run
+comes from one ``ndtr`` call.
+
 ``run_sweep`` evaluates configurations that share seed, trials and workers
 on the same trials: it draws each block once (the uniforms and the normal
 variates, computed only when a configuration reads them) and runs every
 configuration on those draws, which live for that one block; each worker
 writes its blocks' uniforms into one buffer and adds their counts into one
 integer total per configuration, so a sweep's memory does not grow with its
-length.  Configurations with the same mixture half form a group: per block,
-the group's half is computed (and binned) once, and each member adds only its
-detector half and its counts (with histograms, one ``bincount``, the last
-member in place on the group's bin index), so a one-configuration run is a
-group of one.  One group's arrays are alive at a time.  Each result equals a
-run of its configuration alone; across the sweep they are
-common-random-number estimates, not independent ones.  A block's
+length.  Configurations whose trials share everything the run reads form a
+group: with histograms the mixture half (p, tap, |alpha|, prep_error), which
+the group computes and bins once per block; without, the preparations alone,
+so the group is keyed by p.  Per block a group splits its trials by
+preparation once, and each member adds only its decisions and its counts
+(with histograms, one ``bincount`` of the group's bin index with the
+member's bits added in place and taken back), so a one-configuration run is
+a group of one.  A group with several homodyne configurations, as in fig4's
+sweep, gathers each branch's positions and u1 once, so that its many
+decisions read half-length arrays, and takes the band trials' tap noise and
+phase factor from the block's whole columns; otherwise each decision reads
+the block's contiguous u1 column under the branch's mask, and the band
+trials' variates come from their own uniforms.  One group's arrays are
+alive at a time.  Each result equals a run of its configuration alone; across the sweep
+they are common-random-number estimates, not independent ones.  A block's
 variates, trial columns and bin indices are computed in place wherever the
 arithmetic allows (the same operations in the same order, so the same bits):
 a block then frees less than glibc's heap-trim threshold, and the next block
@@ -50,10 +78,11 @@ branches on each entry of a random mask.
 
 ``sample_trials`` returns the first n trials of the same stream as
 ``TrialRecords``: four numpy columns (truth, tap outcome, decision,
-verification quadrature), filled by the block loop and the two halves that
-the counts use.  Iterating or indexing it shows one trial as a ``TrialRecord``;
-code that reads the columns builds no per-trial object.  A pull of n < 0 or
-of more than ``cfg.trials`` trials raises ``ValueError``.
+verification quadrature), filled by the block loop and the two halves,
+every trial's tap quadrature computed.  Iterating or indexing it shows one
+trial as a ``TrialRecord``; code that reads the columns builds no per-trial
+object.  A pull of a non-integer n raises ``TypeError``, one of n < 0 or of
+more than ``cfg.trials`` trials ``ValueError``.
 
 Imperfect vacuum preparation is modeled by an optional residual coherent
 amplitude ``prep_error`` leaking into nominal vacuum slots; it lets the
@@ -70,7 +99,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import chdtrc, ndtri
+from scipy.special import chdtrc, ndtr, ndtri
 
 from .detectors import (
     Apd,
@@ -90,6 +119,15 @@ MAX_WORKERS = 64  # threads a run opens at most; results do not depend on it
 MIN_EXPECTED = 5.0  # chi-squared bins with fewer expected counts are pooled
 _U_LO = 2.0 ** -53
 _U_HI = 1.0 - 2.0 ** -53
+_GUARD = 2.0 ** -26  # tap-uniform margin of the homodyne cuts
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; TypeError naming ``name`` for a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -103,11 +141,7 @@ class McConfig:
 
     def __post_init__(self):
         for name in ("seed", "trials", "workers"):  # a float seed keys Philox by its integer part
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 0 <= self.seed < 2 ** 64:  # Philox's key word: others alias modulo 2^64
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.trials < 1:
@@ -275,6 +309,13 @@ def _normals(u: np.ndarray) -> np.ndarray:
     return x
 
 
+def _cos_phase(u: np.ndarray) -> np.ndarray:
+    """``cos(2 pi (u - 1/2))``, the local oscillator's phase factor, in one new array."""
+    phase = u - 0.5
+    phase *= 2.0 * np.pi
+    return np.cos(phase, out=phase)
+
+
 class _Draws:
     """Trials [block * BLOCK_SIZE, stop) of one block: the uniforms, written
     into ``buffer``, and the variates that depend on no configuration, each
@@ -291,9 +332,7 @@ class _Draws:
 
     @cached_property
     def cos_phase(self) -> np.ndarray:
-        phase = self.u[:, 2] - 0.5
-        phase *= 2.0 * np.pi
-        return np.cos(phase, out=phase)
+        return _cos_phase(self.u[:, 2])
 
     @cached_property
     def verify_noise(self) -> np.ndarray:
@@ -334,7 +373,7 @@ def _mixture_half(cfg: McConfig, draws: _Draws):
 
 def _detector_half(cfg: McConfig, draws: _Draws, truth: np.ndarray):
     """The filter's tap outcome and decision (tap_outcome, accepted) on the
-    preparations ``truth``."""
+    preparations ``truth``, every trial's quadrature computed."""
     u = draws.u
     mix = cfg.mixture
     sqrt_r = math.sqrt(mix.tap_reflectivity)
@@ -356,6 +395,139 @@ def _detector_half(cfg: McConfig, draws: _Draws, truth: np.ndarray):
     raise TypeError(f"unknown detector {det!r}")
 
 
+@dataclass(frozen=True)
+class _Rule:
+    """How a configuration decides a trial from its tap uniform u1, with one
+    set of cuts per preparation branch (index 0 vacuum, 1 coherent).
+
+    An on/off rule (``mean`` None) has one cut per branch and accepts iff
+    u1 < cut, the exact test.  A homodyne rule has four cuts
+    (lo, mid_lo, mid_hi, hi) per branch: it accepts if u1 < lo or u1 > hi,
+    rejects if mid_lo < u1 < mid_hi, and computes the tap quadrature
+    mean (x the phase factor) + noise only for the band trials in between,
+    accepting those iff |x| > threshold."""
+
+    cuts: tuple  # per branch: (P,) on/off; (lo, mid_lo, mid_hi, hi) homodyne
+    mean: tuple | None = None  # homodyne: the branch's fl(sqrt(R) amp kappa)
+    randomized: bool = False
+    threshold: float = 0.0
+
+
+def _rules(cfgs: list) -> list[_Rule]:
+    """Each configuration's decision rule; every homodyne cut of the list
+    comes from one ``ndtr`` call."""
+    rules, homodyne, args = [], [], []
+    for i, cfg in enumerate(cfgs):
+        det = cfg.detector
+        sqrt_r = math.sqrt(cfg.mixture.tap_reflectivity)
+        amps = (sqrt_r * cfg.prep_error, sqrt_r * cfg.mixture.alpha.magnitude)
+        if isinstance(det, (IdealOnOff, Apd)):
+            rules.append(_Rule(tuple((acceptance_probability(det, a),) for a in amps)))
+            continue
+        if not isinstance(det, Homodyne):
+            raise TypeError(f"unknown detector {det!r}")
+        kappa = effective_displacement(det, 1.0)
+        mean = tuple(a * kappa for a in amps)
+        randomized = isinstance(det, HomodyneRandomized)
+        b = det.threshold
+        for d in mean:
+            # the quadrature's mean part lies in [lo, hi]: |fl(d cos)| <= |d|
+            lo, hi = (-abs(d), abs(d)) if randomized else (d, d)
+            args += [-b - hi, -b - lo, b - hi, b - lo]
+        rules.append(None)
+        homodyne.append((i, mean, randomized, b))
+    phi = ndtr(2.0 * np.array(args)).reshape(-1, 2, 4)
+    for (i, mean, randomized, b), cdf in zip(homodyne, phi):
+        # mean + noise rounds by up to b 2^-53 where |x| = b: the guard grows with b past 2^20
+        guard = _GUARD * max(1.0, b * 2.0 ** -20)
+        cuts = cdf + np.array([-guard, guard, -guard, guard])
+        rules[i] = _Rule(tuple(map(tuple, cuts.tolist())), mean, randomized, b)
+    return rules
+
+
+class _Split:
+    """One block's trials by preparation branch (index 0 vacuum, 1 coherent),
+    each branch given as tap uniforms u1 with a mask.  With ``whole_noise``
+    (several homodyne configurations in the group) each branch's positions
+    and u1 are gathered once and its decisions read the branch alone (mask
+    None); otherwise each decision reads the block's u1 column under the
+    branch's mask, which spares the gathers.  The band trials' tap variates
+    come from the block's whole columns when more than one configuration reads
+    them (``whole_noise``, ``whole_cos``), else from their own uniforms."""
+
+    def __init__(self, draws: _Draws, truth: np.ndarray, whole_noise: bool, whole_cos: bool):
+        self.draws, self.whole_noise, self.whole_cos = draws, whole_noise, whole_cos
+        n_c = np.count_nonzero(truth)
+        self.sizes = (len(truth) - n_c, n_c)
+        self.positions = None
+        if whole_noise:  # gathered from the uniforms: no column copy beside them
+            self.positions = (np.flatnonzero(~truth), np.flatnonzero(truth))
+            self.u1 = tuple(draws.u[at, 1] for at in self.positions)
+            self.masks = (None, None)
+        else:
+            self.column = np.ascontiguousarray(draws.u[:, 1])
+            self.u1 = (self.column, self.column)
+            self.masks = (~truth, truth)
+
+    def decide(self, rule: _Rule) -> list[np.ndarray]:
+        """The rule's decisions, one bool array per branch: over the branch's
+        trials when gathered, else over the block and false off the branch."""
+        accepted, bands = [], []
+        for u, mask, cuts in zip(self.u1, self.masks, rule.cuts):
+            if rule.mean is None:
+                acc = u < cuts[0]
+            else:
+                lo, mid_lo, mid_hi, hi = cuts
+                acc = u < lo
+                acc |= u > hi
+                band = u <= mid_lo
+                band |= u >= mid_hi
+                np.greater(band, acc, out=band)  # neither accepted nor rejected by a cut
+                if mask is not None:
+                    band &= mask
+                bands.append(np.flatnonzero(band))
+            if mask is not None:
+                acc &= mask
+            accepted.append(acc)
+        if bands:
+            x = np.abs(self._tap_quadrature(rule, bands)) > rule.threshold
+            k = len(bands[0])
+            accepted[0][bands[0]] = x[:k]
+            accepted[1][bands[1]] = x[k:]
+        return accepted
+
+    def _tap_quadrature(self, rule: _Rule, bands: list) -> np.ndarray:
+        """The tap quadratures of the band trials (``bands`` index each
+        branch), vacuum first: ``_detector_half``'s operations in its order
+        (mean, x cos, + noise), so the same bits."""
+        draws, k = self.draws, len(bands[0])
+        # the band trials' positions in the block
+        at = np.concatenate(bands if self.positions is None else
+                            [pos.take(band) for pos, band in zip(self.positions, bands)])
+        if self.whole_noise:
+            noise = draws.tap_noise.take(at)
+        else:
+            noise = _normals(self.column.take(at))
+        if not rule.randomized:
+            noise[:k] += rule.mean[0]
+            noise[k:] += rule.mean[1]
+            return noise
+        x = draws.cos_phase.take(at) if self.whole_cos else _cos_phase(draws.u[at, 2])
+        x[:k] *= rule.mean[0]
+        x[k:] *= rule.mean[1]
+        x += noise
+        return x
+
+    def per_trial(self, accepted: list) -> np.ndarray:
+        """Per-branch decisions as one bool per trial of the block."""
+        if self.positions is None:
+            return accepted[0] | accepted[1]
+        out = np.empty(sum(self.sizes), bool)
+        for at, acc in zip(self.positions, accepted):
+            out[at] = acc
+        return out
+
+
 def _bin_index(padded: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``np.searchsorted(edges, x, side="right")`` for evenly spaced edges and
     finite x, given ``padded = [-inf, *edges, inf]``: an arithmetic guess, then
@@ -373,19 +545,22 @@ def _bin_index(padded: np.ndarray, x: np.ndarray) -> np.ndarray:
     return k
 
 
-def _group_counts(group: list, draws: _Draws, padded: np.ndarray | None, totals: list) -> None:
+def _group_counts(group: list, rules: list, draws: _Draws, padded: np.ndarray | None,
+                  totals: list) -> None:
     """Add each configuration's counts on one block to its entry of
-    ``totals``, laid out [bin][truth][accepted].  The configurations share one
-    mixture half, computed (and binned) once; each adds its acceptance bits.
-    With ``padded`` None the run keeps no histograms: the group computes only
-    its preparations, and each configuration adds four tallies, one bin."""
+    ``totals``, laid out [bin][truth][accepted].  The configurations share
+    their preparations, split by branch once; each adds its rule's decisions.
+    With ``padded`` None the run keeps no histograms, and each configuration
+    adds four tallies, one bin.  Otherwise the group shares its mixture half,
+    binned once, and each configuration adds one ``bincount``."""
+    homodyne = [rule for rule in rules if rule.mean is not None]
+    whole = (len(homodyne) > 1, sum(rule.randomized for rule in homodyne) > 1)
     if padded is None:
-        truth = draws.u[:, 0] < group[0].mixture.p
-        n, n_c = len(truth), np.count_nonzero(truth)
-        for cfg, total in zip(group, totals):
-            accepted = _detector_half(cfg, draws, truth)[1]
-            n_a, n_ca = np.count_nonzero(accepted), np.count_nonzero(truth & accepted)
-            total += (n - n_c - n_a + n_ca, n_a - n_ca, n_c - n_ca, n_ca)
+        split = _Split(draws, draws.u[:, 0] < group[0].mixture.p, *whole)
+        n_v, n_c = split.sizes
+        for rule, total in zip(rules, totals):
+            n_va, n_ca = map(np.count_nonzero, split.decide(rule))
+            total += (n_v - n_va, n_va, n_c - n_ca, n_ca)
         return
     truth, verify_x = _mixture_half(group[0], draws)
     index = _bin_index(padded, verify_x)
@@ -393,12 +568,12 @@ def _group_counts(group: list, draws: _Draws, padded: np.ndarray | None, totals:
     index <<= 1
     index += truth
     index <<= 1
-    for i, (cfg, total) in enumerate(zip(group, totals)):
-        accepted = _detector_half(cfg, draws, truth)[1]
-        # the last configuration adds its bits in place, the others to a copy
-        keyed = np.add(index, accepted, out=index if i == len(group) - 1 else None)
-        total += np.bincount(keyed, minlength=len(total))
-        del keyed  # freed before the next configuration's detector half
+    split = _Split(draws, truth, *whole)
+    for rule, total in zip(rules, totals):
+        accepted = split.per_trial(split.decide(rule))
+        index += accepted  # each configuration's bits, in place and taken back
+        total += np.bincount(index, minlength=len(total))
+        index -= accepted
 
 
 def run_sweep(cfgs, histograms: bool = True) -> list[McResult]:
@@ -406,16 +581,18 @@ def run_sweep(cfgs, histograms: bool = True) -> list[McResult]:
     per configuration, in order.
 
     The configurations must share seed, trials and workers.  Each block is
-    drawn once; configurations with equal p, tap, |alpha| and prep_error form
-    one group, whose mixture half is computed and binned once per block, and
-    each configuration adds only its detector half.  Blocks are generated
-    from per-block Philox keys and split among at most ``MAX_WORKERS``
-    workers, each adding its blocks' counts into one integer total per
-    configuration; integer sums are exact in any order, so each result is
-    bit-identical to a run of its configuration alone, for any worker count.
-    With ``histograms`` false the verification quadratures are neither
-    computed nor binned, and each result's histograms are None; the counts are
-    the same.
+    drawn once and its trials split by preparation once per group; with
+    histograms, configurations with equal p, tap, |alpha| and prep_error form
+    one group, whose mixture half is computed and binned once per block;
+    without, the group is every configuration with the same p.  Each
+    configuration adds only its decisions.  Blocks are generated from
+    per-block Philox keys and split among at most ``MAX_WORKERS`` workers,
+    each adding its blocks' counts into one integer total per configuration;
+    integer sums are exact in any order, so each result is bit-identical to a
+    run of its configuration alone, for any worker count.  With
+    ``histograms`` false the verification quadratures are neither computed
+    nor binned, and each result's histograms are None; the counts are the
+    same.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -426,8 +603,9 @@ def run_sweep(cfgs, histograms: bool = True) -> list[McResult]:
         if (cfg.seed, cfg.trials, cfg.workers) != shared:
             raise ValueError("a sweep's configurations must share seed, trials and workers, "
                              f"got {shared} and {(cfg.seed, cfg.trials, cfg.workers)}")
-    keys = [_mixture_key(cfg) for cfg in cfgs]
-    members = {}  # mixture key -> positions of its group's configurations
+    rules = _rules(cfgs)
+    keys = [_mixture_key(cfg) if histograms else cfg.mixture.p for cfg in cfgs]
+    members = {}  # group key -> positions of its group's configurations
     for i, key in enumerate(keys):
         members.setdefault(key, []).append(i)
     padded = {key: np.concatenate(([-np.inf], _hist_edges(cfgs[idx[0]]), [np.inf]))
@@ -440,7 +618,8 @@ def run_sweep(cfgs, histograms: bool = True) -> list[McResult]:
                   for key in keys]
         for _, draws in _blocks(first.seed, first.trials, w, workers):
             for key, idx in members.items():
-                _group_counts([cfgs[i] for i in idx], draws, padded[key], [totals[i] for i in idx])
+                _group_counts([cfgs[i] for i in idx], [rules[i] for i in idx], draws,
+                              padded[key], [totals[i] for i in idx])
         return totals
 
     if workers == 1:
@@ -472,7 +651,9 @@ def run_trials(cfg: McConfig, histograms: bool = True) -> McResult:
 def sample_trials(cfg: McConfig, n: int) -> TrialRecords:
     """The first n trials of ``cfg`` as columns (the randomness of run_trials),
     for inspection and record-level tests; iterate the result for
-    ``TrialRecord`` values.  Raises ValueError unless 0 <= n <= cfg.trials."""
+    ``TrialRecord`` values.  Raises TypeError unless n is an integer and
+    ValueError unless 0 <= n <= cfg.trials."""
+    n = _integer("n", n)
     if not 0 <= n <= cfg.trials:
         raise ValueError(f"n must be in [0, cfg.trials] = [0, {cfg.trials}], got n = {n}")
     columns = None

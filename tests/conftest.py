@@ -32,3 +32,13 @@ def no_reference_evaluator(monkeypatch):
     for name, obj in list(vars(gaussian).items()):
         if callable(obj) and getattr(obj, "__module__", "") == gaussian.__name__:
             monkeypatch.setattr(gaussian, name, never)
+
+
+@pytest.fixture
+def wide_guard(monkeypatch):
+    """Set the Monte-Carlo homodyne cuts 0.25 from their crossings on the tap
+    uniform: half of the trials or more fall in the band and are decided by
+    their computed quadrature instead of a cut."""
+    from vacfilter import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_GUARD", 0.25)

@@ -685,6 +685,35 @@ class TestSignalOutputs:
         assert without_command_line(out) == case["output"]
 
 
+@pytest.mark.usefixtures("wide_guard")
+class TestWideCuts:
+    """The pinned Monte-Carlo outputs with most trials decided by their
+    computed tap quadrature instead of a cut."""
+
+    @pytest.mark.parametrize("case", SIMULATE_GOLDEN, ids=lambda c: " ".join(c["argv"][1:]))
+    def test_simulate_bytes(self, capsys, case):
+        code, out, err = run_cli(capsys, case["argv"])
+        assert code == 0, err
+        assert hashlib.sha256(without_command_line(out).encode()).hexdigest() == case["sha256"]
+
+    def test_fig4_bytes(self, capsys, tmp_path):
+        path = tmp_path / "fig4.csv"
+        code, _, err = run_cli(capsys, ["figures", "fig4", "--out", str(path),
+                                        "--trials", "20000", "--seed", "7"])
+        assert code == 0, err
+        kept = [ln for ln in path.read_text().splitlines(keepends=True)
+                if not ln.startswith("#") or ln.startswith("# mc_points:")]
+        assert "".join(kept) == (DATA / "fig4_seed7_trials20000.csv").read_text()
+
+    @pytest.mark.parametrize("case", [c for c in SIGNAL_GOLDEN if c["argv"][1:2] == ["fig3"]],
+                             ids=lambda c: c["argv"][-1])
+    def test_fig3_bytes(self, capsys, tmp_path, case):
+        path = tmp_path / "fig3.out"
+        code, _, err = run_cli(capsys, [*case["argv"], "--out", str(path)])
+        assert code == 0, err
+        assert without_command_line(path.read_text()) == case["output"]
+
+
 class TestQkdPrefactor:
     def test_p_ps_scales_the_optimized_rate(self, capsys):
         argv = ["qkd", "keyrate", "--optimize", "--p", "0.5", "--eta", "0.63", "--pd", "5e-4",

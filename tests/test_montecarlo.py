@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from vacfilter.detectors import (
     Apd,
@@ -32,8 +33,11 @@ from vacfilter.montecarlo import (
     TrialRecord,
     TrialRecords,
     _bin_index,
+    _blocks,
     _hist_edges,
+    _rules,
     _select,
+    _Split,
     calibrate_prep_error,
     chi2_gof,
     run_sweep,
@@ -222,6 +226,35 @@ class TestTrialRecords:
         cfg = make_cfg(DETECTORS["apd"], trials=2000)
         with pytest.raises(ValueError, match=rf"cfg.trials.*2000.*n = {n}"):
             sample_trials(cfg, n)
+
+    @pytest.mark.parametrize("n", [2.5, np.float64(2.0), "3", None])
+    def test_non_integer_n_rejected(self, n):
+        # n = 2.5 once failed inside the block loop with numpy's message
+        cfg = make_cfg(DETECTORS["apd"], trials=2000)
+        with pytest.raises(TypeError, match=re.escape(f"n must be an integer, got {n!r}")):
+            sample_trials(cfg, n)
+
+    def test_a_bool_n_pulls_as_its_integer(self):
+        # n = True once failed with "an integer is required"; McConfig takes it as 1 too
+        cfg = make_cfg(DETECTORS["hds"], trials=True)
+        assert cfg.trials == 1 and type(cfg.trials) is int
+        pulled, one = sample_trials(cfg, True), sample_trials(cfg, 1)
+        for name in _COLUMNS:
+            np.testing.assert_array_equal(getattr(pulled, name), getattr(one, name))
+        assert run_trials(cfg).trials == 1
+
+    @pytest.mark.parametrize("whole", [False, True], ids=["masked-column", "gathered-branches"])
+    @pytest.mark.parametrize("kind", ["ideal", *sorted(DETECTORS)])
+    def test_records_decide_as_the_cuts_do(self, kind, whole):
+        det = IdealOnOff() if kind == "ideal" else DETECTORS[kind]
+        cfg = make_cfg(det, trials=3 * BLOCK_SIZE, prep_error=0.3)
+        records = sample_trials(cfg, _GOLDEN_PULL)
+        [rule] = _rules([cfg])
+        decided = []
+        for _, draws in _blocks(cfg.seed, _GOLDEN_PULL):
+            split = _Split(draws, draws.u[:, 0] < cfg.mixture.p, whole, whole)
+            decided.append(split.per_trial(split.decide(rule)))
+        np.testing.assert_array_equal(np.concatenate(decided), records.accepted)
 
     def test_columns_differ_in_length_rejected(self):
         with pytest.raises(ValueError, match="one length"):
@@ -475,6 +508,46 @@ class TestSweep:
         assert cli.main([*argv, "--seed", "7", "--out", str(tmp_path / "out.csv")]) == 0
         assert calls == {"verify_noise": histogrammed, "_bin_index": histogrammed}
 
+    @pytest.mark.parametrize("histograms, splits", [(False, 1), (True, 11)],
+                             ids=["counts-only", "binned"])
+    def test_counts_only_configurations_are_grouped_by_p(self, monkeypatch, tmp_path, histograms,
+                                                         splits):
+        # fig4's 33 configurations share p = 0.5: one group per block without
+        # histograms, where a group computes only its preparations; binned,
+        # its 11 mixture halves stay apart
+        from vacfilter import cli, montecarlo
+
+        swept, inits = [], []
+        sweep, init = montecarlo.run_sweep, montecarlo._Split.__init__
+        monkeypatch.setattr(montecarlo, "run_sweep",
+                            lambda cfgs, **kw: swept.append(list(cfgs)) or sweep(swept[-1], **kw))
+        assert cli.main(["figures", "fig4", "--trials", "20000", "--seed", "7",
+                         "--out", str(tmp_path / "fig4.csv")]) == 0
+        [cfgs] = swept
+        monkeypatch.setattr(montecarlo._Split, "__init__",
+                            lambda self, *args: inits.append(1) or init(self, *args))
+        sweep(cfgs, histograms=histograms)
+        assert len(inits) == splits
+
+    @pytest.mark.parametrize("argv, whole", [
+        (["simulate", "--detector", "hds", "--eta", "0.84", "--match-error", "5.3e-3",
+          "--p", "0.5", "--alpha-sq", "3.3"], False),
+        (["figures", "fig4"], True),  # 22 homodyne readers: the probe fires on whole blocks
+    ], ids=["simulate-hds", "fig4"])
+    def test_a_lone_homodyne_filter_draws_tap_noise_only_in_its_band(
+            self, monkeypatch, tmp_path, argv, whole):
+        from vacfilter import cli, montecarlo
+
+        lengths = []
+        normals = montecarlo._normals
+        monkeypatch.setattr(montecarlo, "_normals",
+                            lambda u: lengths.append(len(u)) or normals(u))
+        assert cli.main([*argv, "--trials", "200000", "--seed", "7",
+                         "--out", str(tmp_path / "out.csv")]) == 0
+        blocks = [BLOCK_SIZE] * 3 + [200_000 - 3 * BLOCK_SIZE]
+        assert len(lengths) == len(blocks)
+        assert (lengths == blocks) if whole else all(n < b for n, b in zip(lengths, blocks))
+
     @pytest.mark.parametrize("trials", [1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 1])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_counts_only_equals_the_histogram_path(self, serial_pool, workers, trials):
@@ -691,6 +764,69 @@ def test_near_miss_mixtures_keep_their_own_halves(workers):
                 res.n_accepted_vacuum] == counts
         np.testing.assert_array_equal(res.hist_all.counts, h_all)
         np.testing.assert_array_equal(res.hist_accepted.counts, h_acc)
+
+
+@st.composite
+def _homodyne_filters(draw):
+    cls = draw(st.sampled_from([HomodyneStabilized, HomodyneRandomized]))
+    zero, small, large = st.just(0.0), st.floats(0.0, 1e-3), st.floats(1e-3, 4.0)
+    return cls(eta=draw(st.sampled_from([1.0]) | st.floats(0.05, 1.0)),
+               threshold=draw(zero | small | large),
+               efficiency_model=draw(st.sampled_from(["linear", "sqrt"])))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_cut_decisions_count_as_the_tap_quadrature_does(workers, data):
+    # every homodyne count of a counts-only sweep equals the outcome formula
+    # |sqrt(R) amp kappa (cos) + noise| > B evaluated on every trial
+    edge = st.sampled_from([1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 1])
+    trials = data.draw(edge | st.integers(1, 2 * BLOCK_SIZE + 999))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    cfgs = [make_cfg(data.draw(_homodyne_filters()),
+                     p=data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+                     alpha_sq=data.draw(st.floats(0.0, 900.0)), tap=data.draw(st.floats(0.0, 1.0)),
+                     prep_error=data.draw(st.just(0.0) | st.floats(0.0, 1.5)),
+                     trials=trials, seed=seed, workers=workers)
+            for _ in range(data.draw(st.integers(1, 3)))]
+    for res, cfg in zip(run_sweep(cfgs, histograms=False), cfgs, strict=True):
+        assert [res.n_coherent, res.n_accepted_coherent, res.n_vacuum,
+                res.n_accepted_vacuum] == _reference_run(cfg)[0]
+
+
+@pytest.mark.parametrize("key", sorted(_GOLDEN))
+def test_wide_cuts_keep_the_golden_counts(wide_guard, key):
+    kind, seed = key.split("-")
+    cfg = make_cfg(DETECTORS[kind], trials=3 * BLOCK_SIZE + 1500, seed=int(seed),
+                   prep_error=_GOLDEN_PREP_ERROR[kind])
+    for res in (run_trials(cfg), run_trials(cfg, histograms=False)):
+        assert [res.n_coherent, res.n_accepted_coherent, res.n_vacuum,
+                res.n_accepted_vacuum] == _GOLDEN[key]["counts"]
+    assert run_trials(cfg).hist_accepted.counts.tolist() == _GOLDEN[key]["hist_accepted"]
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_a_cut_without_guard_misdecides_a_trial_at_the_threshold(monkeypatch, seed):
+    # With no light on the tap the quadrature is the noise n = ndtri(u1) / 2.
+    # Put the threshold at one trial's n: that trial rejects (n > n is false),
+    # but ndtr(ndtri(u1)) rounds below u1 for it, so a bare cut accepts it.
+    from vacfilter import montecarlo
+
+    key = np.array([seed, 0], dtype=np.uint64)
+    u1 = np.random.Generator(np.random.Philox(key=key)).random((BLOCK_SIZE, 4))[:, 1]
+    t = int(np.flatnonzero((u1 > 0.5) & (ndtr(ndtri(u1)) < u1))[0])
+    cfg = make_cfg(HomodyneStabilized(eta=1.0, threshold=0.5 * ndtri(u1[t])), p=0.0,
+                   trials=t + 1, seed=seed)
+    counts = _reference_run(cfg)[0]
+
+    def run():
+        res = run_trials(cfg, histograms=False)
+        return [res.n_coherent, res.n_accepted_coherent, res.n_vacuum, res.n_accepted_vacuum]
+
+    assert run() == counts
+    monkeypatch.setattr(montecarlo, "_GUARD", 0.0)
+    assert run() == [*counts[:3], counts[3] + 1]
 
 
 class TestVerificationHistograms:
