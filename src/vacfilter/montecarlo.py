@@ -28,25 +28,21 @@ verification quadrature, and with them the histogram edges) is fixed by the
 mixture's p, tap and |alpha| and by ``prep_error``; the detector half (tap
 outcome and decision) adds the filter detector.
 
-The runs decide a trial from its tap uniform u1, with one set of cuts per
-preparation branch.  An on/off filter accepts iff u1 < P(sqrt(R) amp), the
-exact rule.  A homodyne filter accepts iff |x| > B for the tap quadrature
-x = fl(fl(d c) + n), with d = fl(sqrt(R) amp kappa), c the phase factor (1
-for the stabilized filter, |c| <= 1 for the randomized one) and
-n = ndtri(clip(u1)) / 2; fl(d c) lies in [d_lo, d_hi], (d, d) stabilized and
-(-|d|, |d|) randomized.  With the guard g = 2^-26 (``_GUARD``), the filter
-accepts below Phi(2(-B - d_hi)) - g and above Phi(2(B - d_lo)) + g, and
-rejects between Phi(2(-B - d_lo)) + g and Phi(2(B - d_hi)) - g; only the
-trials in the band between the cuts get their quadrature, by the same
-operations in the same order as ``sample_trials``, so every count is
-bit-identical to computing it for every trial.  The guard is at least 1.9e-8
-in quadrature units, far above the rounding of ``ndtr``, ``ndtri`` and the
-sum (it grows with B beyond 2^20, where the sum's rounding would catch up).
-A bare cut, g = 0, is wrong: ``ndtri`` is not monotone on the 2^-53 lattice
-of the uniforms (about one consecutive pair in 5,000 decreases), and
-ndtr(ndtri(u)) rounds below u for about one u in eight, so a trial whose
-quadrature sits at the threshold would flip.  Every homodyne cut of a run
-comes from one ``ndtr`` call.
+The runs decide a trial by cuts on its tap uniform u1, one set per
+preparation branch (``_rules``).  An on/off filter accepts iff
+u1 < P(sqrt(R) amp), the exact rule.  A homodyne filter accepts iff |x| > B
+for x = fl(fl(d c) + ndtri(u1) / 2), d = fl(sqrt(R) amp kappa), |c| <= 1 the
+phase factor; its cuts are Phi(2(+-B - d')) for d' at the ends of the range
+of fl(d c), moved by the guard g = 2^-26 (``_GUARD``) towards the band
+between them, and only the trials in that band get their quadrature, by the
+operations of ``sample_trials`` in its order.  A bare cut, g = 0, is wrong:
+``ndtri`` is not monotone on the 2^-53 lattice of the uniforms (about one
+consecutive pair in 5,000 decreases) and ndtr(ndtri(u)) rounds below u for
+about one u in eight, so a trial whose quadrature sits at the threshold
+would flip.  The guard, at least 1.9e-8 in quadrature units, lies far above
+the rounding of ``ndtr``, ``ndtri`` and the sum; it grows with B beyond
+2^20, where the sum's rounding of up to B 2^-53 would catch up.  So every
+count is bit-identical to computing every trial's quadrature.
 
 ``run_sweep`` evaluates configurations that share seed, trials and workers
 on the same trials: it draws each block once (the uniforms and the normal
@@ -58,23 +54,20 @@ length.  Configurations whose trials share everything the run reads form a
 group: with histograms the mixture half (p, tap, |alpha|, prep_error), which
 the group computes and bins once per block; without, the preparations alone,
 so the group is keyed by p.  Per block a group splits its trials by
-preparation once, and each member adds only its decisions and its counts
-(with histograms, one ``bincount`` of the group's bin index with the
-member's bits added in place and taken back), so a one-configuration run is
-a group of one.  A group with several homodyne configurations, as in fig4's
-sweep, gathers each branch's positions and u1 once, so that its many
-decisions read half-length arrays, and takes the band trials' tap noise and
-phase factor from the block's whole columns; otherwise each decision reads
-the block's contiguous u1 column under the branch's mask, and the band
-trials' variates come from their own uniforms.  One group's arrays are
-alive at a time.  Each result equals a run of its configuration alone; across the sweep
-they are common-random-number estimates, not independent ones.  A block's
-variates, trial columns and bin indices are computed in place wherever the
-arithmetic allows (the same operations in the same order, so the same bits):
-a block then frees less than glibc's heap-trim threshold, and the next block
-finds its pages still mapped instead of faulting them back in.  Values
-chosen by a trial's truth are gathered from a two-entry table: ``np.where``
-branches on each entry of a random mask.
+preparation once (``_Split``), and each member adds only its decisions and
+its counts, so a one-configuration run is a group of one.  A band trial's
+tap noise and phase factor come from the block's whole column when several
+of the group's configurations read it, as in fig4's sweep, and from the
+band trials' own uniforms otherwise, so a lone filter computes no column.
+One group's arrays are alive at a time.  Each result equals a run of its
+configuration alone; across the sweep they are common-random-number
+estimates, not independent ones.  A block's variates, trial columns and bin
+indices are computed in place wherever the arithmetic allows (the same
+operations in the same order, so the same bits): a block then frees less
+than glibc's heap-trim threshold, and the next block finds its pages still
+mapped instead of faulting them back in.  Values chosen by a trial's truth
+are gathered from a two-entry table: ``np.where`` branches on each entry of
+a random mask.
 
 ``sample_trials`` returns the first n trials of the same stream as
 ``TrialRecords``: four numpy columns (truth, tap outcome, decision,
@@ -398,14 +391,10 @@ def _detector_half(cfg: McConfig, draws: _Draws, truth: np.ndarray):
 @dataclass(frozen=True)
 class _Rule:
     """How a configuration decides a trial from its tap uniform u1, with one
-    set of cuts per preparation branch (index 0 vacuum, 1 coherent).
-
-    An on/off rule (``mean`` None) has one cut per branch and accepts iff
-    u1 < cut, the exact test.  A homodyne rule has four cuts
-    (lo, mid_lo, mid_hi, hi) per branch: it accepts if u1 < lo or u1 > hi,
-    rejects if mid_lo < u1 < mid_hi, and computes the tap quadrature
-    mean (x the phase factor) + noise only for the band trials in between,
-    accepting those iff |x| > threshold."""
+    set of cuts per preparation branch (index 0 vacuum, 1 coherent): an
+    on/off rule (``mean`` None) accepts iff u1 < cut; a homodyne rule
+    accepts below lo and above hi, rejects between mid_lo and mid_hi, and
+    decides the band trials in between by their tap quadrature."""
 
     cuts: tuple  # per branch: (P,) on/off; (lo, mid_lo, mid_hi, hi) homodyne
     mean: tuple | None = None  # homodyne: the branch's fl(sqrt(R) amp kappa)
@@ -446,54 +435,36 @@ def _rules(cfgs: list) -> list[_Rule]:
 
 
 class _Split:
-    """One block's trials by preparation branch (index 0 vacuum, 1 coherent),
-    each branch given as tap uniforms u1 with a mask.  With ``whole_noise``
-    (several homodyne configurations in the group) each branch's positions
-    and u1 are gathered once and its decisions read the branch alone (mask
-    None); otherwise each decision reads the block's u1 column under the
-    branch's mask, which spares the gathers.  The band trials' tap variates
-    come from the block's whole columns when more than one configuration reads
-    them (``whole_noise``, ``whole_cos``), else from their own uniforms."""
+    """One block's trials split by preparation (index 0 vacuum, 1 coherent):
+    each branch's positions in the block and its tap uniforms u1, gathered
+    once so that every decision reads the branch alone.  A band variate
+    column read by more than one of the group's ``rules`` is taken whole."""
 
-    def __init__(self, draws: _Draws, truth: np.ndarray, whole_noise: bool, whole_cos: bool):
-        self.draws, self.whole_noise, self.whole_cos = draws, whole_noise, whole_cos
-        n_c = np.count_nonzero(truth)
-        self.sizes = (len(truth) - n_c, n_c)
-        self.positions = None
-        if whole_noise:  # gathered from the uniforms: no column copy beside them
-            self.positions = (np.flatnonzero(~truth), np.flatnonzero(truth))
-            self.u1 = tuple(draws.u[at, 1] for at in self.positions)
-            self.masks = (None, None)
-        else:
-            self.column = np.ascontiguousarray(draws.u[:, 1])
-            self.u1 = (self.column, self.column)
-            self.masks = (~truth, truth)
+    def __init__(self, draws: _Draws, truth: np.ndarray, rules: list):
+        self.draws = draws
+        self.whole_noise = sum(rule.mean is not None for rule in rules) > 1
+        self.whole_cos = sum(rule.randomized for rule in rules) > 1
+        self.positions = (np.flatnonzero(~truth), np.flatnonzero(truth))
+        column = draws.u[:, 1]  # a 1-d view gathers about twice as fast as u[at, 1]
+        self.u1 = tuple(column[at] for at in self.positions)
 
     def decide(self, rule: _Rule) -> list[np.ndarray]:
-        """The rule's decisions, one bool array per branch: over the branch's
-        trials when gathered, else over the block and false off the branch."""
+        """The rule's decisions on each branch's trials, one bool per trial."""
+        if rule.mean is None:
+            return [u < cut for u, (cut,) in zip(self.u1, rule.cuts)]
         accepted, bands = [], []
-        for u, mask, cuts in zip(self.u1, self.masks, rule.cuts):
-            if rule.mean is None:
-                acc = u < cuts[0]
-            else:
-                lo, mid_lo, mid_hi, hi = cuts
-                acc = u < lo
-                acc |= u > hi
-                band = u <= mid_lo
-                band |= u >= mid_hi
-                np.greater(band, acc, out=band)  # neither accepted nor rejected by a cut
-                if mask is not None:
-                    band &= mask
-                bands.append(np.flatnonzero(band))
-            if mask is not None:
-                acc &= mask
+        for u, (lo, mid_lo, mid_hi, hi) in zip(self.u1, rule.cuts):
+            acc = u < lo
+            acc |= u > hi
+            band = u <= mid_lo
+            band |= u >= mid_hi
+            np.greater(band, acc, out=band)  # neither accepted nor rejected by a cut
             accepted.append(acc)
-        if bands:
-            x = np.abs(self._tap_quadrature(rule, bands)) > rule.threshold
-            k = len(bands[0])
-            accepted[0][bands[0]] = x[:k]
-            accepted[1][bands[1]] = x[k:]
+            bands.append(np.flatnonzero(band))
+        x = np.abs(self._tap_quadrature(rule, bands)) > rule.threshold
+        k = len(bands[0])
+        accepted[0][bands[0]] = x[:k]
+        accepted[1][bands[1]] = x[k:]
         return accepted
 
     def _tap_quadrature(self, rule: _Rule, bands: list) -> np.ndarray:
@@ -501,28 +472,21 @@ class _Split:
         branch), vacuum first: ``_detector_half``'s operations in its order
         (mean, x cos, + noise), so the same bits."""
         draws, k = self.draws, len(bands[0])
-        # the band trials' positions in the block
-        at = np.concatenate(bands if self.positions is None else
-                            [pos.take(band) for pos, band in zip(self.positions, bands)])
-        if self.whole_noise:
-            noise = draws.tap_noise.take(at)
-        else:
-            noise = _normals(self.column.take(at))
+        at = np.concatenate([pos.take(band) for pos, band in zip(self.positions, bands)])
+        noise = draws.tap_noise.take(at) if self.whole_noise else _normals(draws.u[:, 1][at])
         if not rule.randomized:
             noise[:k] += rule.mean[0]
             noise[k:] += rule.mean[1]
             return noise
-        x = draws.cos_phase.take(at) if self.whole_cos else _cos_phase(draws.u[at, 2])
+        x = draws.cos_phase.take(at) if self.whole_cos else _cos_phase(draws.u[:, 2][at])
         x[:k] *= rule.mean[0]
         x[k:] *= rule.mean[1]
         x += noise
         return x
 
-    def per_trial(self, accepted: list) -> np.ndarray:
+    def scatter(self, accepted: list) -> np.ndarray:
         """Per-branch decisions as one bool per trial of the block."""
-        if self.positions is None:
-            return accepted[0] | accepted[1]
-        out = np.empty(sum(self.sizes), bool)
+        out = np.empty(len(self.draws.u), bool)
         for at, acc in zip(self.positions, accepted):
             out[at] = acc
         return out
@@ -553,14 +517,12 @@ def _group_counts(group: list, rules: list, draws: _Draws, padded: np.ndarray | 
     With ``padded`` None the run keeps no histograms, and each configuration
     adds four tallies, one bin.  Otherwise the group shares its mixture half,
     binned once, and each configuration adds one ``bincount``."""
-    homodyne = [rule for rule in rules if rule.mean is not None]
-    whole = (len(homodyne) > 1, sum(rule.randomized for rule in homodyne) > 1)
     if padded is None:
-        split = _Split(draws, draws.u[:, 0] < group[0].mixture.p, *whole)
-        n_v, n_c = split.sizes
+        split = _Split(draws, draws.u[:, 0] < group[0].mixture.p, rules)
         for rule, total in zip(rules, totals):
-            n_va, n_ca = map(np.count_nonzero, split.decide(rule))
-            total += (n_v - n_va, n_va, n_c - n_ca, n_ca)
+            acc_v, acc_c = split.decide(rule)
+            n_va, n_ca = np.count_nonzero(acc_v), np.count_nonzero(acc_c)
+            total += (len(acc_v) - n_va, n_va, len(acc_c) - n_ca, n_ca)
         return
     truth, verify_x = _mixture_half(group[0], draws)
     index = _bin_index(padded, verify_x)
@@ -568,9 +530,9 @@ def _group_counts(group: list, rules: list, draws: _Draws, padded: np.ndarray | 
     index <<= 1
     index += truth
     index <<= 1
-    split = _Split(draws, truth, *whole)
+    split = _Split(draws, truth, rules)
     for rule, total in zip(rules, totals):
-        accepted = split.per_trial(split.decide(rule))
+        accepted = split.scatter(split.decide(rule))
         index += accepted  # each configuration's bits, in place and taken back
         total += np.bincount(index, minlength=len(total))
         index -= accepted

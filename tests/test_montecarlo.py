@@ -243,17 +243,18 @@ class TestTrialRecords:
             np.testing.assert_array_equal(getattr(pulled, name), getattr(one, name))
         assert run_trials(cfg).trials == 1
 
-    @pytest.mark.parametrize("whole", [False, True], ids=["masked-column", "gathered-branches"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-uniforms", "whole-columns"])
     @pytest.mark.parametrize("kind", ["ideal", *sorted(DETECTORS)])
-    def test_records_decide_as_the_cuts_do(self, kind, whole):
+    def test_records_decide_as_the_cuts_do(self, kind, shared):
         det = IdealOnOff() if kind == "ideal" else DETECTORS[kind]
         cfg = make_cfg(det, trials=3 * BLOCK_SIZE, prep_error=0.3)
         records = sample_trials(cfg, _GOLDEN_PULL)
         [rule] = _rules([cfg])
         decided = []
         for _, draws in _blocks(cfg.seed, _GOLDEN_PULL):
-            split = _Split(draws, draws.u[:, 0] < cfg.mixture.p, whole, whole)
-            decided.append(split.per_trial(split.decide(rule)))
+            # a group of two reads the tap variates from the block's whole columns
+            split = _Split(draws, draws.u[:, 0] < cfg.mixture.p, [rule] * (1 + shared))
+            decided.append(split.scatter(split.decide(rule)))
         np.testing.assert_array_equal(np.concatenate(decided), records.accepted)
 
     def test_columns_differ_in_length_rejected(self):
@@ -529,13 +530,13 @@ class TestSweep:
         sweep(cfgs, histograms=histograms)
         assert len(inits) == splits
 
-    @pytest.mark.parametrize("argv, whole", [
+    @pytest.mark.parametrize("argv, shared", [
         (["simulate", "--detector", "hds", "--eta", "0.84", "--match-error", "5.3e-3",
           "--p", "0.5", "--alpha-sq", "3.3"], False),
         (["figures", "fig4"], True),  # 22 homodyne readers: the probe fires on whole blocks
     ], ids=["simulate-hds", "fig4"])
     def test_a_lone_homodyne_filter_draws_tap_noise_only_in_its_band(
-            self, monkeypatch, tmp_path, argv, whole):
+            self, monkeypatch, tmp_path, argv, shared):
         from vacfilter import cli, montecarlo
 
         lengths = []
@@ -546,7 +547,7 @@ class TestSweep:
                          "--out", str(tmp_path / "out.csv")]) == 0
         blocks = [BLOCK_SIZE] * 3 + [200_000 - 3 * BLOCK_SIZE]
         assert len(lengths) == len(blocks)
-        assert (lengths == blocks) if whole else all(n < b for n, b in zip(lengths, blocks))
+        assert (lengths == blocks) if shared else all(n < b for n, b in zip(lengths, blocks))
 
     @pytest.mark.parametrize("trials", [1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 1])
     @pytest.mark.parametrize("workers", [1, 2, 3])
