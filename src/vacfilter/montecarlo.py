@@ -26,7 +26,7 @@ counts only; ``figures fig3`` and ``verification_chi2`` read histograms.
 A trial is the composition of two halves.  The mixture half (truth and
 verification quadrature, and with them the histogram edges) is fixed by the
 mixture's p, tap and |alpha| and by ``prep_error``; the detector half (tap
-outcome and decision) adds the filter detector.
+outcome and decision) adds the filter's decision rule, from ``_rules``.
 
 The runs decide a trial by cuts on its tap uniform u1, one set per
 preparation branch (``_rules``).  An on/off filter accepts iff
@@ -34,8 +34,8 @@ u1 < P(sqrt(R) amp), the exact rule.  A homodyne filter accepts iff |x| > B
 for x = fl(fl(d c) + ndtri(u1) / 2), d = fl(sqrt(R) amp kappa), |c| <= 1 the
 phase factor; its cuts are Phi(2(+-B - d')) for d' at the ends of the range
 of fl(d c), moved by the guard g = 2^-26 (``_GUARD``) towards the band
-between them, and only the trials in that band get their quadrature, by the
-operations of ``sample_trials`` in its order.  A bare cut, g = 0, is wrong:
+between them, and only the trials in that band get their quadrature, from
+``_tap_quadrature``, as every record does.  A bare cut, g = 0, is wrong:
 ``ndtri`` is not monotone on the 2^-53 lattice of the uniforms (about one
 consecutive pair in 5,000 decreases) and ndtr(ndtri(u)) rounds below u for
 about one u in eight, so a trial whose quadrature sits at the threshold
@@ -344,7 +344,7 @@ def _blocks(seed: int, stop: int, first: int = 0, step: int = 1):
 
 def _select(truth: np.ndarray, if_true: float, if_false: float) -> np.ndarray:
     """``np.where(truth, if_true, if_false)`` for two scalars, bit for bit, as a gather."""
-    return np.array([if_false, if_true]).take(truth.view(np.uint8))
+    return np.array([if_false, if_true])[truth.view(np.uint8)]
 
 
 def _mixture_key(cfg: McConfig) -> tuple:
@@ -362,30 +362,6 @@ def _mixture_half(cfg: McConfig, draws: _Draws):
     verify_x = _select(truth, sqrt_t * mix.alpha.magnitude, sqrt_t * cfg.prep_error)
     verify_x += draws.verify_noise
     return truth, verify_x
-
-
-def _detector_half(cfg: McConfig, draws: _Draws, truth: np.ndarray):
-    """The filter's tap outcome and decision (tap_outcome, accepted) on the
-    preparations ``truth``, every trial's quadrature computed."""
-    u = draws.u
-    mix = cfg.mixture
-    sqrt_r = math.sqrt(mix.tap_reflectivity)
-    alpha = mix.alpha.magnitude
-
-    det = cfg.detector
-    if isinstance(det, (IdealOnOff, Apd)):
-        p_sig = acceptance_probability(det, sqrt_r * alpha)
-        p_vac = acceptance_probability(det, sqrt_r * cfg.prep_error)
-        accepted = u[:, 1] < _select(truth, p_sig, p_vac)
-        return accepted, accepted
-    if isinstance(det, Homodyne):
-        tap_outcome = _select(truth, sqrt_r * alpha, sqrt_r * cfg.prep_error)
-        tap_outcome *= effective_displacement(det, 1.0)
-        if isinstance(det, HomodyneRandomized):
-            tap_outcome *= draws.cos_phase
-        tap_outcome += draws.tap_noise
-        return tap_outcome, np.abs(tap_outcome) > det.threshold
-    raise TypeError(f"unknown detector {det!r}")
 
 
 @dataclass(frozen=True)
@@ -434,6 +410,18 @@ def _rules(cfgs: list) -> list[_Rule]:
     return rules
 
 
+def _tap_quadrature(rule: _Rule, noise: np.ndarray, cos, mean) -> np.ndarray:
+    """A homodyne rule's tap quadratures fl(fl(mean cos) + noise), or
+    fl(mean + noise) for a phase-stabilized rule, with ``mean`` a scalar or a
+    column; computed in place, in ``cos`` if randomized, else in ``noise``."""
+    if not rule.randomized:
+        noise += mean
+        return noise
+    cos *= mean
+    cos += noise
+    return cos
+
+
 class _Split:
     """One block's trials split by preparation (index 0 vacuum, 1 coherent):
     each branch's positions in the block and its tap uniforms u1, gathered
@@ -452,44 +440,23 @@ class _Split:
         """The rule's decisions on each branch's trials, one bool per trial."""
         if rule.mean is None:
             return [u < cut for u, (cut,) in zip(self.u1, rule.cuts)]
-        accepted, bands = [], []
-        for u, (lo, mid_lo, mid_hi, hi) in zip(self.u1, rule.cuts):
+        draws, accepted = self.draws, []
+        for u, positions, mean, (lo, mid_lo, mid_hi, hi) in zip(
+                self.u1, self.positions, rule.mean, rule.cuts):
             acc = u < lo
             acc |= u > hi
             band = u <= mid_lo
             band |= u >= mid_hi
             np.greater(band, acc, out=band)  # neither accepted nor rejected by a cut
+            band = np.flatnonzero(band)
+            at = positions.take(band)
+            noise = draws.tap_noise.take(at) if self.whole_noise else _normals(u.take(band))
+            cos = None
+            if rule.randomized:
+                cos = draws.cos_phase.take(at) if self.whole_cos else _cos_phase(draws.u[:, 2][at])
+            acc[band] = np.abs(_tap_quadrature(rule, noise, cos, mean)) > rule.threshold
             accepted.append(acc)
-            bands.append(np.flatnonzero(band))
-        x = np.abs(self._tap_quadrature(rule, bands)) > rule.threshold
-        k = len(bands[0])
-        accepted[0][bands[0]] = x[:k]
-        accepted[1][bands[1]] = x[k:]
         return accepted
-
-    def _tap_quadrature(self, rule: _Rule, bands: list) -> np.ndarray:
-        """The tap quadratures of the band trials (``bands`` index each
-        branch), vacuum first: ``_detector_half``'s operations in its order
-        (mean, x cos, + noise), so the same bits."""
-        draws, k = self.draws, len(bands[0])
-        at = np.concatenate([pos.take(band) for pos, band in zip(self.positions, bands)])
-        noise = draws.tap_noise.take(at) if self.whole_noise else _normals(draws.u[:, 1][at])
-        if not rule.randomized:
-            noise[:k] += rule.mean[0]
-            noise[k:] += rule.mean[1]
-            return noise
-        x = draws.cos_phase.take(at) if self.whole_cos else _cos_phase(draws.u[:, 2][at])
-        x[:k] *= rule.mean[0]
-        x[k:] *= rule.mean[1]
-        x += noise
-        return x
-
-    def scatter(self, accepted: list) -> np.ndarray:
-        """Per-branch decisions as one bool per trial of the block."""
-        out = np.empty(len(self.draws.u), bool)
-        for at, acc in zip(self.positions, accepted):
-            out[at] = acc
-        return out
 
 
 def _bin_index(padded: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -516,26 +483,26 @@ def _group_counts(group: list, rules: list, draws: _Draws, padded: np.ndarray | 
     their preparations, split by branch once; each adds its rule's decisions.
     With ``padded`` None the run keeps no histograms, and each configuration
     adds four tallies, one bin.  Otherwise the group shares its mixture half,
-    binned once, and each configuration adds one ``bincount``."""
+    binned once, and each configuration adds one ``bincount`` per branch."""
     if padded is None:
         split = _Split(draws, draws.u[:, 0] < group[0].mixture.p, rules)
-        for rule, total in zip(rules, totals):
-            acc_v, acc_c = split.decide(rule)
+    else:
+        truth, verify_x = _mixture_half(group[0], draws)
+        index = _bin_index(padded, verify_x)
+        del verify_x
+        index <<= 2
+        split = _Split(draws, truth, rules)
+        keys = [index.take(at) for at in split.positions]  # each branch's [bin][truth] key
+        del index
+        keys[1] += 2
+    for rule, total in zip(rules, totals):
+        acc_v, acc_c = split.decide(rule)
+        if padded is None:
             n_va, n_ca = np.count_nonzero(acc_v), np.count_nonzero(acc_c)
             total += (len(acc_v) - n_va, n_va, len(acc_c) - n_ca, n_ca)
-        return
-    truth, verify_x = _mixture_half(group[0], draws)
-    index = _bin_index(padded, verify_x)
-    del verify_x
-    index <<= 1
-    index += truth
-    index <<= 1
-    split = _Split(draws, truth, rules)
-    for rule, total in zip(rules, totals):
-        accepted = split.scatter(split.decide(rule))
-        index += accepted  # each configuration's bits, in place and taken back
-        total += np.bincount(index, minlength=len(total))
-        index -= accepted
+        else:
+            for key, acc in zip(keys, (acc_v, acc_c)):
+                total += np.bincount(key + acc, minlength=len(total))
 
 
 def run_sweep(cfgs, histograms: bool = True) -> list[McResult]:
@@ -618,10 +585,20 @@ def sample_trials(cfg: McConfig, n: int) -> TrialRecords:
     n = _integer("n", n)
     if not 0 <= n <= cfg.trials:
         raise ValueError(f"n must be in [0, cfg.trials] = [0, {cfg.trials}], got n = {n}")
+    [rule] = _rules([cfg])
     columns = None
     for block, draws in _blocks(cfg.seed, n):
         truth, verify_x = _mixture_half(cfg, draws)
-        trials = (truth, *_detector_half(cfg, draws, truth), verify_x)
+        if rule.mean is None:
+            (vacuum,), (coherent,) = rule.cuts
+            tap_outcome = accepted = draws.u[:, 1] < _select(truth, coherent, vacuum)
+        else:
+            vacuum, coherent = rule.mean
+            cos = draws.cos_phase if rule.randomized else None  # the block's columns, used up
+            tap_outcome = _tap_quadrature(rule, draws.tap_noise, cos,
+                                          _select(truth, coherent, vacuum))
+            accepted = np.abs(tap_outcome) > rule.threshold
+        trials = (truth, tap_outcome, accepted, verify_x)
         if columns is None:  # n = 0: the one empty block sets the dtypes
             columns = [np.empty(n, col.dtype) for col in trials]
         start = block * BLOCK_SIZE

@@ -250,12 +250,13 @@ class TestTrialRecords:
         cfg = make_cfg(det, trials=3 * BLOCK_SIZE, prep_error=0.3)
         records = sample_trials(cfg, _GOLDEN_PULL)
         [rule] = _rules([cfg])
-        decided = []
-        for _, draws in _blocks(cfg.seed, _GOLDEN_PULL):
+        decided = np.empty(_GOLDEN_PULL, bool)
+        for block, draws in _blocks(cfg.seed, _GOLDEN_PULL):
             # a group of two reads the tap variates from the block's whole columns
             split = _Split(draws, draws.u[:, 0] < cfg.mixture.p, [rule] * (1 + shared))
-            decided.append(split.scatter(split.decide(rule)))
-        np.testing.assert_array_equal(np.concatenate(decided), records.accepted)
+            for at, acc in zip(split.positions, split.decide(rule), strict=True):
+                decided[block * BLOCK_SIZE + at] = acc
+        np.testing.assert_array_equal(decided, records.accepted)
 
     def test_columns_differ_in_length_rejected(self):
         with pytest.raises(ValueError, match="one length"):
@@ -361,8 +362,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("detectors, normals_per_block", [
         (_SWEEP_DETECTORS[:2], 1),  # on/off filters read no tap noise
-        (_SWEEP_DETECTORS[2:3], 2),
-        (_SWEEP_DETECTORS * 8, 2),
+        (_SWEEP_DETECTORS[2:3], 3),  # a lone filter: one band per preparation branch
+        (_SWEEP_DETECTORS * 8, 2),  # shared readers: the block's tap-noise column once
     ], ids=["on-off", "one-homodyne", "mixed"])
     def test_each_block_is_drawn_once(self, monkeypatch, detectors, normals_per_block):
         from vacfilter import montecarlo
@@ -546,8 +547,11 @@ class TestSweep:
         assert cli.main([*argv, "--trials", "200000", "--seed", "7",
                          "--out", str(tmp_path / "out.csv")]) == 0
         blocks = [BLOCK_SIZE] * 3 + [200_000 - 3 * BLOCK_SIZE]
-        assert len(lengths) == len(blocks)
-        assert (lengths == blocks) if shared else all(n < b for n, b in zip(lengths, blocks))
+        if shared:
+            assert lengths == blocks
+        else:  # the vacuum band, then the coherent one, of each block
+            assert len(lengths) == 2 * len(blocks)
+            assert all(v + c < b for v, c, b in zip(lengths[::2], lengths[1::2], blocks))
 
     @pytest.mark.parametrize("trials", [1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 1])
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -625,33 +629,43 @@ def test_select_keeps_the_sign_of_zero():
     assert np.signbit(got).tolist() == [True, False, True]
 
 
-def _reference_run(cfg):
-    """Counts and histograms of ``cfg`` written out plainly from the randomness
-    contract: Philox keyed by (seed, block), four uniforms per trial, np.where
-    selects, searchsorted binning and boolean sums."""
+def _reference_blocks(cfg, n):
+    """The columns (truth, tap_outcome, accepted, verify_x) of trials [0, n),
+    block by block, written out plainly from the randomness contract: Philox
+    keyed by (seed, block), four uniforms per trial, np.where selects and
+    every trial's tap quadrature from ndtri and cos."""
     mix, det = cfg.mixture, cfg.detector
     sqrt_r, sqrt_t = math.sqrt(mix.tap_reflectivity), math.sqrt(mix.transmissivity)
     alpha = mix.alpha.magnitude
-    edges = _hist_edges(cfg)
-    counts = np.zeros(4, dtype=np.int64)
-    h_all = np.zeros(len(edges) + 1, dtype=np.int64)
-    h_acc = np.zeros(len(edges) + 1, dtype=np.int64)
-    for start in range(0, cfg.trials, BLOCK_SIZE):
+    for start in range(0, n, BLOCK_SIZE):
         key = np.array([cfg.seed, start // BLOCK_SIZE], dtype=np.uint64)
         u = np.random.Generator(np.random.Philox(key=key)).random(
-            (min(BLOCK_SIZE, cfg.trials - start), 4))
+            (min(BLOCK_SIZE, n - start), 4))
         normal = 0.5 * ndtri(np.clip(u, 2.0**-53, 1.0 - 2.0**-53))
         truth = u[:, 0] < mix.p
         if isinstance(det, (IdealOnOff, Apd)):
-            accepted = u[:, 1] < np.where(truth, acceptance_probability(det, sqrt_r * alpha),
-                                          acceptance_probability(det, sqrt_r * cfg.prep_error))
+            tap = accepted = u[:, 1] < np.where(
+                truth, acceptance_probability(det, sqrt_r * alpha),
+                acceptance_probability(det, sqrt_r * cfg.prep_error))
         else:
             tap = np.where(truth, sqrt_r * alpha, sqrt_r * cfg.prep_error)
             tap = tap * effective_displacement(det, 1.0)
             if isinstance(det, HomodyneRandomized):
                 tap = tap * np.cos((u[:, 2] - 0.5) * (2.0 * np.pi))
-            accepted = np.abs(tap + normal[:, 1]) > det.threshold
+            tap = tap + normal[:, 1]
+            accepted = np.abs(tap) > det.threshold
         verify_x = np.where(truth, sqrt_t * alpha, sqrt_t * cfg.prep_error) + normal[:, 3]
+        yield truth, tap, accepted, verify_x
+
+
+def _reference_run(cfg):
+    """Counts and histograms of ``cfg`` from ``_reference_blocks``, by
+    searchsorted binning and boolean sums."""
+    edges = _hist_edges(cfg)
+    counts = np.zeros(4, dtype=np.int64)
+    h_all = np.zeros(len(edges) + 1, dtype=np.int64)
+    h_acc = np.zeros(len(edges) + 1, dtype=np.int64)
+    for truth, _, accepted, verify_x in _reference_blocks(cfg, cfg.trials):
         counts += [truth.sum(), (truth & accepted).sum(), (~truth).sum(),
                    (~truth & accepted).sum()]
         k = np.searchsorted(edges, verify_x, side="right")
@@ -691,6 +705,25 @@ def test_sweep_matches_a_plain_reference(data):
                 res.n_accepted_vacuum] == counts
         np.testing.assert_array_equal(res.hist_all.counts, h_all)
         np.testing.assert_array_equal(res.hist_accepted.counts, h_acc)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_records_match_a_plain_reference(data):
+    # every detector kind, light leaked into the vacuum slots, pulls across a
+    # block boundary: each column equals the reference's bit for bit
+    n = data.draw(st.integers(BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 999))
+    unit = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    cfg = make_cfg(data.draw(_any_detector()), p=data.draw(unit),
+                   alpha_sq=data.draw(st.floats(0.0, 6.0)), tap=data.draw(unit),
+                   prep_error=data.draw(st.floats(0.0, 1.5, exclude_min=True)),
+                   trials=n + data.draw(st.integers(0, BLOCK_SIZE)),
+                   seed=data.draw(st.integers(0, 2**64 - 1)))
+    records = sample_trials(cfg, n)
+    want = [np.concatenate(column) for column in zip(*_reference_blocks(cfg, n))]
+    for name, column in zip(_COLUMNS, want, strict=True):
+        got = getattr(records, name)
+        assert got.dtype == column.dtype and got.tobytes() == column.tobytes(), name
 
 
 @st.composite

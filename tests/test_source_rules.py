@@ -6,8 +6,11 @@ the rest of the package, one writer of command output: only ``cli.main``
 calls ``cli._emit``, and only ``_emit`` writes to ``sys.stdout``, and a
 security layer that imports nothing from ``gaussian``, so the
 Gaussian-mixture calculus stays off its hot path, no environment
-variable read, so a command's behaviour depends on its argv alone, and no
-definition that nothing reads but the tests written for it."""
+variable read, so a command's behaviour depends on its argv alone, one
+place where the Monte-Carlo kernel turns a detector into a decision (only
+``montecarlo._rules`` calls ``effective_displacement`` or tests a detector
+class with ``isinstance``), and no definition that nothing reads but the
+tests written for it."""
 
 import ast
 from pathlib import Path
@@ -245,6 +248,62 @@ def test_environ_rule_catches_each_pattern(tmp_path):
     assert environ_violations(bad) == [
         "cli.py:2: imports os.environ", "cli.py:4: reads os.environ",
         "cli.py:5: reads os.environ", "cli.py:6: reads os.getenv"]
+
+
+def _detector_names(tree) -> set:
+    """Names a module binds by importing them from ``detectors``."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.rsplit(".", 1)[-1] == "detectors"
+            for alias in node.names}
+
+
+def _names_a_detector(node, detector_names: set) -> bool:
+    """Whether an ``isinstance`` class argument names a detector class: a name
+    imported from ``detectors`` or an attribute of the ``detectors`` module,
+    alone or in a tuple."""
+    return any(isinstance(n, ast.Name) and n.id in detector_names
+               or isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+               and n.value.id == "detectors"
+               for n in ast.walk(node))
+
+
+def dispatch_violations(path: Path) -> list:
+    """Calls of ``effective_displacement`` and ``isinstance`` tests of a
+    detector class anywhere but in ``_rules``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    detector_names = _detector_names(tree)
+    found = []
+    for scope, node in _scoped(tree):
+        if not isinstance(node, ast.Call) or scope == "_rules":
+            continue
+        func = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        if func == "effective_displacement":
+            found.append(f"{path.name}:{node.lineno}: calls effective_displacement")
+        elif (func == "isinstance" and len(node.args) == 2
+              and _names_a_detector(node.args[1], detector_names)):
+            found.append(f"{path.name}:{node.lineno}: tests a detector class")
+    return found
+
+
+def test_only_rules_dispatch_on_detectors_in_the_monte_carlo_kernel():
+    assert dispatch_violations(Path(vacfilter.__file__).parent / "montecarlo.py") == []
+
+
+def test_dispatch_rule_catches_each_pattern(tmp_path):
+    bad = tmp_path / "montecarlo.py"
+    bad.write_text("from . import detectors\n"
+                   "from .detectors import Apd, Homodyne as Hd, effective_displacement\n"
+                   "def _rules(det):\n"
+                   "    return isinstance(det, (Apd, Hd)), effective_displacement(det, 1.0)\n"
+                   "def _half(det, n):\n"
+                   "    if isinstance(det, (int, Apd)) or isinstance(n, int):\n"
+                   "        return detectors.effective_displacement(det, 1.0)\n"
+                   "    return isinstance(det, Hd) or isinstance(det, detectors.IdealOnOff)\n")
+    assert dispatch_violations(bad) == [
+        "montecarlo.py:6: tests a detector class",
+        "montecarlo.py:7: calls effective_displacement",
+        "montecarlo.py:8: tests a detector class", "montecarlo.py:8: tests a detector class"]
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
